@@ -4,8 +4,9 @@ Subcommands: ``char`` (normalized character series), ``paths`` (path listing,
 count, or energy generating function), ``grading`` (graded filtration
 pieces), ``stable`` (table of S polynomials), ``verify`` (one named identity
 suite), ``all`` (every suite at desk scale).  Exit status: 0 all checks pass,
-1 at least one failure, 2 usage error.  Output is deterministic: reports sort
-cases by id, JSON keys are sorted, and worker count never changes bytes.
+1 at least one failure, 2 usage error or out-of-range value.  Output is
+deterministic: reports sort cases by id, JSON keys are sorted, and worker
+count never changes bytes.
 """
 
 from __future__ import annotations
@@ -495,7 +496,13 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        # Bad input is a usage error; exit 1 stays reserved for a failed
+        # identity (verify chunks turn their own exceptions into failed cases).
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -241,14 +241,18 @@ def b_of(r: int, a: int, params: ModelParams) -> int:
     return winners[0]
 
 
-def enumerate_paths(a: int, b: int, m: int, params: ModelParams) -> list[Path]:
-    """All admissible paths (s_0, ..., s_m) with s_0 = a and s_m = b,
-    in lexicographic order."""
+def _check_path_ends(a: int, b: int, m: int, params: ModelParams) -> None:
     if m < 0:
         raise ValueError("m must be >= 0")
     for s in (a, b):
         if not 1 <= s <= params.pp - 1:
             raise ValueError(f"site {s} off the strip")
+
+
+def enumerate_paths(a: int, b: int, m: int, params: ModelParams) -> list[Path]:
+    """All admissible paths (s_0, ..., s_m) with s_0 = a and s_m = b,
+    in lexicographic order."""
+    _check_path_ends(a, b, m, params)
     out: list[Path] = []
 
     def go(prefix: list[int]) -> None:
@@ -269,6 +273,7 @@ def enumerate_paths(a: int, b: int, m: int, params: ModelParams) -> list[Path]:
 
 def count_paths(a: int, b: int, m: int, params: ModelParams) -> int:
     """Transfer-matrix path count; independent of the recursive enumeration."""
+    _check_path_ends(a, b, m, params)
     pp = params.pp
     vec = [0] * pp
     vec[a] = 1

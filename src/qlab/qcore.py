@@ -13,6 +13,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from operator import sub
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 QExp = Fraction
@@ -348,30 +350,57 @@ def exact_div(num: QSeries, den: QSeries) -> QSeries:
 # -- binomial family --------------------------------------------------------
 
 
+def _gauss_coeffs(n: int, k: int) -> list[int]:
+    """Dense coefficient list of [n, k]_q for 0 <= k <= n."""
+    m = n - k
+    c = [1]
+    for i in range(1, k + 1):
+        # Multiply by (1 - q^(m+i)): c[j] -= c[j-m-i] for every j at once,
+        # reading the old values as a descending in-place pass would.
+        s = m + i
+        c = c + [0] * s
+        c[s:] = map(sub, c[s:], c[:-s])
+        # Divide by (1 - q^i): prefix sums along each residue class mod i.
+        for r in range(i):
+            c[r::i] = accumulate(c[r::i])
+        if any(c[-i:]):
+            raise ArithmeticError("division is not exact")
+        del c[-i:]
+    return c
+
+
 @lru_cache(maxsize=None)
 def q_binomial(L: int, a: int) -> QSeries:
     """Gaussian binomial [L, a]_q = (q^{L-a+1})_a / (q)_a.
 
-    Defined for any integer L and a >= 0 (zero for a < 0); for L < 0 the
-    result is a Laurent polynomial.  The product form makes 0 <= L < a vanish
-    automatically through the (1 - q^0) factor.
+    Defined for any integer L and a >= 0 (zero for a < 0, and for 0 <= L < a);
+    for L < 0 the result is a Laurent polynomial.
+
+    Algorithm: a dense list of ints starts at [1] and, for i = 1..a, is
+    multiplied by (1 - q^{L-a+i}) and then divided by (1 - q^i).  After step
+    i the list is the polynomial [L-a+i, i]_q, so every division is exact;
+    the top i coefficients of each prefix-sum quotient must vanish, else
+    ``ArithmeticError`` is raised.  The cost is O(a * a(L-a)) integer
+    additions.  For L < 0 the same kernel runs on the reflection
+    [L, a] = (-1)^a q^{aL - a(a-1)/2} [a-L-1, a].
     """
     if a < 0 or 0 <= L < a:
         return QSeries.zero(None)
-    num = QSeries.one(None)
-    for i in range(a):
-        # L - a + 1 + i is never 0 here, so the two keys stay distinct.
-        num = num * QSeries({0: 1, L - a + 1 + i: -1}, None)
-    return exact_div(num, poch(a))
+    n, sign, offset = L, 1, 0
+    if L < 0:
+        n, sign, offset = a - L - 1, (-1) ** a, a * L - a * (a - 1) // 2
+    coeffs = _gauss_coeffs(n, a)
+    return QSeries({offset + j: sign * c for j, c in enumerate(coeffs)}, None)
 
 
 def q_trinomial(n: int, a: int, b: int, c: int) -> QSeries:
-    """(q)_n / ((q)_a (q)_b (q)_c) for a+b+c=n; zero if any index is negative."""
+    """(q)_n / ((q)_a (q)_b (q)_c) = [n, a]_q [b+c, b]_q for a+b+c=n; zero if
+    any index is negative."""
     if a + b + c != n:
         raise ValueError("q_trinomial requires a + b + c = n")
     if min(a, b, c) < 0:
         return QSeries.zero(None)
-    return exact_div(poch(n), poch(a) * poch(b) * poch(c))
+    return q_binomial(n, a) * q_binomial(b + c, b)
 
 
 # -- two-row supernomial -----------------------------------------------------

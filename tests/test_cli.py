@@ -55,6 +55,19 @@ class TestExitCodes:
             run(["verify", "nosuchsuite"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["paths", "--p", "5", "--pp", "8", "--a", "1", "--b", "1",
+         "--m", "-1", "--count"],
+        ["paths", "--p", "3", "--pp", "4", "--a", "9", "--b", "1",
+         "--m", "2", "--count"],
+    ])
+    def test_bad_value_is_2_with_one_line(self, argv, capsys):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("qlab: error: ")
+
     def test_verify_pass_is_0(self, capsys):
         assert run(["verify", "pmn", "--mmax", "3"]) == 0
         report = json.loads(capsys.readouterr().out)

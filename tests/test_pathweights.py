@@ -147,6 +147,12 @@ class TestPaths:
                     got = count_paths(a, b, m, params)
                     assert got == len(enumerate_paths(a, b, m, params))
 
+    @pytest.mark.parametrize("fn", [count_paths, enumerate_paths])
+    @pytest.mark.parametrize("a,b,m", [(1, 1, -1), (9, 1, 2), (0, 1, 2), (1, 4, 2)])
+    def test_rejects_bad_ends(self, fn, a, b, m):
+        with pytest.raises(ValueError):
+            fn(a, b, m, ModelParams(3, 4))
+
     def test_energy_of_forced_path(self):
         table = TABLES[(3, 4)]
         assert energy((1, 3, 1), table) == weight(1, 3, 1, table)

@@ -186,6 +186,19 @@ class TestQBinomial:
     def test_counts_at_q_one(self, L, a):
         assert q_binomial(L, a).coeff_sum() == math.comb(L, a)
 
+    @given(L=st.integers(-8, 30), a=st.integers(-1, 12))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_sparse_division_oracle(self, L, a):
+        # The dense kernel against the sparse product-plus-exact_div route.
+        if a < 0 or 0 <= L < a:
+            want = QSeries.zero(None)
+        else:
+            num = QSeries.one(None)
+            for i in range(a):
+                num = num * QSeries({0: 1, L - a + 1 + i: -1}, None)
+            want = exact_div(num, poch(a))
+        assert q_binomial(L, a) == want, (L, a)
+
 
 class TestQTrinomial:
     def test_hand_value(self):
@@ -213,6 +226,13 @@ class TestQTrinomial:
         want = math.factorial(n) // (
             math.factorial(a) * math.factorial(b) * math.factorial(c))
         assert q_trinomial(n, a, b, c).coeff_sum() == want
+
+    @given(a=st.integers(0, 6), b=st.integers(0, 6), c=st.integers(0, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_sparse_division_oracle(self, a, b, c):
+        n = a + b + c
+        want = exact_div(poch(n), poch(a) * poch(b) * poch(c))
+        assert q_trinomial(n, a, b, c) == want, (a, b, c)
 
 
 class TestSupernomial2:
