@@ -7,7 +7,7 @@ series carry the conformal weight of the module as their leading exponent.
 
 from fractions import Fraction
 
-from qlab import graded_13_char, rocha_caridi, series_add, unitary_params
+from qlab import graded_13_char, rocha_caridi, unitary_params
 
 
 def main():
@@ -23,7 +23,7 @@ def main():
         head = [piece.coeff(Fraction(n)) for n in range(qmax + 1)]
         if any(head):
             print(f"  m={m}: {head}")
-        total = piece if total is None else series_add(total, piece)
+        total = piece if total is None else total + piece
 
     ch = rocha_caridi(params, r, s, Fraction(qmax + 1))
     want = [ch.coeff(Fraction(n)) for n in range(qmax + 1)]

@@ -1,84 +1,39 @@
-"""qlab: exact q-series laboratory for filtration characters of minimal models."""
+"""qlab: exact q-series laboratory for filtration characters of minimal models.
 
-from .qcore import (
-    Comparison,
-    QExp,
-    QSeries,
-    QZChar,
-    compare,
-    exact_div,
-    poch,
-    poch_inv,
-    q_binomial,
-    q_trinomial,
-    series_add,
-    series_mul,
-    supernomial2,
-)
-from .supernomial import S, S_table, S_tilde, verify_S_recurrences
+The package re-exports the names the demos and the README use; everything
+else is imported from its module (``qlab.qcore``, ``qlab.supernomial``,
+``qlab.pathweights``, ``qlab.vircharacters``, ``qlab.fusionchar``,
+``qlab.report``).
+"""
+
+from .supernomial import verify_S_recurrences
 from .pathweights import (
     ModelParams,
-    TauTable,
-    b_of,
     brute_config_sum_X,
     config_sum_X,
     count_paths,
     delta,
     energy,
     enumerate_paths,
-    f_function,
-    f_sum,
     make_tau_table,
-    tau,
     verify_Xandf,
     weight,
-    x_configs,
 )
-from .vircharacters import (
-    I_m,
-    path_side_GEN,
-    rigged_path_gf,
-    rocha_caridi,
-    verify_GEN,
-    verify_IandS,
-    verify_poch_inv_expansion,
-    verify_rigged,
-    verify_rocha2,
-)
+from .vircharacters import rocha_caridi, verify_rocha2
 from .fusionchar import (
-    abf_finitized,
-    ch_pi1_fused,
-    ch_pi2_fused,
-    euler_multiplicity,
     graded_13_char,
-    level1_char,
     unitary_params,
-    verify_abf,
-    verify_exact_sequence_chars,
-    verify_grading,
-    verify_i1_sector,
     verify_pi2pi3,
     verify_pmn,
-    weight_string,
 )
-from .report import CaseResult, SuiteReport, make_report, run_cases
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Comparison", "QExp", "QSeries", "QZChar", "compare", "exact_div",
-    "poch", "poch_inv", "q_binomial", "q_trinomial", "series_add",
-    "series_mul", "supernomial2",
-    "S", "S_table", "S_tilde", "verify_S_recurrences",
-    "ModelParams", "TauTable", "b_of", "brute_config_sum_X", "config_sum_X",
-    "count_paths", "delta", "energy", "enumerate_paths", "f_function",
-    "f_sum", "make_tau_table", "tau", "verify_Xandf", "weight", "x_configs",
-    "I_m", "path_side_GEN", "rigged_path_gf", "rocha_caridi", "verify_GEN",
-    "verify_IandS", "verify_poch_inv_expansion", "verify_rigged",
-    "verify_rocha2",
-    "abf_finitized", "ch_pi1_fused", "ch_pi2_fused", "euler_multiplicity",
-    "graded_13_char", "level1_char", "unitary_params", "verify_abf",
-    "verify_exact_sequence_chars", "verify_grading", "verify_i1_sector",
-    "verify_pi2pi3", "verify_pmn", "weight_string",
-    "CaseResult", "SuiteReport", "make_report", "run_cases",
+    "verify_S_recurrences",
+    "ModelParams", "brute_config_sum_X", "config_sum_X", "count_paths",
+    "delta", "energy", "enumerate_paths", "make_tau_table", "verify_Xandf",
+    "weight",
+    "rocha_caridi", "verify_rocha2",
+    "graded_13_char", "unitary_params", "verify_pi2pi3", "verify_pmn",
 ]

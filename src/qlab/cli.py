@@ -5,32 +5,32 @@ count, or energy generating function), ``grading`` (graded filtration
 pieces), ``stable`` (table of S polynomials), ``verify`` (one named identity
 suite), ``all`` (every suite at desk scale).  Exit status: 0 all checks pass,
 1 at least one failure, 2 usage error or out-of-range value.  Output is
-deterministic: reports sort cases by id, JSON keys are sorted, and worker
-count never changes bytes.
+deterministic: reports sort cases by id and JSON keys are sorted.  Suites
+run serially; ``--jobs`` (or ``QLAB_JOBS``) is accepted and changes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from . import report as report_mod
 from .qcore import QSeries
 from .supernomial import S_table, verify_S_recurrences
 from .pathweights import (
-    ModelParams, enumerate_paths, count_paths, energy, make_tau_table,
+    ModelParams, b_of, enumerate_paths, count_paths, energy, make_tau_table,
     verify_Xandf,
 )
 from .vircharacters import (
-    rocha_caridi, verify_GEN, verify_IandS, verify_poch_inv_expansion,
+    I_m, rocha_caridi, verify_GEN, verify_IandS, verify_poch_inv_expansion,
     verify_rigged, verify_rocha2,
 )
 from .fusionchar import (
-    graded_13_char, verify_abf, verify_exact_sequence_chars, verify_grading,
-    verify_i1_sector, verify_pi2pi3, verify_pmn,
+    graded_13_char, unitary_params, verify_abf, verify_exact_sequence_chars,
+    verify_grading, verify_i1_sector, verify_pi2pi3, verify_pmn,
 )
 from .report import CaseResult, SuiteReport, make_report
 
@@ -49,63 +49,83 @@ Chunk = tuple[str, Callable[[], list[CaseResult]]]
 
 
 def _run_chunks(chunks: Sequence[Chunk], jobs: Optional[int]) -> list[CaseResult]:
-    n = report_mod.default_jobs() if jobs is None else max(1, jobs)
+    """Run the chunks serially, in order; ``jobs`` changes nothing.
 
-    def run_one(chunk: Chunk) -> list[CaseResult]:
-        name, thunk = chunk
+    A chunk that raises becomes one failed case named after the chunk.
+    """
+    cases: list[CaseResult] = []
+    for name, thunk in chunks:
         try:
-            return thunk()
+            cases.extend(thunk())
         except Exception as exc:
-            return [CaseResult(name, False, f"error: {exc!r}")]
-
-    if n == 1 or len(chunks) <= 1:
-        nested = [run_one(c) for c in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            nested = list(pool.map(run_one, chunks))
-    return [case for sub in nested for case in sub]
+            cases.append(CaseResult(name, False, f"error: {exc!r}"))
+    return cases
 
 
-# -- suite registry ----------------------------------------------------------
+# -- suite table -------------------------------------------------------------
 
 
-def _suite_rels(args) -> tuple[str, dict, list[Chunk]]:
-    m_max = args.mmax if args.mmax is not None else 8
+@dataclass(frozen=True)
+class Suite:
+    """A verification suite: the identity it checks in plain words, the value
+    of each argument the user leaves out, the arguments ``all`` sets over the
+    user's, and a builder from resolved arguments to (report params, chunks).
+    Builders construct model parameters themselves, so a bad value is a usage
+    error before any chunk runs."""
 
-    def run() -> list[CaseResult]:
-        return [
-            CaseResult(f"relS {c.identity} m={c.m} l={c.l}", c.ok, c.detail)
-            for c in verify_S_recurrences(m_max)
-        ]
-
-    anchor = "shift recurrences and symmetry of the S / S~ polynomial family"
-    return anchor, {"m_max": m_max}, [("relS", run)]
+    anchor: str
+    defaults: dict
+    all_scale: dict
+    build: Callable[[argparse.Namespace], tuple[dict, list[Chunk]]]
 
 
-def _suite_xandf(args) -> tuple[str, dict, list[Chunk]]:
-    models = [(args.p, args.pp)] if args.p and args.pp else list(FIVE_MODELS)
-    m_max = args.mmax if args.mmax is not None else 5
+def _chosen(default: Sequence[tuple], **given: Optional[int]) -> list[tuple]:
+    """The one instance the user named, or all of ``default`` when no part of
+    it is given; naming only part of it is a usage error."""
+    if all(x is None for x in given.values()):
+        return list(default)
+    if None in given.values():
+        raise ValueError("give all of " + " ".join(f"--{k}" for k in given)
+                         + " or none of them")
+    return [tuple(given.values())]
+
+
+def _per_label(tag: str, models: list[tuple], check) -> list[Chunk]:
+    """One chunk per model and labels (r, a) running ``check(params, r, a)``."""
     chunks: list[Chunk] = []
     for p, pp in models:
-        def run(p=p, pp=pp) -> list[CaseResult]:
-            table = make_tau_table(ModelParams(p, pp))
+        params = ModelParams(p, pp)
+        chunks += [(f"{tag} {p},{pp} r={r} a={a}",
+                    lambda params=params, r=r, a=a: check(params, r, a))
+                   for r in range(1, p) for a in range(1, pp)]
+    return chunks
+
+
+def _relS(v):
+    def run() -> list[CaseResult]:
+        return [CaseResult(f"relS {c.identity} m={c.m} l={c.l}", c.ok, c.detail)
+                for c in verify_S_recurrences(v.mmax)]
+    return {"m_max": v.mmax}, [("relS", run)]
+
+
+def _xandf(v):
+    models = _chosen(FIVE_MODELS, p=v.p, pp=v.pp)
+    chunks: list[Chunk] = []
+    for p, pp in models:
+        def run(params=ModelParams(p, pp)) -> list[CaseResult]:
             return [
-                CaseResult(f"xandf p={p} p'={pp} a={c.a} b={c.b} c={c.c} m={c.m}",
-                           c.ok, c.detail)
-                for c in verify_Xandf(table, m_max)
+                CaseResult(f"xandf p={params.p} p'={params.pp} a={c.a} b={c.b} "
+                           f"c={c.c} m={c.m}", c.ok, c.detail)
+                for c in verify_Xandf(make_tau_table(params), v.mmax)
             ]
         chunks.append((f"xandf {p},{pp}", run))
-    anchor = "path configuration sums equal alternating supernomial f-sums"
-    return anchor, {"models": models, "m_max": m_max}, chunks
+    return {"models": models, "m_max": v.mmax}, chunks
 
 
-def _suite_tau(args) -> tuple[str, dict, list[Chunk]]:
-    pp_max = args.pp if args.pp else 40
-
+def _tau(v):
     def run() -> list[CaseResult]:
-        import math
         out = []
-        for pp in range(4, pp_max + 1):
+        for pp in range(4, v.pp + 1):
             for p in range(3, pp):
                 if not (p < pp < 2 * p) or math.gcd(p, pp) != 1:
                     continue
@@ -115,173 +135,132 @@ def _suite_tau(args) -> tuple[str, dict, list[Chunk]]:
                 except ValueError as exc:
                     out.append(CaseResult(f"tau p={p} p'={pp}", False, str(exc)))
         return out
-
-    anchor = "site tables satisfy every structural constraint of the labelling"
-    return anchor, {"pp_max": pp_max}, [("tau", run)]
+    return {"pp_max": v.pp}, [("tau", run)]
 
 
-def _suite_rocha2(args) -> tuple[str, dict, list[Chunk]]:
-    qmax = args.qmax if args.qmax is not None else 40
-    if args.p and args.pp and args.r and args.a:
-        b = args.b if args.b else args.a
-        instances = [(args.p, args.pp, args.r, args.a, b)]
-    else:
-        instances = list(ROCHA2_INSTANCES)
-    chunks: list[Chunk] = [
-        (f"rocha2 {inst}", lambda inst=inst: [
-            verify_rocha2(ModelParams(inst[0], inst[1]), inst[2], inst[3],
-                          inst[4], qmax + 1)])
-        for inst in instances
-    ]
-    anchor = "sum_m I_m/(q)_m reproduces the alternating-sum character"
-    return anchor, {"instances": instances, "qmax": qmax}, chunks
-
-
-def _suite_gen(args) -> tuple[str, dict, list[Chunk]]:
-    models = [(args.p, args.pp)] if args.p and args.pp else list(FIVE_MODELS)
-    m_max = args.mmax if args.mmax is not None else 6
+def _rocha2(v):
+    instances = _chosen(ROCHA2_INSTANCES, p=v.p, pp=v.pp, r=v.r, a=v.a,
+                        b=v.a if v.b is None else v.b)
     chunks: list[Chunk] = []
-    for p, pp in models:
-        for r in range(1, p):
-            for a in range(1, pp):
-                chunks.append((
-                    f"gen {p},{pp} r={r} a={a}",
-                    lambda p=p, pp=pp, r=r, a=a: verify_GEN(
-                        ModelParams(p, pp), r, a, m_max),
-                ))
-    anchor = "weighted path sums equal the configuration polynomials I_m"
-    return anchor, {"models": models, "m_max": m_max}, chunks
+    for inst in instances:
+        params, (r, a, b) = ModelParams(*inst[:2]), inst[2:]
+        I_m(params, r, a, b, 0)  # rejects labels off the strip before any chunk runs
+        chunks.append((f"rocha2 {inst}", lambda params=params, r=r, a=a, b=b: [
+            verify_rocha2(params, r, a, b, v.qmax + 1)]))
+    return {"instances": instances, "qmax": v.qmax}, chunks
 
 
-def _suite_iands(args) -> tuple[str, dict, list[Chunk]]:
-    from .pathweights import b_of
-    models = [(args.p, args.pp)] if args.p and args.pp else list(FIVE_MODELS)
-    m_max = args.mmax if args.mmax is not None else 6
-    chunks: list[Chunk] = []
-    for p, pp in models:
-        for r in range(1, p):
-            for a in range(1, pp):
-                chunks.append((
-                    f"iands {p},{pp} r={r} a={a}",
-                    lambda p=p, pp=pp, r=r, a=a: verify_IandS(
-                        ModelParams(p, pp), r, a,
-                        b_of(r, a, ModelParams(p, pp)), m_max),
-                ))
-    anchor = "I_m decomposes over the next-to-last path site"
-    return anchor, {"models": models, "m_max": m_max}, chunks
+def _gen(v):
+    models = _chosen(FIVE_MODELS, p=v.p, pp=v.pp)
+    return {"models": models, "m_max": v.mmax}, _per_label(
+        "gen", models, lambda params, r, a: verify_GEN(params, r, a, v.mmax))
 
 
-def _suite_rigged(args) -> tuple[str, dict, list[Chunk]]:
-    qmax = args.qmax if args.qmax is not None else 20
-    models = [(args.p, args.pp)] if args.p and args.pp else [(3, 4), (4, 5)]
-    chunks: list[Chunk] = []
-    for p, pp in models:
-        for r in range(1, p):
-            for a in range(1, pp):
-                chunks.append((
-                    f"rigged {p},{pp} r={r} a={a}",
-                    lambda p=p, pp=pp, r=r, a=a: [
-                        verify_rigged(ModelParams(p, pp), r, a, qmax + 1)],
-                ))
-    anchor = "brute-force rigged-path enumeration matches the character"
-    return anchor, {"models": models, "qmax": qmax}, chunks
+def _iands(v):
+    models = _chosen(FIVE_MODELS, p=v.p, pp=v.pp)
+    return {"models": models, "m_max": v.mmax}, _per_label(
+        "iands", models, lambda params, r, a: verify_IandS(
+            params, r, a, b_of(r, a, params), v.mmax))
 
 
-def _suite_pochsum(args) -> tuple[str, dict, list[Chunk]]:
-    qmax = args.qmax if args.qmax is not None else 40
-    l_max = 5
-    anchor = "1/(q)_inf = sum_m q^{m^2-l^2} S_{m,l}/(q)_m for every l"
-    return anchor, {"l_max": l_max, "qmax": qmax}, [
-        ("pochsum", lambda: verify_poch_inv_expansion(l_max, qmax + 1))]
+def _rigged(v):
+    models = _chosen(((3, 4), (4, 5)), p=v.p, pp=v.pp)
+    return {"models": models, "qmax": v.qmax}, _per_label(
+        "rigged", models,
+        lambda params, r, a: [verify_rigged(params, r, a, v.qmax + 1)])
 
 
-def _suite_pi2pi3(args) -> tuple[str, dict, list[Chunk]]:
-    qmax = args.qmax if args.qmax is not None else 30
-    anchor = "level-one character as q^{m^2}/(q)_m-weighted flipped string sum"
-    return anchor, {"qmax": qmax}, [
-        ("pi2pi3", lambda: verify_pi2pi3(qmax + 1))]
+def _levels(v) -> list[int]:
+    """The levels k of the unitary models a suite runs: --k, or 1, 2 and 3."""
+    ks = [1, 2, 3] if v.k is None else [v.k]
+    for k in ks:
+        unitary_params(k)  # rejects k < 1 before any chunk runs
+    return ks
 
 
-def _suite_pmn(args) -> tuple[str, dict, list[Chunk]]:
-    n_max = args.mmax if args.mmax is not None else 6
-    anchor = "finite binomial refinement of the string-sum identity"
-    return anchor, {"N_max": n_max}, [
-        ("pmn", lambda: verify_pmn(n_max))]
+def _abf(v):
+    (k,) = _levels(v)
+    return {"k": k, "N": v.m, "deg": v.qmax}, [
+        ("abf", lambda: verify_abf(k, v.m, v.qmax))]
 
 
-def _suite_exactseq(args) -> tuple[str, dict, list[Chunk]]:
-    k_max = args.mmax if args.mmax is not None else 5
-    anchor = "fusion short-exact-sequence identity for string characters"
-    return anchor, {"k1_max": k_max, "k2_max": k_max}, [
-        ("exactseq", lambda: verify_exact_sequence_chars(k_max, k_max))]
+def _grading(v):
+    ks = _levels(v)
+    return {"k": ks, "m_max": v.mmax, "qmax": v.qmax}, [
+        (f"grading k={k}", lambda k=k: verify_grading(k, v.mmax, v.qmax + 1))
+        for k in ks]
 
 
-def _suite_abf(args) -> tuple[str, dict, list[Chunk]]:
-    k = args.k if args.k is not None else 1
-    qmax = args.qmax if args.qmax is not None else 15
-    n = args.m if args.m is not None else 20
-    anchor = "finitized lattice sums stabilize to minimal-model characters"
-    return anchor, {"k": k, "N": n, "deg": qmax}, [
-        ("abf", lambda: verify_abf(k, n, qmax))]
+def _i1(v):
+    ks = _levels(v)
+    return {"k": ks, "qmax": v.qmax}, [
+        (f"i1 k={k}", lambda k=k: verify_i1_sector(k, v.qmax + 1)) for k in ks]
 
 
-def _suite_grading(args) -> tuple[str, dict, list[Chunk]]:
-    ks = [args.k] if args.k is not None else [1, 2, 3]
-    m_max = args.mmax if args.mmax is not None else 6
-    qmax = args.qmax if args.qmax is not None else 40
-    chunks: list[Chunk] = [
-        (f"grading k={k}", lambda k=k: verify_grading(k, m_max, qmax + 1))
-        for k in ks
-    ]
-    anchor = ("graded filtration pieces: nonnegative, sum to the character, "
-              "and match the alternating fused-string route")
-    return anchor, {"k": ks, "m_max": m_max, "qmax": qmax}, chunks
-
-
-def _suite_i1(args) -> tuple[str, dict, list[Chunk]]:
-    ks = [args.k] if args.k is not None else [1, 2, 3]
-    qmax = args.qmax if args.qmax is not None else 40
-    chunks: list[Chunk] = [
-        (f"i1 k={k}", lambda k=k: verify_i1_sector(k, qmax + 1)) for k in ks
-    ]
-    anchor = "odd sectors equal their reflected partners piece by piece"
-    return anchor, {"k": ks, "qmax": qmax}, chunks
-
-
-SUITES = {
-    "relS": _suite_rels,
-    "xandf": _suite_xandf,
-    "tau": _suite_tau,
-    "rocha2": _suite_rocha2,
-    "gen": _suite_gen,
-    "iands": _suite_iands,
-    "rigged": _suite_rigged,
-    "pochsum": _suite_pochsum,
-    "pi2pi3": _suite_pi2pi3,
-    "pmn": _suite_pmn,
-    "exactseq": _suite_exactseq,
-    "abf": _suite_abf,
-    "grading": _suite_grading,
-    "i1": _suite_i1,
+SUITES: dict[str, Suite] = {
+    "relS": Suite(
+        "shift recurrences and symmetry of the S / S~ polynomial family",
+        {"mmax": 8}, {"mmax": 6}, _relS),
+    "xandf": Suite(
+        "path configuration sums equal alternating supernomial f-sums",
+        {"mmax": 5}, {"mmax": 4}, _xandf),
+    "tau": Suite(
+        "site tables satisfy every structural constraint of the labelling",
+        {"pp": 40}, {}, _tau),
+    "rocha2": Suite(
+        "sum_m I_m/(q)_m reproduces the alternating-sum character",
+        {"qmax": 40}, {"qmax": 30}, _rocha2),
+    "gen": Suite(
+        "weighted path sums equal the configuration polynomials I_m",
+        {"mmax": 6}, {"mmax": 5}, _gen),
+    "iands": Suite(
+        "I_m decomposes over the next-to-last path site",
+        {"mmax": 6}, {"mmax": 4}, _iands),
+    "rigged": Suite(
+        "brute-force rigged-path enumeration matches the character",
+        {"qmax": 20}, {"qmax": 14}, _rigged),
+    "pochsum": Suite(
+        "1/(q)_inf = sum_m q^{m^2-l^2} S_{m,l}/(q)_m for every l",
+        {"qmax": 40}, {"qmax": 30}, lambda v: (
+            {"l_max": 5, "qmax": v.qmax},
+            [("pochsum", lambda: verify_poch_inv_expansion(5, v.qmax + 1))])),
+    "pi2pi3": Suite(
+        "level-one character as q^{m^2}/(q)_m-weighted flipped string sum",
+        {"qmax": 30}, {"qmax": 20}, lambda v: (
+            {"qmax": v.qmax}, [("pi2pi3", lambda: verify_pi2pi3(v.qmax + 1))])),
+    "pmn": Suite(
+        "finite binomial refinement of the string-sum identity",
+        {"mmax": 6}, {"mmax": 4}, lambda v: (
+            {"N_max": v.mmax}, [("pmn", lambda: verify_pmn(v.mmax))])),
+    "exactseq": Suite(
+        "fusion short-exact-sequence identity for string characters",
+        {"mmax": 5}, {"mmax": 4}, lambda v: (
+            {"k1_max": v.mmax, "k2_max": v.mmax},
+            [("exactseq", lambda: verify_exact_sequence_chars(v.mmax, v.mmax))])),
+    "abf": Suite(
+        "finitized lattice sums stabilize to minimal-model characters",
+        {"k": 1, "qmax": 15, "m": 20}, {"qmax": 10, "m": 12}, _abf),
+    "grading": Suite(
+        "graded filtration pieces: nonnegative, sum to the character, "
+        "and match the alternating fused-string route",
+        {"mmax": 6, "qmax": 40}, {"mmax": 4, "qmax": 30, "k": None}, _grading),
+    "i1": Suite(
+        "odd sectors equal their reflected partners piece by piece",
+        {"qmax": 40}, {"qmax": 30}, _i1),
 }
 
-# Reduced-scale arguments for `all` (kept well under desk-scale budgets).
-_ALL_SCALE: dict[str, dict] = {
-    "relS": {"mmax": 6},
-    "xandf": {"mmax": 4},
-    "tau": {},
-    "rocha2": {"qmax": 30},
-    "gen": {"mmax": 5},
-    "iands": {"mmax": 4},
-    "rigged": {"qmax": 14},
-    "pochsum": {"qmax": 30},
-    "pi2pi3": {"qmax": 20},
-    "pmn": {"mmax": 4},
-    "exactseq": {"mmax": 4},
-    "abf": {"qmax": 10, "m": 12},
-    "grading": {"mmax": 4, "qmax": 30, "k": None},
-    "i1": {"qmax": 30},
-}
+_SUITE_ARGS = ("p", "pp", "r", "s", "a", "b", "m", "k", "mmax", "qmax")
+
+
+def _build(name: str, args, scaled: bool = False) -> tuple[dict, list[Chunk]]:
+    """Resolve the suite's arguments (the user's, then the ``all`` scale when
+    ``scaled``, then the defaults for what is still unset) and build it."""
+    suite = SUITES[name]
+    given = {k: getattr(args, k) for k in _SUITE_ARGS}
+    if scaled:
+        given.update(suite.all_scale)
+    resolved = {k: suite.defaults.get(k) if x is None else x for k, x in given.items()}
+    return suite.build(argparse.Namespace(**resolved))
 
 
 def _emit(args, payload: dict, csv_text: Optional[str] = None) -> None:
@@ -366,39 +345,20 @@ def _report_exit(args, rep: SuiteReport) -> int:
 
 
 def _cmd_verify(args) -> int:
-    builder = SUITES[args.suite]
-    anchor, params, chunks = builder(args)
-    cases = _run_chunks(chunks, args.jobs)
-    rep = make_report(args.suite, anchor, params, cases)
+    params, chunks = _build(args.suite, args)
+    rep = make_report(args.suite, SUITES[args.suite].anchor, params,
+                      _run_chunks(chunks, args.jobs))
     return _report_exit(args, rep)
 
 
-class _Scale:
-    """Argument wrapper presenting per-suite reduced defaults for `all`."""
-
-    def __init__(self, base, overrides: dict):
-        self._base = base
-        self._overrides = overrides
-
-    def __getattr__(self, name: str):
-        if name in self._overrides:
-            return self._overrides[name]
-        return getattr(self._base, name)
-
-
 def _cmd_all(args) -> int:
-    failures = 0
-    reports = []
-    for name in sorted(SUITES):
-        builder = SUITES[name]
-        scale = dict(_ALL_SCALE.get(name, {}))
-        view = _Scale(args, scale)
-        anchor, params, chunks = builder(view)
-        cases = _run_chunks(chunks, args.jobs)
-        rep = make_report(name, anchor, params, cases)
-        reports.append(rep.to_json_obj())
-        if not rep.ok:
-            failures += 1
+    built = [(name, *_build(name, args, scaled=True)) for name in sorted(SUITES)]
+    reports = [
+        make_report(name, SUITES[name].anchor, params,
+                    _run_chunks(chunks, args.jobs)).to_json_obj()
+        for name, params, chunks in built
+    ]
+    failures = sum(not rep["ok"] for rep in reports)
     payload = {"kind": "all-suites", "ok": failures == 0, "suites": reports}
     if args.format == "csv":
         lines = ["suite,id,status,detail"]
@@ -421,7 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(sp):
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--jobs", type=int, default=None,
-                        help="worker threads (or set QLAB_JOBS)")
+                        help="accepted for compatibility; runs are serial")
+
+    def add_suite_args(sp):
+        for name in _SUITE_ARGS:
+            sp.add_argument(f"--{name}", type=int, default=None)
+        add_common(sp)
 
     sp = sub.add_parser("char", help="normalized character series")
     sp.add_argument("--p", type=int, required=True)
@@ -463,31 +428,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run one verification suite")
     sp.add_argument("suite", choices=sorted(SUITES))
-    sp.add_argument("--p", type=int, default=None)
-    sp.add_argument("--pp", type=int, default=None)
-    sp.add_argument("--r", type=int, default=None)
-    sp.add_argument("--s", type=int, default=None)
-    sp.add_argument("--a", type=int, default=None)
-    sp.add_argument("--b", type=int, default=None)
-    sp.add_argument("--m", type=int, default=None)
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--mmax", type=int, default=None)
-    sp.add_argument("--qmax", type=int, default=None)
-    add_common(sp)
+    add_suite_args(sp)
     sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("all", help="every suite at desk scale")
-    sp.add_argument("--p", type=int, default=None)
-    sp.add_argument("--pp", type=int, default=None)
-    sp.add_argument("--r", type=int, default=None)
-    sp.add_argument("--s", type=int, default=None)
-    sp.add_argument("--a", type=int, default=None)
-    sp.add_argument("--b", type=int, default=None)
-    sp.add_argument("--m", type=int, default=None)
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--mmax", type=int, default=None)
-    sp.add_argument("--qmax", type=int, default=None)
-    add_common(sp)
+    add_suite_args(sp)
     sp.set_defaults(func=_cmd_all)
 
     return parser
@@ -497,10 +442,16 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name in ("qmax", "mmax", "lmax", "m"):
+            if (getattr(args, name, None) or 0) < 0:
+                raise ValueError(f"--{name} must be >= 0")
+        if args.jobs is not None and args.jobs < 1:
+            raise ValueError("--jobs must be >= 1")
         return args.func(args)
     except ValueError as exc:
         # Bad input is a usage error; exit 1 stays reserved for a failed
-        # identity (verify chunks turn their own exceptions into failed cases).
+        # identity.  Suite builders check their model parameters before any
+        # chunk runs; a chunk's own exception becomes a failed case.
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,7 +13,9 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .qcore import QSeries, QZChar, compare, poch_inv, q_binomial, supernomial2
+from .qcore import (
+    QSeries, QZChar, compare, poch_inv, q_binomial, sum_over_m, supernomial2,
+)
 from .report import CaseResult
 from .supernomial import S
 from .pathweights import ModelParams, delta
@@ -96,18 +98,9 @@ def verify_pi2pi3(cutoff: int | Fraction) -> list[CaseResult]:
     lhs = level1_char(0, cut)
     out = []
     for l in range(-math.isqrt(int(cut)) - 1, math.isqrt(int(cut)) + 2):
-        total = QSeries.zero(cut)
-        quiet = 0
-        m = abs(l)
-        cap = int(cut) + abs(l) + 4
-        while quiet < 3 and m <= cap:
-            poly = S(m, l).shift(m * m)  # S_{m,l}(q) = flipped component at weight 2l
-            if poly.floor >= cut:
-                quiet += 1
-            else:
-                quiet = 0
-                total = total + poly * poch_inv(m, cut - poly.floor)
-            m += 1
+        # S_{m,l}(q) is the flipped string component at weight 2l.
+        total, _, _ = sum_over_m(lambda m: S(m, l).shift(m * m), cut,
+                                 abs(l), int(cut) + abs(l) + 4)
         cmp = compare(total, lhs.component(2 * l).truncate(cut))
         out.append(CaseResult(f"pi2pi3 l={l}", cmp.ok, cmp.detail()))
     return out
@@ -226,21 +219,10 @@ def verify_grading(k: int, m_max: int, cutoff: int | Fraction) -> list[CaseResul
                 f"grading-nonneg k={k} r={r} s={s}", not neg,
                 "all coefficients >= 0" if not neg else "negative at " + ", ".join(neg[:4])))
 
-            total = QSeries.zero(d + cut)
-            quiet = 0
-            seen = False
-            m = 0
-            cap = int(cut) + 2
-            while quiet < 3 and m <= cap:
-                g = graded_13_char(k, r, s, m, cut)
-                if g.is_zero():
-                    if seen:
-                        quiet += 1
-                else:
-                    seen = True
-                    quiet = 0
-                    total = total + g
-                m += 1
+            # The m-th term is the graded piece graded_13_char(k, r, s, m, cut).
+            total, _, _ = sum_over_m(
+                lambda m: I_m(params, r, s, r + i, m).shift(d), d + cut,
+                cap=int(cut) + 2)
             target = rocha_caridi(params, r, s, cut).shift(d)
             cmp = compare(total, target)
             out.append(CaseResult(

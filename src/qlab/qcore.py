@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from operator import sub
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 QExp = Fraction
 
@@ -266,14 +266,6 @@ def compare(a: QSeries, b: QSeries) -> Comparison:
     return Comparison(True, bound)
 
 
-def series_add(a: QSeries, b: QSeries) -> QSeries:
-    return a + b
-
-
-def series_mul(a: QSeries, b: QSeries) -> QSeries:
-    return a * b
-
-
 # -- Pochhammer factors ----------------------------------------------------
 
 
@@ -307,6 +299,37 @@ def poch_inv(m: Optional[int], cutoff: CutoffLike) -> QSeries:
         for n in range(part, n_max + 1):
             coeffs[n] += coeffs[n - part]
     return QSeries({Fraction(n): coeffs[n] for n in range(n_max + 1)}, cut)
+
+
+def sum_over_m(poly_of: Callable[[int], QSeries], cut: ExpLike, start: int = 0,
+               cap: Optional[int] = None) -> tuple[QSeries, int, bool]:
+    """sum_{m >= start} poly_of(m) / (q)_m below ``cut``.
+
+    A term is silent when its polynomial is zero or starts at or above
+    ``cut``.  Zero polynomials before the first non-silent term are skipped;
+    the sum stops after three consecutive silent terms, or once m > cap
+    (default int(cut) + 2).  Returns (total, m, capped): the m at which the
+    sum stopped, and whether the cap stopped it.
+    """
+    cut = _exp(cut)
+    cap = int(cut) + 2 if cap is None else cap
+    total = QSeries.zero(cut)
+    quiet = 0
+    seen = False
+    m = start
+    while m <= cap:
+        poly = poly_of(m)
+        if poly.is_zero() or poly.floor >= cut:
+            if seen or not poly.is_zero():
+                quiet += 1
+                if quiet == 3:
+                    return total, m, False
+        else:
+            seen = True
+            quiet = 0
+            total = total + poly * poch_inv(m, cut - poly.floor)
+        m += 1
+    return total, m, True
 
 
 # -- exact division ---------------------------------------------------------

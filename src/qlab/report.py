@@ -2,16 +2,15 @@
 
 Reports serialize deterministically: cases are sorted by id, JSON keys are
 sorted, and no timing or host information is embedded, so byte-identical
-output across runs and worker counts is a hard guarantee.
+output across runs and ``--jobs`` values is a hard guarantee.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -68,32 +67,13 @@ def make_report(suite: str, anchor: str, params: dict,
 
 
 def default_jobs() -> int:
+    """Worker count asked for by ``QLAB_JOBS`` (1 if unset or invalid).
+
+    Suites run serially, so the count changes no output and no speed.
+    """
     env = os.environ.get("QLAB_JOBS", "")
     try:
         n = int(env)
     except ValueError:
         return 1
     return max(1, n)
-
-
-def run_cases(tasks: list[tuple[str, Callable[[], tuple[bool, str]]]],
-              jobs: Optional[int] = None) -> list[CaseResult]:
-    """Evaluate (case_id, thunk) pairs, optionally on a thread pool.
-
-    Results keep the input order regardless of worker count, so reports are
-    byte-identical for any jobs value.
-    """
-    n = default_jobs() if jobs is None else max(1, jobs)
-
-    def run_one(task: tuple[str, Callable[[], tuple[bool, str]]]) -> CaseResult:
-        case_id, thunk = task
-        try:
-            ok, detail = thunk()
-        except Exception as exc:  # a crashed case is a failed case
-            return CaseResult(case_id, False, f"error: {exc!r}")
-        return CaseResult(case_id, ok, detail)
-
-    if n == 1 or len(tasks) <= 1:
-        return [run_one(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(run_one, tasks))

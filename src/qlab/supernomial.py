@@ -16,11 +16,9 @@ from .qcore import QSeries, q_binomial
 
 
 @lru_cache(maxsize=None)
-def S(m: int, l: int) -> QSeries:
-    """S_{m,l}(q) = sum_nu q^{(nu+l-m)(nu+l) + nu(nu-m)} [m,nu]_q [nu,m-l-nu]_q.
-
-    Zero for |l| > m; S_{m,m} = 1.
-    """
+def _s_family(m: int, l: int, e: int) -> QSeries:
+    """sum_nu q^{(nu+l-m)(nu+l-e) + nu(nu-m)} [m,nu]_q [nu,m-l-nu]_q: S at e = 0,
+    S~ at e = 1."""
     if m < 0:
         raise ValueError("S needs m >= 0")
     out = QSeries.zero(None)
@@ -28,24 +26,26 @@ def S(m: int, l: int) -> QSeries:
         inner = q_binomial(nu, m - l - nu)
         if inner.is_zero():
             continue
-        exp = (nu + l - m) * (nu + l) + nu * (nu - m)
+        exp = (nu + l - m) * (nu + l - e) + nu * (nu - m)
         out = out + (q_binomial(m, nu) * inner).shift(exp)
     return out
 
 
-@lru_cache(maxsize=None)
+def S(m: int, l: int) -> QSeries:
+    """S_{m,l}(q) = sum_nu q^{(nu+l-m)(nu+l) + nu(nu-m)} [m,nu]_q [nu,m-l-nu]_q.
+
+    Zero for |l| > m; S_{m,m} = 1.
+    """
+    return _s_family(m, l, 0)
+
+
 def S_tilde(m: int, l: int) -> QSeries:
     """Companion family: same sum with exponent (nu+l-m)(nu+l-1) + nu(nu-m)."""
-    if m < 0:
-        raise ValueError("S_tilde needs m >= 0")
-    out = QSeries.zero(None)
-    for nu in range(m + 1):
-        inner = q_binomial(nu, m - l - nu)
-        if inner.is_zero():
-            continue
-        exp = (nu + l - m) * (nu + l - 1) + nu * (nu - m)
-        out = out + (q_binomial(m, nu) * inner).shift(exp)
-    return out
+    return _s_family(m, l, 1)
+
+
+# Both names share one cache; it reports hits and entries of S and S~ together.
+S.cache_info = _s_family.cache_info
 
 
 SImpl = Callable[[int, int], QSeries]

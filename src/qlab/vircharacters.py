@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .qcore import QSeries, compare, poch_inv
+from .qcore import QSeries, compare, poch_inv, sum_over_m
 from .report import CaseResult
 from .supernomial import S
 from .pathweights import (
@@ -107,35 +107,17 @@ def verify_rocha2(params: ModelParams, r: int, a: int, b: int,
                   cutoff: int | Fraction) -> CaseResult:
     """Check sum_m I_m / (q)_m against the alternating-sum character.
 
-    The m loop stops after three consecutive silent terms (I_m supported
-    entirely at or above the cutoff) with a hard cap m <= cutoff + 2.
+    The m-sum follows the shared stop rule of ``sum_over_m``: I_m is silent
+    when it is zero or supported entirely at or above the cutoff, leading
+    zero terms are skipped, and the sum stops after three consecutive silent
+    terms or past the hard cap m <= cutoff + 2.
     """
     cut = Fraction(cutoff)
     target = rocha_caridi(params, r, a, cut)
-    total = QSeries.zero(cut)
-    quiet = 0
-    seen = False  # leading vanishing terms must not trigger the stop rule
-    cap = int(cut) + 2
-    capped = False
-    m = 0
-    while True:
-        if m > cap:
-            capped = True
-            break
-        poly = I_m(params, r, a, b, m)
-        if poly.is_zero() or poly.floor >= cut:
-            if seen:
-                quiet += 1
-                if quiet >= 3:
-                    break
-        else:
-            seen = True
-            quiet = 0
-            total = total + poly * poch_inv(m, cut - poly.floor)
-        m += 1
+    total, m, capped = sum_over_m(lambda m: I_m(params, r, a, b, m), cut)
     cmp = compare(total, target)
     case_id = f"rocha2 p={params.p} p'={params.pp} r={r} a={a} b={b}"
-    detail = cmp.detail() + (f"; hard cap m<={cap} hit" if capped else f"; m summed to {m}")
+    detail = cmp.detail() + (f"; hard cap m<={m - 1} hit" if capped else f"; m summed to {m}")
     return CaseResult(case_id, cmp.ok, detail)
 
 
@@ -293,18 +275,8 @@ def verify_poch_inv_expansion(l_max: int, cutoff: int | Fraction) -> list[CaseRe
     target = poch_inv(None, cut)
     out = []
     for l in range(-l_max, l_max + 1):
-        total = QSeries.zero(cut)
-        quiet = 0
-        m = abs(l)
-        cap = int(cut) + abs(l) + 4
-        while quiet < 3 and m <= cap:
-            poly = S(m, l).shift(m * m - l * l)
-            if poly.floor >= cut:
-                quiet += 1
-            else:
-                quiet = 0
-                total = total + poly * poch_inv(m, cut - poly.floor)
-            m += 1
+        total, _, _ = sum_over_m(lambda m: S(m, l).shift(m * m - l * l), cut,
+                                 abs(l), int(cut) + abs(l) + 4)
         cmp = compare(total, target)
         out.append(CaseResult(f"pochsum l={l}", cmp.ok, cmp.detail()))
     return out

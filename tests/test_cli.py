@@ -1,13 +1,14 @@
 """Command-line surface: exit codes, output formats, determinism, reports."""
 
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
-from qlab.cli import build_parser, run
-from qlab.report import CaseResult, SuiteReport, make_report, run_cases
+from qlab.cli import _run_chunks, build_parser, run
+from qlab.report import CaseResult, make_report
 
 
 class TestReport:
@@ -30,18 +31,20 @@ class TestReport:
         assert lines[0] == "id,status,detail"
         assert lines[1].startswith("a,fail")
 
-    def test_run_cases_preserves_order_and_catches(self):
+    def test_run_chunks_preserves_order_and_catches(self):
         def boom():
             raise RuntimeError("nope")
 
-        tasks = [
-            ("one", lambda: (True, "fine")),
+        chunks = [
+            ("one", lambda: [CaseResult("one", True, "fine")]),
             ("two", boom),
-            ("three", lambda: (True, "fine")),
+            ("three", lambda: [CaseResult("three a", True),
+                               CaseResult("three b", True)]),
         ]
-        cases = run_cases(tasks, jobs=3)
-        assert [c.case_id for c in cases] == ["one", "two", "three"]
-        assert [c.ok for c in cases] == [True, False, True]
+        cases = _run_chunks(chunks, 3)
+        assert [c.case_id for c in cases] == ["one", "two", "three a", "three b"]
+        assert [c.ok for c in cases] == [True, False, True, True]
+        assert cases[1].detail == "error: RuntimeError('nope')"
 
 
 class TestExitCodes:
@@ -60,6 +63,24 @@ class TestExitCodes:
          "--m", "-1", "--count"],
         ["paths", "--p", "3", "--pp", "4", "--a", "9", "--b", "1",
          "--m", "2", "--count"],
+        # negative sizes and worker counts
+        ["char", "--p", "3", "--pp", "4", "--r", "1", "--s", "1", "--qmax", "-5"],
+        ["grading", "--k", "1", "--r", "1", "--s", "1", "--qmax", "-3"],
+        ["stable", "--mmax", "-2"],
+        ["stable", "--lmax", "-1"],
+        ["verify", "abf", "--m", "-1"],
+        ["verify", "pmn", "--jobs", "0"],
+        ["verify", "pmn", "--jobs", "-3"],
+        # invalid model parameters inside a suite
+        ["verify", "xandf", "--p", "3", "--pp", "7", "--mmax", "1"],
+        ["verify", "grading", "--k", "0"],
+        ["verify", "abf", "--k", "0"],
+        ["verify", "i1", "--k", "0"],
+        ["verify", "rocha2", "--p", "3", "--pp", "4", "--r", "5", "--a", "1"],
+        # half-given model or instance
+        ["verify", "gen", "--p", "3", "--mmax", "1"],
+        ["verify", "rocha2", "--p", "3", "--pp", "4", "--r", "1"],
+        ["all", "--pp", "4"],
     ])
     def test_bad_value_is_2_with_one_line(self, argv, capsys):
         assert run(argv) == 2
@@ -129,6 +150,17 @@ class TestDeterminism:
         _, out1 = self._capture(argv, capsys)
         _, out2 = self._capture(argv, capsys)
         assert out1 == out2
+
+
+# SHA-256 of `qlab all` stdout, the byte-identity reference for every
+# refactor: any change to a report byte fails here.
+@pytest.mark.parametrize("fmt,digest", [
+    ("json", "faa430a75ae68ced8c1d0a4b635d3f1feef3dfcd58a3cdc52889e95c01f3570d"),
+    ("csv", "fddac10425fde4db91e9e4ded897562423201c4263284a077294d1269c7bafdb"),
+], ids=["json", "csv"])
+def test_all_stdout_is_pinned(fmt, digest, capsys):
+    assert run(["all", "--format", fmt]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_console_script_installed():

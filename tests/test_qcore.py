@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from qlab.qcore import (
     QSeries, QZChar, compare, exact_div, poch, poch_inv,
-    q_binomial, q_trinomial, supernomial2,
+    q_binomial, q_trinomial, sum_over_m, supernomial2,
 )
 
 F = Fraction
@@ -157,6 +157,36 @@ class TestPochhammer:
         got = exact_div(poch(4), poch(2))
         want = QSeries({0: 1, 3: -1}, None) * QSeries({0: 1, 4: -1}, None)
         assert got == want
+
+
+class TestSumOverM:
+    def test_leading_zero_terms_are_skipped(self):
+        # Five leading zeros, then 1 at m = 5: the zeros never stop the sum.
+        total, m, capped = sum_over_m(
+            lambda m: QSeries.one(None) if m == 5 else QSeries.zero(None), 10)
+        assert total == poch_inv(5, 10)
+        assert (m, capped) == (8, False)
+
+    def test_stops_after_three_silent_terms(self):
+        seen = []
+
+        def poly_of(m):
+            seen.append(m)
+            return QSeries.monomial(0 if m in (0, 2) else 10)  # q^10 is at the cut
+
+        total, m, capped = sum_over_m(poly_of, 10)
+        assert seen == [0, 1, 2, 3, 4, 5]
+        assert (m, capped) == (5, False)
+        assert total == poch_inv(0, 10) + poch_inv(2, 10)
+
+    def test_leading_terms_above_the_cut_count(self):
+        total, m, capped = sum_over_m(lambda m: QSeries.monomial(50), 10)
+        assert (m, capped, total) == (2, False, QSeries.zero(10))
+
+    def test_cap_sets_capped(self):
+        total, m, capped = sum_over_m(lambda m: QSeries.one(None), 10, start=2, cap=4)
+        assert (m, capped) == (5, True)
+        assert total == poch_inv(2, 10) + poch_inv(3, 10) + poch_inv(4, 10)
 
 
 class TestQBinomial:

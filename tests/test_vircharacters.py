@@ -116,6 +116,11 @@ class TestDecomposition:
         res = verify_rocha2(ModelParams(p, pp), r, a, b, F(26))
         assert res.ok, res.detail
 
+    def test_detail_names_where_the_sum_stopped(self):
+        res = verify_rocha2(ISING, r=1, a=1, b=3, cutoff=41)
+        assert res.ok
+        assert res.detail == "coefficients agree below q^41; m summed to 11"
+
     def test_path_side_requires_minimizing_endpoint(self):
         with pytest.raises(ValueError):
             path_side_GEN(ISING, 1, 1, 3, 2)
