@@ -1,8 +1,8 @@
 """Run a handful of verification suites programmatically and summarize.
 
 Everything the command line exposes is callable as a library; each check
-returns typed case results instead of printing, so the caller decides how
-to render them.
+returns ``qlab.report.CaseResult`` values (a case id, ``ok`` and a detail)
+instead of printing, so the caller decides how to render them.
 """
 
 from fractions import Fraction

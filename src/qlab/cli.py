@@ -32,7 +32,7 @@ from .fusionchar import (
     graded_13_char, unitary_params, verify_abf, verify_exact_sequence_chars,
     verify_grading, verify_i1_sector, verify_pi2pi3, verify_pmn,
 )
-from .report import CaseResult, SuiteReport, make_report
+from .report import CaseResult, SuiteReport
 
 FIVE_MODELS = ((3, 4), (4, 5), (5, 7), (4, 7), (5, 8))
 
@@ -67,11 +67,12 @@ def _run_chunks(chunks: Sequence[Chunk], jobs: Optional[int]) -> list[CaseResult
 
 @dataclass(frozen=True)
 class Suite:
-    """A verification suite: the identity it checks in plain words, the value
-    of each argument the user leaves out, the arguments ``all`` sets over the
-    user's, and a builder from resolved arguments to (report params, chunks).
-    Builders construct model parameters themselves, so a bad value is a usage
-    error before any chunk runs."""
+    """A verification suite: the identity it checks in plain words, the
+    arguments it reads with the value of each the user leaves out (``None``
+    for a model argument), the arguments ``all`` sets over the user's, and a
+    builder from resolved arguments to (report params, chunks).  Builders
+    construct model parameters themselves, so a bad value is a usage error
+    before any chunk runs."""
 
     anchor: str
     defaults: dict
@@ -101,25 +102,12 @@ def _per_label(tag: str, models: list[tuple], check) -> list[Chunk]:
     return chunks
 
 
-def _relS(v):
-    def run() -> list[CaseResult]:
-        return [CaseResult(f"relS {c.identity} m={c.m} l={c.l}", c.ok, c.detail)
-                for c in verify_S_recurrences(v.mmax)]
-    return {"m_max": v.mmax}, [("relS", run)]
-
-
 def _xandf(v):
     models = _chosen(FIVE_MODELS, p=v.p, pp=v.pp)
-    chunks: list[Chunk] = []
-    for p, pp in models:
-        def run(params=ModelParams(p, pp)) -> list[CaseResult]:
-            return [
-                CaseResult(f"xandf p={params.p} p'={params.pp} a={c.a} b={c.b} "
-                           f"c={c.c} m={c.m}", c.ok, c.detail)
-                for c in verify_Xandf(make_tau_table(params), v.mmax)
-            ]
-        chunks.append((f"xandf {p},{pp}", run))
-    return {"models": models, "m_max": v.mmax}, chunks
+    return {"models": models, "m_max": v.mmax}, [
+        (f"xandf {p},{pp}", lambda params=ModelParams(p, pp): verify_Xandf(
+            make_tau_table(params), v.mmax))
+        for p, pp in models]
 
 
 def _tau(v):
@@ -200,25 +188,28 @@ def _i1(v):
 SUITES: dict[str, Suite] = {
     "relS": Suite(
         "shift recurrences and symmetry of the S / S~ polynomial family",
-        {"mmax": 8}, {"mmax": 6}, _relS),
+        {"mmax": 8}, {"mmax": 6}, lambda v: (
+            {"m_max": v.mmax},
+            [("relS", lambda: verify_S_recurrences(v.mmax))])),
     "xandf": Suite(
         "path configuration sums equal alternating supernomial f-sums",
-        {"mmax": 5}, {"mmax": 4}, _xandf),
+        {"p": None, "pp": None, "mmax": 5}, {"mmax": 4}, _xandf),
     "tau": Suite(
         "site tables satisfy every structural constraint of the labelling",
         {"pp": 40}, {}, _tau),
     "rocha2": Suite(
         "sum_m I_m/(q)_m reproduces the alternating-sum character",
-        {"qmax": 40}, {"qmax": 30}, _rocha2),
+        {"p": None, "pp": None, "r": None, "a": None, "b": None, "qmax": 40},
+        {"qmax": 30}, _rocha2),
     "gen": Suite(
         "weighted path sums equal the configuration polynomials I_m",
-        {"mmax": 6}, {"mmax": 5}, _gen),
+        {"p": None, "pp": None, "mmax": 6}, {"mmax": 5}, _gen),
     "iands": Suite(
         "I_m decomposes over the next-to-last path site",
-        {"mmax": 6}, {"mmax": 4}, _iands),
+        {"p": None, "pp": None, "mmax": 6}, {"mmax": 4}, _iands),
     "rigged": Suite(
         "brute-force rigged-path enumeration matches the character",
-        {"qmax": 20}, {"qmax": 14}, _rigged),
+        {"p": None, "pp": None, "qmax": 20}, {"qmax": 14}, _rigged),
     "pochsum": Suite(
         "1/(q)_inf = sum_m q^{m^2-l^2} S_{m,l}/(q)_m for every l",
         {"qmax": 40}, {"qmax": 30}, lambda v: (
@@ -243,24 +234,41 @@ SUITES: dict[str, Suite] = {
     "grading": Suite(
         "graded filtration pieces: nonnegative, sum to the character, "
         "and match the alternating fused-string route",
-        {"mmax": 6, "qmax": 40}, {"mmax": 4, "qmax": 30, "k": None}, _grading),
+        {"k": None, "mmax": 6, "qmax": 40}, {"mmax": 4, "qmax": 30, "k": None},
+        _grading),
     "i1": Suite(
         "odd sectors equal their reflected partners piece by piece",
-        {"qmax": 40}, {"qmax": 30}, _i1),
+        {"k": None, "qmax": 40}, {"qmax": 30}, _i1),
 }
 
-_SUITE_ARGS = ("p", "pp", "r", "s", "a", "b", "m", "k", "mmax", "qmax")
+_SUITE_ARGS = ("p", "pp", "r", "a", "b", "m", "k", "mmax", "qmax")
 
 
 def _build(name: str, args, scaled: bool = False) -> tuple[dict, list[Chunk]]:
-    """Resolve the suite's arguments (the user's, then the ``all`` scale when
-    ``scaled``, then the defaults for what is still unset) and build it."""
+    """Resolve the arguments the suite reads (the user's, then the ``all``
+    scale when ``scaled``, then the defaults for what is still unset) and
+    build it.  Outside ``all``, giving an argument the suite does not read
+    is a usage error."""
     suite = SUITES[name]
     given = {k: getattr(args, k) for k in _SUITE_ARGS}
+    unread = [k for k, x in given.items() if x is not None and k not in suite.defaults]
+    if unread and not scaled:
+        raise ValueError(f"suite {name} does not read --{unread[0]}")
     if scaled:
         given.update(suite.all_scale)
-    resolved = {k: suite.defaults.get(k) if x is None else x for k, x in given.items()}
+    resolved = {k: x if given[k] is None else given[k]
+                for k, x in suite.defaults.items()}
     return suite.build(argparse.Namespace(**resolved))
+
+
+def _run_suite(name: str, params: dict, chunks: list[Chunk],
+               jobs: Optional[int]) -> SuiteReport:
+    """Run a built suite; one that yields no case checks nothing, which is a
+    usage error rather than a pass."""
+    cases = _run_chunks(chunks, jobs)
+    if not cases:
+        raise ValueError(f"suite {name} checks nothing with these arguments")
+    return SuiteReport(name, SUITES[name].anchor, params, tuple(cases))
 
 
 def _emit(args, payload: dict, csv_text: Optional[str] = None) -> None:
@@ -345,19 +353,13 @@ def _report_exit(args, rep: SuiteReport) -> int:
 
 
 def _cmd_verify(args) -> int:
-    params, chunks = _build(args.suite, args)
-    rep = make_report(args.suite, SUITES[args.suite].anchor, params,
-                      _run_chunks(chunks, args.jobs))
-    return _report_exit(args, rep)
+    return _report_exit(args, _run_suite(args.suite, *_build(args.suite, args), args.jobs))
 
 
 def _cmd_all(args) -> int:
     built = [(name, *_build(name, args, scaled=True)) for name in sorted(SUITES)]
-    reports = [
-        make_report(name, SUITES[name].anchor, params,
-                    _run_chunks(chunks, args.jobs)).to_json_obj()
-        for name, params, chunks in built
-    ]
+    reports = [_run_suite(name, params, chunks, args.jobs).to_json_obj()
+               for name, params, chunks in built]
     failures = sum(not rep["ok"] for rep in reports)
     payload = {"kind": "all-suites", "ok": failures == 0, "suites": reports}
     if args.format == "csv":

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional
 
 from .qcore import (
     QSeries, QZChar, compare, poch_inv, q_binomial, sum_over_m, supernomial2,
 )
-from .report import CaseResult
+from .report import CaseResult, check, first_failure
 from .supernomial import S
 from .pathweights import ModelParams, delta
 from .vircharacters import I_m, rocha_caridi
@@ -54,24 +53,15 @@ def weight_string(j: int) -> QZChar:
 def verify_exact_sequence_chars(k1_max: int, k2_max: int) -> list[CaseResult]:
     """Character identity of the fusion short exact sequence, specialized to
     strings: [2k1, k2; a] = [2k1-2, k2+1; a] + q^{2k1+k2-1} [2k1-2, k2; a]."""
-    out = []
-    for k1 in range(1, k1_max + 1):
-        for k2 in range(k2_max + 1):
-            amax = k1 + k2
-            ok_all = True
-            bad = ""
-            for a in range(-amax, amax + 1):
-                lhs = supernomial2(2 * k1, k2, a)
-                rhs = (supernomial2(2 * k1 - 2, k2 + 1, a)
-                       + supernomial2(2 * k1 - 2, k2, a).shift(2 * k1 + k2 - 1))
-                if lhs != rhs:
-                    ok_all = False
-                    bad = f" first failure at a={a}"
-                    break
-            out.append(CaseResult(
-                f"exactseq k1={k1} k2={k2}", ok_all,
-                ("exact for all weights" if ok_all else "mismatch") + bad))
-    return out
+    def weights(k1: int, k2: int):
+        for a in range(-(k1 + k2), k1 + k2 + 1):
+            yield (f"a={a}", supernomial2(2 * k1, k2, a),
+                   supernomial2(2 * k1 - 2, k2 + 1, a)
+                   + supernomial2(2 * k1 - 2, k2, a).shift(2 * k1 + k2 - 1))
+
+    return [first_failure(f"exactseq k1={k1} k2={k2}", weights(k1, k2),
+                          "exact for all weights")
+            for k1 in range(1, k1_max + 1) for k2 in range(k2_max + 1)]
 
 
 def level1_char(i: int, cutoff: int | Fraction) -> QZChar:
@@ -116,14 +106,11 @@ def verify_pmn(N_max: int) -> list[CaseResult]:
             rhs = QSeries.zero(None)
             for m in range(abs(l), N + 1):
                 rhs = rhs + (q_binomial(N, m) * S(m, l)).shift(m * m)
-            ok = lhs == rhs
-            detail = "exact" if ok else f"{lhs!r} != {rhs!r}"
-            out.append(CaseResult(f"pmn N={N} l={l}", ok, detail))
+            out.append(check(f"pmn N={N} l={l}", lhs, rhs))
     return out
 
 
-def euler_multiplicity(V: QZChar, k: int, l: int,
-                       cutoff: Optional[int | Fraction] = None) -> QSeries:
+def euler_multiplicity(V: QZChar, k: int, l: int) -> QSeries:
     """Alternating Weyl sum extracting the level-k sector-l multiplicity:
     sum_lam q^{-(k+2) lam^2 + (l+1) lam} (V^{2(k+2)lam - l} - V^{2(k+2)lam - l - 2}).
     """
@@ -140,7 +127,7 @@ def euler_multiplicity(V: QZChar, k: int, l: int,
             if diff.is_zero() and diff.is_exact:
                 continue
             out = out + diff.shift(-(k + 2) * lam * lam + (l + 1) * lam)
-    return out if cutoff is None else out.truncate(cutoff)
+    return out
 
 
 def abf_finitized(N: int, k: int, j: int, l: int) -> QSeries:
@@ -228,49 +215,30 @@ def verify_grading(k: int, m_max: int, cutoff: int | Fraction) -> list[CaseResul
             out.append(CaseResult(
                 f"grading-sum k={k} r={r} s={s}", cmp.ok, cmp.detail()))
 
-            route_ok = True
-            route_detail = "exact"
-            for m in range(m_max + 1):
+            def routes(m: int):
                 direct = I_m(params, r, s, r + i, m)
                 if i == 0:
                     V = ch_pi2_fused(m).flip_q().convolve(weight_string(r - 1))
                     alt = euler_multiplicity(V, k + 1, s - 1)
-                    lhs = alt.shift(m * m)
-                    rhs = direct.shift(Fraction((s - r) ** 2, 4))
-                else:
-                    lhs = I_m(params, p - r, pp - s, p - r, m)
-                    rhs = direct
-                if lhs != rhs:
-                    route_ok = False
-                    route_detail = f"routes disagree at m={m}"
-                    break
-            out.append(CaseResult(
-                f"grading-route k={k} r={r} s={s} i={i}", route_ok, route_detail))
+                    return alt.shift(m * m), direct.shift(Fraction((s - r) ** 2, 4))
+                return I_m(params, p - r, pp - s, p - r, m), direct
+
+            out.append(first_failure(
+                f"grading-route k={k} r={r} s={s} i={i}",
+                ((f"m={m}", *routes(m)) for m in range(m_max + 1))))
     return out
 
 
-def verify_i1_sector(k: int, cutoff: int | Fraction, m_max: int = 8) -> list[CaseResult]:
+def verify_i1_sector(k: int, cutoff: int | Fraction) -> list[CaseResult]:
     """Odd sectors match their reflection: the graded pieces at (r, s) and
-    (p - r, p' - s) agree for r - s odd."""
+    (p - r, p' - s) agree for r - s odd, m <= 8."""
     params = unitary_params(k)
     p, pp = params.p, params.pp
-    out = []
-    for r in range(1, p):
-        for s in range(1, pp):
-            if (r - s) % 2 != 1:
-                continue
-            ok = True
-            detail = "exact"
-            for m in range(m_max + 1):
-                a = graded_13_char(k, r, s, m, cutoff)
-                b = graded_13_char(k, p - r, pp - s, m, cutoff)
-                cmp = compare(a, b)
-                if not cmp.ok:
-                    ok = False
-                    detail = f"m={m}: {cmp.detail()}"
-                    break
-            out.append(CaseResult(f"i1 k={k} r={r} s={s}", ok, detail))
-    return out
+    return [first_failure(f"i1 k={k} r={r} s={s}", (
+                (f"m={m}", graded_13_char(k, r, s, m, cutoff),
+                 graded_13_char(k, p - r, pp - s, m, cutoff))
+                for m in range(9)))
+            for r in range(1, p) for s in range(1, pp) if (r - s) % 2 == 1]
 
 
 def verify_abf(k: int, N: int, deg: int) -> list[CaseResult]:
@@ -283,10 +251,8 @@ def verify_abf(k: int, N: int, deg: int) -> list[CaseResult]:
             fin = abf_finitized(N, k, j, l)
             case_id = f"abf k={k} j={j} l={l}"
             if (l - j) % 2 != 0:
-                ok = fin.is_zero()
-                out.append(CaseResult(
-                    case_id, ok,
-                    "vanishes identically" if ok else f"unexpected terms {fin!r}"))
+                out.append(CaseResult(case_id, True, "vanishes identically")
+                           if fin.is_zero() else check(case_id, fin, QSeries.zero(None)))
                 continue
             off = Fraction((l - j) ** 2, 4)
             target = rocha_caridi(params, j + 1, l + 1,

@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
 
 from .qcore import QSeries
+from .report import CaseResult, check
 
 Path = tuple[int, ...]
 
@@ -402,16 +402,6 @@ def f_sum(a: int, b: int, c: int, m: int, table: TauTable) -> QSeries:
     return out
 
 
-@dataclass(frozen=True)
-class XandfCheck:
-    a: int
-    b: int
-    c: int
-    m: int
-    ok: bool
-    detail: str
-
-
 def x_configs(params: ModelParams) -> list[tuple[int, int, int]]:
     """All (a, b, c) on which the configuration sum is defined and not
     trivially zero by parity or adjacency."""
@@ -427,16 +417,9 @@ def x_configs(params: ModelParams) -> list[tuple[int, int, int]]:
     return sorted(out)
 
 
-def verify_Xandf(table: TauTable, m_max: int,
-                 configs: Optional[Iterable[tuple[int, int, int]]] = None) -> list[XandfCheck]:
+def verify_Xandf(table: TauTable, m_max: int) -> list[CaseResult]:
     """Exact equality of the path recurrence and the supernomial f-sum."""
-    cfgs = list(configs) if configs is not None else x_configs(table.params)
-    out: list[XandfCheck] = []
-    for a, b, c in cfgs:
-        for m in range(m_max + 1):
-            lhs = config_sum_X(a, b, c, m, table)
-            rhs = f_sum(a, b, c, m, table)
-            ok = lhs == rhs
-            detail = "exact" if ok else f"paths {lhs!r} != f-sum {rhs!r}"
-            out.append(XandfCheck(a, b, c, m, ok, detail))
-    return out
+    p, pp = table.params.p, table.params.pp
+    return [check(f"xandf p={p} p'={pp} a={a} b={b} c={c} m={m}",
+                  config_sum_X(a, b, c, m, table), f_sum(a, b, c, m, table))
+            for a, b, c in x_configs(table.params) for m in range(m_max + 1)]

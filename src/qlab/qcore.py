@@ -17,8 +17,6 @@ from itertools import accumulate
 from operator import sub
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
-QExp = Fraction
-
 ExpLike = Union[int, Fraction]
 CutoffLike = Union[int, Fraction, None]
 
@@ -114,14 +112,6 @@ class QSeries:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def max_exp(self) -> Fraction:
-        """Largest stored exponent; exact series only."""
-        if not self.is_exact:
-            raise ValueError("max_exp is only meaningful for exact series")
-        if not self._terms:
-            raise ValueError("max_exp of the zero series")
-        return max(self._terms)
-
     def coeff_sum(self) -> int:
         """Value at q=1; exact series only."""
         if not self.is_exact:
@@ -207,10 +197,6 @@ class QSeries:
     def __hash__(self) -> int:
         return hash((frozenset(self._terms.items()), self.cutoff))
 
-    def matches(self, other: "QSeries") -> bool:
-        """Coefficientwise equality below min(cutoffs)."""
-        return compare(self, other).ok
-
     # -- serialization ---------------------------------------------------
 
     def to_json_obj(self) -> dict:
@@ -241,28 +227,31 @@ class QSeries:
 
 @dataclass(frozen=True)
 class Comparison:
-    """Result of comparing two series below the joint truncation bound."""
+    """Result of comparing two series below the joint truncation bound; a
+    mismatch carries its exponent and the coefficient of each side there."""
 
     ok: bool
     verified_below: Optional[Fraction]  # None: full exact comparison
     first_mismatch: Optional[Fraction] = None
+    lhs_coeff: int = 0
+    rhs_coeff: int = 0
 
     def detail(self) -> str:
         if self.ok:
             if self.verified_below is None:
                 return "exact polynomial equality"
             return f"coefficients agree below q^{self.verified_below}"
-        return f"first mismatch at q^{self.first_mismatch}"
+        return (f"first mismatch at q^{self.first_mismatch}: "
+                f"{self.lhs_coeff} != {self.rhs_coeff}")
 
 
 def compare(a: QSeries, b: QSeries) -> Comparison:
     bound = _min_cutoff(a.cutoff, b.cutoff)
-    exps = set(a._terms) | set(b._terms)
-    if bound is not None:
-        exps = {e for e in exps if e < bound}
-    bad = sorted(e for e in exps if a._terms.get(e, 0) != b._terms.get(e, 0))
+    bad = [e for e in set(a._terms) | set(b._terms)
+           if (bound is None or e < bound) and a._terms.get(e, 0) != b._terms.get(e, 0)]
     if bad:
-        return Comparison(False, bound, bad[0])
+        e = min(bad)
+        return Comparison(False, bound, e, a._terms.get(e, 0), b._terms.get(e, 0))
     return Comparison(True, bound)
 
 

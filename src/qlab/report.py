@@ -1,5 +1,8 @@
 """Uniform pass/fail reporting for verification suites.
 
+Every identity check is a ``CaseResult``; ``check`` decides one equality of
+two series, and ``first_failure`` decides a case made of several.
+
 Reports serialize deterministically: cases are sorted by id, JSON keys are
 sorted, and no timing or host information is embedded, so byte-identical
 output across runs and ``--jobs`` values is a hard guarantee.
@@ -11,6 +14,8 @@ import json
 import os
 from dataclasses import dataclass
 from typing import Iterable
+
+from .qcore import QSeries, compare
 
 
 @dataclass(frozen=True)
@@ -61,9 +66,26 @@ class SuiteReport:
         return "\n".join(lines) + "\n"
 
 
-def make_report(suite: str, anchor: str, params: dict,
-                cases: Iterable[CaseResult]) -> SuiteReport:
-    return SuiteReport(suite, anchor, dict(params), tuple(cases))
+def check(case_id: str, lhs: QSeries, rhs: QSeries) -> CaseResult:
+    """The case ``lhs = rhs``: "exact" when the two series are equal, else
+    decided by ``compare``, whose detail names the first mismatching exponent
+    and both coefficients there."""
+    if lhs == rhs:
+        return CaseResult(case_id, True, "exact")
+    cmp = compare(lhs, rhs)
+    return CaseResult(case_id, cmp.ok, cmp.detail())
+
+
+def first_failure(case_id: str, pairs: Iterable[tuple[str, QSeries, QSeries]],
+                  passed: str = "exact") -> CaseResult:
+    """One case over several (where, lhs, rhs) equalities: the first that
+    fails, its detail prefixed by ``where``, or a pass reading ``passed``.
+    ``pairs`` is consumed lazily, so nothing past a failure is computed."""
+    for where, lhs, rhs in pairs:
+        res = check(case_id, lhs, rhs)
+        if not res.ok:
+            return CaseResult(case_id, False, f"{where}: {res.detail}")
+    return CaseResult(case_id, True, passed)
 
 
 def default_jobs() -> int:

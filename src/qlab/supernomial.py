@@ -8,11 +8,11 @@ targets, never used in the computation itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
 from .qcore import QSeries, q_binomial
+from .report import CaseResult, check
 
 
 @lru_cache(maxsize=None)
@@ -51,15 +51,6 @@ S.cache_info = _s_family.cache_info
 SImpl = Callable[[int, int], QSeries]
 
 
-@dataclass(frozen=True)
-class RecurrenceCheck:
-    identity: str
-    m: int
-    l: int
-    ok: bool
-    detail: str
-
-
 def _identity_table(s: SImpl, st: SImpl):
     # Each entry: name -> (lhs, rhs) as callables of (m, l); identities hold
     # for all integers l, stepping m -> m+1.
@@ -95,21 +86,15 @@ def _identity_table(s: SImpl, st: SImpl):
 
 def verify_S_recurrences(m_max: int,
                          s_impl: SImpl = S,
-                         s_tilde_impl: SImpl = S_tilde) -> list[RecurrenceCheck]:
+                         s_tilde_impl: SImpl = S_tilde) -> list[CaseResult]:
     """Check the symmetry and all six step recurrences for 0 <= m < m_max,
     |l| <= m + 1.  Failures are collected, not raised, so a deliberately
     perturbed implementation shows up as failing cases.
     """
     table = _identity_table(s_impl, s_tilde_impl)
-    out: list[RecurrenceCheck] = []
-    for name, pair in table.items():
-        for m in range(m_max):
-            for l in range(-(m + 1), m + 2):
-                lhs, rhs = pair(m, l)
-                ok = lhs == rhs
-                detail = "exact" if ok else f"lhs {lhs!r} != rhs {rhs!r}"
-                out.append(RecurrenceCheck(name, m, l, ok, detail))
-    return out
+    return [check(f"relS {name} m={m} l={l}", *pair(m, l))
+            for name, pair in table.items()
+            for m in range(m_max) for l in range(-(m + 1), m + 2)]
 
 
 def S_table(m_max: int, l_max: Optional[int] = None) -> dict:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .qcore import QSeries, compare, poch_inv, sum_over_m
-from .report import CaseResult
+from .report import CaseResult, check
 from .supernomial import S
 from .pathweights import (
     ModelParams,
@@ -144,15 +144,9 @@ def path_side_GEN(params: ModelParams, r: int, a: int, b: int, m: int) -> QSerie
 def verify_GEN(params: ModelParams, r: int, a: int, m_max: int) -> list[CaseResult]:
     """Exact equality of the path sum and I_m at b = b_of(r, a), m <= m_max."""
     b = b_of(r, a, params)
-    out = []
-    for m in range(m_max + 1):
-        lhs = path_side_GEN(params, r, a, b, m)
-        rhs = I_m(params, r, a, b, m)
-        ok = lhs == rhs
-        case_id = f"gen p={params.p} p'={params.pp} r={r} a={a} m={m}"
-        detail = "exact" if ok else f"paths {lhs!r} != I_m {rhs!r}"
-        out.append(CaseResult(case_id, ok, detail))
-    return out
+    return [check(f"gen p={params.p} p'={params.pp} r={r} a={a} m={m}",
+                  path_side_GEN(params, r, a, b, m), I_m(params, r, a, b, m))
+            for m in range(m_max + 1)]
 
 
 def verify_IandS(params: ModelParams, r: int, a: int, b: int,
@@ -174,11 +168,8 @@ def verify_IandS(params: ModelParams, r: int, a: int, b: int,
             e = m * (delta(params, r, d) - delta(params, r, b)
                      + (1 if d == b else 0)) + base
             rhs = rhs + x.shift(e)
-        lhs = I_m(params, r, a, b, m)
-        ok = lhs == rhs
-        case_id = f"iands p={params.p} p'={params.pp} r={r} a={a} b={b} m={m}"
-        detail = "exact" if ok else f"I_m {lhs!r} != X-sum {rhs!r}"
-        out.append(CaseResult(case_id, ok, detail))
+        out.append(check(f"iands p={params.p} p'={params.pp} r={r} a={a} b={b} m={m}",
+                         I_m(params, r, a, b, m), rhs))
     return out
 
 

@@ -7,26 +7,29 @@ import sys
 
 import pytest
 
-from qlab.cli import _run_chunks, build_parser, run
-from qlab.report import CaseResult, make_report
+from fractions import Fraction
+
+from qlab.cli import _SUITE_ARGS, SUITES, _run_chunks, build_parser, run
+from qlab.qcore import QSeries
+from qlab.report import CaseResult, SuiteReport, check, first_failure
 
 
 class TestReport:
     def test_ok_flag(self):
-        good = make_report("demo", "anchor text", {}, [CaseResult("a", True)])
-        bad = make_report("demo", "anchor text", {},
-                          [CaseResult("a", True), CaseResult("b", False, "boom")])
+        good = SuiteReport("demo", "anchor text", {}, (CaseResult("a", True),))
+        bad = SuiteReport("demo", "anchor text", {},
+                          (CaseResult("a", True), CaseResult("b", False, "boom")))
         assert good.ok and not bad.ok
 
     def test_cases_sorted_by_id(self):
-        rep = make_report("demo", "x", {}, [
-            CaseResult("b", True), CaseResult("a", True)])
+        rep = SuiteReport("demo", "x", {}, (
+            CaseResult("b", True), CaseResult("a", True)))
         obj = rep.to_json_obj()
         assert [c["id"] for c in obj["cases"]] == ["a", "b"]
         assert obj["anchor"] == "x"
 
     def test_csv_shape(self):
-        rep = make_report("demo", "x", {}, [CaseResult("a", False, "why")])
+        rep = SuiteReport("demo", "x", {}, (CaseResult("a", False, "why"),))
         lines = rep.to_csv().strip().splitlines()
         assert lines[0] == "id,status,detail"
         assert lines[1].startswith("a,fail")
@@ -45,6 +48,43 @@ class TestReport:
         assert [c.case_id for c in cases] == ["one", "two", "three a", "three b"]
         assert [c.ok for c in cases] == [True, False, True, True]
         assert cases[1].detail == "error: RuntimeError('nope')"
+
+
+class TestCheck:
+    def test_equal_exact_pair_reads_exact(self):
+        a = QSeries({0: 1, 2: -3})
+        assert check("c", a, QSeries({2: -3, 0: 1})) == CaseResult("c", True, "exact")
+
+    def test_truncated_pair_agreeing_below_joint_cutoff_passes(self):
+        lhs = QSeries({0: 1, 1: 2, 5: 7}, Fraction(6))
+        rhs = QSeries({0: 1, 1: 2}, Fraction(4))
+        res = check("c", lhs, rhs)
+        assert res.ok and res.detail == "coefficients agree below q^4"
+
+    def test_differing_pair_names_exponent_and_both_coefficients(self):
+        res = check("c", QSeries({0: 1, 3: 2, 7: 1}), QSeries({0: 1, 3: 5}))
+        assert not res.ok
+        assert res.detail == "first mismatch at q^3: 2 != 5"
+
+    def test_first_failure_prefixes_where_and_stops(self):
+        def pairs():
+            yield "m=0", QSeries({0: 1}), QSeries({0: 1})
+            yield "m=1", QSeries({1: 1}), QSeries({1: 2})
+            raise AssertionError("consumed past the first failure")
+
+        res = first_failure("c", pairs())
+        assert res == CaseResult("c", False, "m=1: first mismatch at q^1: 1 != 2")
+        assert first_failure("c", [], "all good") == CaseResult("c", True, "all good")
+
+
+class TestSuiteTable:
+    def test_all_scale_sets_only_arguments_the_suite_reads(self):
+        for name, suite in SUITES.items():
+            assert set(suite.all_scale) <= set(suite.defaults), name
+
+    def test_every_suite_argument_is_read_by_some_suite(self):
+        read = set().union(*(suite.defaults for suite in SUITES.values()))
+        assert set(_SUITE_ARGS) == read
 
 
 class TestExitCodes:
@@ -81,6 +121,15 @@ class TestExitCodes:
         ["verify", "gen", "--p", "3", "--mmax", "1"],
         ["verify", "rocha2", "--p", "3", "--pp", "4", "--r", "1"],
         ["all", "--pp", "4"],
+        # a suite that checks nothing
+        ["verify", "tau", "--pp", "2"],
+        ["verify", "tau", "--pp", "3"],
+        ["verify", "relS", "--mmax", "0"],
+        ["verify", "exactseq", "--mmax", "0"],
+        # an argument the suite does not read
+        ["verify", "relS", "--p", "3", "--pp", "4", "--mmax", "1"],
+        ["verify", "pmn", "--k", "5", "--mmax", "1"],
+        ["verify", "pochsum", "--mmax", "3"],
     ])
     def test_bad_value_is_2_with_one_line(self, argv, capsys):
         assert run(argv) == 2
@@ -88,6 +137,11 @@ class TestExitCodes:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("qlab: error: ")
+
+    def test_s_is_not_a_suite_argument(self):
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "gen", "--s", "7", "--mmax", "1"])
+        assert exc.value.code == 2
 
     def test_verify_pass_is_0(self, capsys):
         assert run(["verify", "pmn", "--mmax", "3"]) == 0

@@ -69,7 +69,9 @@ def test_recurrences_catch_perturbation():
         return poly
 
     checks = verify_S_recurrences(5, s_impl=s_bad, s_tilde_impl=S_tilde)
-    assert any(not c.ok for c in checks)
+    first = next(c for c in checks if not c.ok)
+    assert first.case_id == "relS rec1 m=2 l=0"
+    assert first.detail == "first mismatch at q^-1: 2 != 1"
 
 
 def test_table_export():
