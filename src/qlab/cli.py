@@ -306,9 +306,8 @@ def _cmd_paths(args) -> int:
         return 0
     if args.gf:
         table = make_tau_table(params)
-        gf = QSeries.zero(None)
-        for path in enumerate_paths(args.a, args.b, args.m, params):
-            gf = gf + QSeries.monomial(energy(path, table))
+        gf = QSeries((energy(path, table), 1)
+                     for path in enumerate_paths(args.a, args.b, args.m, params))
         payload = {"kind": "path-gf", "p": args.p, "pp": args.pp,
                    "a": args.a, "b": args.b, "m": args.m,
                    "series": gf.to_json_obj()}
@@ -358,20 +357,19 @@ def _cmd_verify(args) -> int:
 
 def _cmd_all(args) -> int:
     built = [(name, *_build(name, args, scaled=True)) for name in sorted(SUITES)]
-    reports = [_run_suite(name, params, chunks, args.jobs).to_json_obj()
+    reports = [_run_suite(name, params, chunks, args.jobs)
                for name, params, chunks in built]
-    failures = sum(not rep["ok"] for rep in reports)
-    payload = {"kind": "all-suites", "ok": failures == 0, "suites": reports}
+    ok = all(rep.ok for rep in reports)
     if args.format == "csv":
         lines = ["suite,id,status,detail"]
-        for rep_obj in reports:
-            for c in rep_obj["cases"]:
-                detail = c["detail"].replace('"', "'")
-                lines.append(f'{rep_obj["suite"]},{c["id"]},{c["status"]},"{detail}"')
+        for rep in reports:
+            lines += [f"{rep.suite},{row}" for row in rep.to_csv().splitlines()[1:]]
         sys.stdout.write("\n".join(lines) + "\n")
     else:
+        payload = {"kind": "all-suites", "ok": ok,
+                   "suites": [rep.to_json_obj() for rep in reports]}
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return 0 if failures == 0 else 1
+    return 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

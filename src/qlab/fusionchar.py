@@ -5,6 +5,9 @@ factors are Gaussian binomials and the S polynomials in 1/q.  Combining them
 with an alternating Weyl sum (the Euler-characteristic route) reproduces the
 finite polynomials I_m from the path decomposition; summing over m recovers
 full minimal-model characters.  All checks are exact.
+
+A character graded by energy (q) and a diagonal weight (z) is a plain dict
+weight -> q-series of that weight subspace; a weight it lacks is zero.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import math
 from fractions import Fraction
 
 from .qcore import (
-    QSeries, QZChar, compare, poch_inv, q_binomial, sum_over_m, supernomial2,
+    QSeries, compare, poch_inv, q_binomial, sum_over_m, supernomial2,
 )
 from .report import CaseResult, check, first_failure
 from .supernomial import S
@@ -21,33 +24,36 @@ from .pathweights import ModelParams, delta
 from .vircharacters import I_m, rocha_caridi
 
 
-def ch_pi1_fused(m: int) -> QZChar:
+def ch_pi1_fused(m: int) -> dict[int, QSeries]:
     """Character of a fused string of m two-dimensional factors: the
     weight-l component is the Gaussian binomial [m, (m+l)/2]_q."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    comps = {}
-    for l in range(-m, m + 1, 2):
-        comps[l] = q_binomial(m, (m + l) // 2)
-    return QZChar(comps)
+    return {l: q_binomial(m, (m + l) // 2) for l in range(-m, m + 1, 2)}
 
 
-def ch_pi2_fused(m: int) -> QZChar:
+def ch_pi2_fused(m: int) -> dict[int, QSeries]:
     """Character of a fused string of m three-dimensional factors: the
     weight-2l component is S_{m,l}(1/q)."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    comps = {}
-    for l in range(-m, m + 1):
-        comps[2 * l] = S(m, l).flip()
-    return QZChar(comps)
+    return {2 * l: S(m, l).flip() for l in range(-m, m + 1)}
 
 
-def weight_string(j: int) -> QZChar:
+def weight_string(j: int) -> dict[int, QSeries]:
     """z-character of a single (j+1)-dimensional factor at q-degree zero."""
     if j < 0:
         raise ValueError("j must be >= 0")
-    return QZChar({w: QSeries.one(None) for w in range(-j, j + 1, 2)})
+    return {w: QSeries.one(None) for w in range(-j, j + 1, 2)}
+
+
+def convolve(x: dict[int, QSeries], y: dict[int, QSeries]) -> dict[int, QSeries]:
+    """Product of characters: weights add, q-series multiply."""
+    terms: dict[int, list[QSeries]] = {}
+    for w1, s1 in x.items():
+        for w2, s2 in y.items():
+            terms.setdefault(w1 + w2, []).append(s1 * s2)
+    return {w: QSeries.sum(t) for w, t in terms.items()}
 
 
 def verify_exact_sequence_chars(k1_max: int, k2_max: int) -> list[CaseResult]:
@@ -64,7 +70,7 @@ def verify_exact_sequence_chars(k1_max: int, k2_max: int) -> list[CaseResult]:
             for k1 in range(1, k1_max + 1) for k2 in range(k2_max + 1)]
 
 
-def level1_char(i: int, cutoff: int | Fraction) -> QZChar:
+def level1_char(i: int, cutoff: int | Fraction) -> dict[int, QSeries]:
     """Basic-module character at level one, sector i in {0, 1}: the component
     at weight 2n+i is q^{n^2 + n i} / (q)_infinity."""
     if i not in (0, 1):
@@ -78,7 +84,7 @@ def level1_char(i: int, cutoff: int | Fraction) -> QZChar:
             if e < cut:
                 comps[2 * nn + i] = poch_inv(None, cut - e).shift(e)
         n += 1
-    return QZChar(comps)
+    return comps
 
 
 def verify_pi2pi3(cutoff: int | Fraction) -> list[CaseResult]:
@@ -91,7 +97,7 @@ def verify_pi2pi3(cutoff: int | Fraction) -> list[CaseResult]:
         # S_{m,l}(q) is the flipped string component at weight 2l.
         total, _, _ = sum_over_m(lambda m: S(m, l).shift(m * m), cut,
                                  abs(l), int(cut) + abs(l) + 4)
-        cmp = compare(total, lhs.component(2 * l).truncate(cut))
+        cmp = compare(total, lhs.get(2 * l, QSeries.zero(None)).truncate(cut))
         out.append(CaseResult(f"pi2pi3 l={l}", cmp.ok, cmp.detail()))
     return out
 
@@ -103,31 +109,28 @@ def verify_pmn(N_max: int) -> list[CaseResult]:
     for N in range(N_max + 1):
         for l in range(-N, N + 1):
             lhs = q_binomial(2 * N, N + l).flip().shift(N * N)
-            rhs = QSeries.zero(None)
-            for m in range(abs(l), N + 1):
-                rhs = rhs + (q_binomial(N, m) * S(m, l)).shift(m * m)
+            rhs = QSeries.sum((q_binomial(N, m) * S(m, l)).shift(m * m)
+                              for m in range(abs(l), N + 1))
             out.append(check(f"pmn N={N} l={l}", lhs, rhs))
     return out
 
 
-def euler_multiplicity(V: QZChar, k: int, l: int) -> QSeries:
+def euler_multiplicity(V: dict[int, QSeries], k: int, l: int) -> QSeries:
     """Alternating Weyl sum extracting the level-k sector-l multiplicity:
     sum_lam q^{-(k+2) lam^2 + (l+1) lam} (V^{2(k+2)lam - l} - V^{2(k+2)lam - l - 2}).
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    ws = V.weights()
-    out = QSeries.zero(None)
-    if ws:
-        step = 2 * (k + 2)
-        lam_lo = math.ceil(Fraction(ws[0] + l, step))
-        lam_hi = math.floor(Fraction(ws[-1] + l + 2, step))
-        for lam in range(lam_lo, lam_hi + 1):
-            diff = V.component(step * lam - l) - V.component(step * lam - l - 2)
-            if diff.is_zero() and diff.is_exact:
-                continue
-            out = out + diff.shift(-(k + 2) * lam * lam + (l + 1) * lam)
-    return out
+    if not V:
+        return QSeries.zero(None)
+    step = 2 * (k + 2)
+    lam_lo = math.ceil(Fraction(min(V) + l, step))
+    lam_hi = math.floor(Fraction(max(V) + l + 2, step))
+    zero = QSeries.zero(None)
+    return QSeries.sum(
+        (V.get(step * lam - l, zero) - V.get(step * lam - l - 2, zero))
+        .shift(-(k + 2) * lam * lam + (l + 1) * lam)
+        for lam in range(lam_lo, lam_hi + 1))
 
 
 def abf_finitized(N: int, k: int, j: int, l: int) -> QSeries:
@@ -143,20 +146,18 @@ def abf_finitized(N: int, k: int, j: int, l: int) -> QSeries:
     if (l - j) % 2 != 0:
         return QSeries.zero(None)
     pq = (k + 2) * (k + 3)
-    out = QSeries.zero(None)
-    for base, lin, shift in (
-        ((2 * N - l + j) // 2, (k + 3) * (j + 1) - (k + 2) * (l + 1), 0),
+    terms = []
+    for base, lin, shift, sign in (
+        ((2 * N - l + j) // 2, (k + 3) * (j + 1) - (k + 2) * (l + 1), 0, 1),
         ((2 * N - l - j - 2) // 2, -((k + 3) * (j + 1) + (k + 2) * (l + 1)),
-         (j + 1) * (l + 1)),
+         (j + 1) * (l + 1), -1),
     ):
-        sign = 1 if shift == 0 else -1
         lam_lo = math.ceil(Fraction(-base, k + 3))
         lam_hi = math.floor(Fraction(2 * N - base, k + 3))
-        for lam in range(lam_lo, lam_hi + 1):
-            e = pq * lam * lam + lin * lam + shift
-            term = q_binomial(2 * N, base + (k + 3) * lam).shift(e)
-            out = out + term if sign == 1 else out - term
-    return out.shift(Fraction((l - j) ** 2, 4))
+        terms += [sign * q_binomial(2 * N, base + (k + 3) * lam).shift(
+                      pq * lam * lam + lin * lam + shift)
+                  for lam in range(lam_lo, lam_hi + 1)]
+    return QSeries.sum(terms).shift(Fraction((l - j) ** 2, 4))
 
 
 def unitary_params(k: int) -> ModelParams:
@@ -218,7 +219,8 @@ def verify_grading(k: int, m_max: int, cutoff: int | Fraction) -> list[CaseResul
             def routes(m: int):
                 direct = I_m(params, r, s, r + i, m)
                 if i == 0:
-                    V = ch_pi2_fused(m).flip_q().convolve(weight_string(r - 1))
+                    V = convolve({w: ch.flip() for w, ch in ch_pi2_fused(m).items()},
+                                 weight_string(r - 1))
                     alt = euler_multiplicity(V, k + 1, s - 1)
                     return alt.shift(m * m), direct.shift(Fraction((s - r) ** 2, 4))
                 return I_m(params, p - r, pp - s, p - r, m), direct

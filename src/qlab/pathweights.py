@@ -254,20 +254,22 @@ def enumerate_paths(a: int, b: int, m: int, params: ModelParams) -> list[Path]:
     in lexicographic order."""
     _check_path_ends(a, b, m, params)
     out: list[Path] = []
-
-    def go(prefix: list[int]) -> None:
-        if len(prefix) == m + 1:
-            if prefix[-1] == b:
+    # Depth-first on an explicit stack of (position, site), so long paths
+    # need no recursion; successors are pushed in descending order to pop in
+    # ascending order, and ``prefix`` holds the sites before the popped one.
+    prefix: list[int] = []
+    stack = [(0, a)]
+    while stack:
+        i, s = stack.pop()
+        del prefix[i:]
+        prefix.append(s)
+        if i == m:
+            if s == b:
                 out.append(tuple(prefix))
-            return
-        s = prefix[-1]
-        for s2 in (s - 2, s, s + 2):
+            continue
+        for s2 in (s + 2, s, s - 2):
             if _edge_ok(params, s, s2):
-                prefix.append(s2)
-                go(prefix)
-                prefix.pop()
-
-    go([a])
+                stack.append((i + 1, s2))
     return out
 
 
@@ -323,14 +325,11 @@ def config_sum_X(a: int, b: int, c: int, m: int, table: TauTable) -> QSeries:
     if m == 0:
         out = QSeries.one(None) if a == b else QSeries.zero(None)
     else:
-        out = QSeries.zero(None)
-        for d in (b - 2, b, b + 2):
-            if not _x_valid(params, a, d, b):
-                continue
-            part = config_sum_X(a, d, b, m - 1, table)
-            if part.is_zero():
-                continue
-            out = out + part.shift(m * weight(d, b, c, table))
+        out = QSeries.sum(
+            part.shift(m * weight(d, b, c, table))
+            for d in (b - 2, b, b + 2)
+            if _x_valid(params, a, d, b)
+            and not (part := config_sum_X(a, d, b, m - 1, table)).is_zero())
     _X_CACHE[key] = out
     return out
 
@@ -340,11 +339,8 @@ def brute_config_sum_X(a: int, b: int, c: int, m: int, table: TauTable) -> QSeri
     params = table.params
     if not _x_valid(params, a, b, c):
         return QSeries.zero(None)
-    out = QSeries.zero(None)
-    for path in enumerate_paths(a, b, m, params):
-        full = path + (c,)
-        out = out + QSeries.monomial(energy(full, table))
-    return out
+    return QSeries((energy(path + (c,), table), 1)
+                   for path in enumerate_paths(a, b, m, params))
 
 
 # -- closed-form side of the configuration sum -------------------------------
@@ -389,17 +385,16 @@ def f_sum(a: int, b: int, c: int, m: int, table: TauTable) -> QSeries:
     """Alternating sum over the reflection orbit of a:
     sum_{eps=+-1} eps * sum_n f_{eps(a + 2 p' n), b, c, m}."""
     pp = table.params.pp
-    out = QSeries.zero(None)
+    terms = []
     for eps in (1, -1):
         # Only arguments with |(b - arg)/2| <= m contribute.
         lo, hi = b - 2 * m, b + 2 * m
         # eps * (a + 2 p' n) in [lo, hi]
         lo_n = math.ceil(Fraction(eps * lo - a, 2 * pp)) if eps == 1 else math.ceil(Fraction(-hi - a, 2 * pp))
         hi_n = math.floor(Fraction(eps * hi - a, 2 * pp)) if eps == 1 else math.floor(Fraction(-lo - a, 2 * pp))
-        for n in range(lo_n, hi_n + 1):
-            term = f_function(eps * (a + 2 * pp * n), b, c, m, table)
-            out = out + term if eps == 1 else out - term
-    return out
+        terms += [eps * f_function(eps * (a + 2 * pp * n), b, c, m, table)
+                  for n in range(lo_n, hi_n + 1)]
+    return QSeries.sum(terms)
 
 
 def x_configs(params: ModelParams) -> list[tuple[int, int, int]]:

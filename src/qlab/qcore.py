@@ -134,14 +134,26 @@ class QSeries:
 
     # -- ring operations -----------------------------------------------
 
+    @staticmethod
+    def sum(terms: Iterable["QSeries"]) -> "QSeries":
+        """Sum of ``terms`` in one pass, truncated below their least cutoff;
+        an exact zero when ``terms`` is empty."""
+        it = iter(terms)
+        first = next(it, None)
+        if first is None:
+            return QSeries.zero(None)
+        acc = dict(first._terms)
+        cut = first.cutoff
+        for term in it:
+            cut = _min_cutoff(cut, term.cutoff)
+            for e, c in term._terms.items():
+                acc[e] = acc.get(e, 0) + c
+        return QSeries(acc, cut)
+
     def __add__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
             return NotImplemented
-        cut = _min_cutoff(self.cutoff, other.cutoff)
-        acc = dict(self._terms)
-        for e, c in other._terms.items():
-            acc[e] = acc.get(e, 0) + c
-        return QSeries(acc, cut)
+        return QSeries.sum((self, other))
 
     def __neg__(self) -> "QSeries":
         return QSeries({e: -c for e, c in self._terms.items()}, self.cutoff)
@@ -302,7 +314,7 @@ def sum_over_m(poly_of: Callable[[int], QSeries], cut: ExpLike, start: int = 0,
     """
     cut = _exp(cut)
     cap = int(cut) + 2 if cap is None else cap
-    total = QSeries.zero(cut)
+    terms = [QSeries.zero(cut)]  # gives an empty sum its cutoff
     quiet = 0
     seen = False
     m = start
@@ -312,13 +324,13 @@ def sum_over_m(poly_of: Callable[[int], QSeries], cut: ExpLike, start: int = 0,
             if seen or not poly.is_zero():
                 quiet += 1
                 if quiet == 3:
-                    return total, m, False
+                    return QSeries.sum(terms), m, False
         else:
             seen = True
             quiet = 0
-            total = total + poly * poch_inv(m, cut - poly.floor)
+            terms.append(poly * poch_inv(m, cut - poly.floor))
         m += 1
-    return total, m, True
+    return QSeries.sum(terms), m, True
 
 
 # -- exact division ---------------------------------------------------------
@@ -448,92 +460,3 @@ def supernomial2(L1: int, L2: int, a: ExpLike) -> QSeries:
     if (twice_a + L1) % 2 != 0:
         return QSeries.zero(None)
     return _supernomial2(L1, L2, twice_a)
-
-
-# -- characters graded by q and a weight ------------------------------------
-
-
-class QZChar:
-    """Finite family of QSeries indexed by an integer weight.
-
-    Models a character graded by energy (q) and a diagonal weight (z): the
-    component at weight alpha is the q-series of the weight-alpha subspace.
-    """
-
-    __slots__ = ("_comps",)
-
-    def __init__(self, comps: Mapping[int, QSeries] | Iterable[tuple[int, QSeries]] = ()):
-        items = comps.items() if isinstance(comps, Mapping) else comps
-        acc: dict[int, QSeries] = {}
-        for w, s in items:
-            if not isinstance(w, int):
-                raise TypeError("weights must be int")
-            if s.is_zero() and s.is_exact:
-                continue
-            if w in acc:
-                acc[w] = acc[w] + s
-            else:
-                acc[w] = s
-        object.__setattr__(self, "_comps", acc)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("QZChar is immutable")
-
-    def component(self, alpha: int) -> QSeries:
-        return self._comps.get(alpha, QSeries.zero(None))
-
-    def weights(self) -> list[int]:
-        return sorted(self._comps)
-
-    def items(self) -> Iterator[tuple[int, QSeries]]:
-        return iter(sorted(self._comps.items()))
-
-    def __add__(self, other: "QZChar") -> "QZChar":
-        acc = dict(self._comps)
-        for w, s in other._comps.items():
-            acc[w] = acc[w] + s if w in acc else s
-        return QZChar(acc)
-
-    def scale(self, factor: QSeries) -> "QZChar":
-        return QZChar({w: s * factor for w, s in self._comps.items()})
-
-    def convolve(self, other: "QZChar") -> "QZChar":
-        """Product of characters: weights add, q-series multiply."""
-        acc: dict[int, QSeries] = {}
-        for w1, s1 in self._comps.items():
-            for w2, s2 in other._comps.items():
-                w = w1 + w2
-                t = s1 * s2
-                acc[w] = acc[w] + t if w in acc else t
-        return QZChar(acc)
-
-    def flip_q(self) -> "QZChar":
-        return QZChar({w: s.flip() for w, s in self._comps.items()})
-
-    def dimension(self) -> int:
-        """Total coefficient sum (q=1, weight forgotten); exact components only."""
-        return sum(s.coeff_sum() for s in self._comps.values())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QZChar):
-            return NotImplemented
-        return self._comps == other._comps
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._comps.items()))
-
-    def __repr__(self) -> str:
-        ws = self.weights()
-        return f"QZChar(weights={ws})"
-
-    def to_json_obj(self) -> dict:
-        return {"components": [
-            {"weight": w, "series": s.to_json_obj()} for w, s in self.items()
-        ]}
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "QZChar":
-        return QZChar({
-            int(c["weight"]): QSeries.from_json_obj(c["series"])
-            for c in obj["components"]
-        })

@@ -21,14 +21,10 @@ def _s_family(m: int, l: int, e: int) -> QSeries:
     S~ at e = 1."""
     if m < 0:
         raise ValueError("S needs m >= 0")
-    out = QSeries.zero(None)
-    for nu in range(m + 1):
-        inner = q_binomial(nu, m - l - nu)
-        if inner.is_zero():
-            continue
-        exp = (nu + l - m) * (nu + l - e) + nu * (nu - m)
-        out = out + (q_binomial(m, nu) * inner).shift(exp)
-    return out
+    return QSeries.sum(
+        (q_binomial(m, nu) * inner).shift((nu + l - m) * (nu + l - e) + nu * (nu - m))
+        for nu in range(m + 1)
+        if not (inner := q_binomial(nu, m - l - nu)).is_zero())
 
 
 def S(m: int, l: int) -> QSeries:

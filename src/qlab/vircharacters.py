@@ -58,16 +58,13 @@ def rocha_caridi(params: ModelParams, r: int, s: int, cutoff: int | Fraction) ->
     p, pp = params.p, params.pp
     n = p * pp
     bound = int(cut)
-    terms: dict[Fraction, int] = {Fraction(0): 0}
+    terms: list[tuple[int, int]] = []
     for beta, shift, sign in ((pp * r - p * s, 0, 1), (pp * r + p * s, r * s, -1)):
         # lam^2 n + lam beta + shift < cut; widen the root window by 2.
         lam_max = (abs(beta) + math.isqrt(abs(beta) ** 2 + 4 * n * max(bound, 1))) // (2 * n) + 2
-        for lam in range(-lam_max, lam_max + 1):
-            e = Fraction(lam * lam * n + lam * beta + shift)
-            if e < cut:
-                terms[e] = terms.get(e, 0) + sign
-    numerator = QSeries(terms, cut)
-    return numerator * poch_inv(None, cut)
+        terms += [(lam * lam * n + lam * beta + shift, sign)
+                  for lam in range(-lam_max, lam_max + 1)]
+    return QSeries(terms, cut) * poch_inv(None, cut)
 
 
 def I_m(params: ModelParams, r: int, a: int, b: int, m: int) -> QSeries:
@@ -83,24 +80,18 @@ def I_m(params: ModelParams, r: int, a: int, b: int, m: int) -> QSeries:
         raise ValueError("m must be >= 0")
     p, pp = params.p, params.pp
     n = p * pp
-    out = QSeries.zero(None)
     # First sum: index (a-b)/2 - p' lam must lie in [-m, m].
     half = (a - b) // 2
-    for lam in range(-((m - half) // pp + 1), (m + half) // pp + 2):
-        idx = half - pp * lam
-        if abs(idx) > m:
-            continue
-        e = lam * lam * n + lam * (pp * r - p * a) + m * m - idx * idx
-        out = out + S(m, idx).shift(e)
-    # Second sum: index (a+b)/2 + p' lam in [-m, m].
+    terms = [S(m, idx).shift(lam * lam * n + lam * (pp * r - p * a) + m * m - idx * idx)
+             for lam in range(-((m - half) // pp + 1), (m + half) // pp + 2)
+             if abs(idx := half - pp * lam) <= m]
+    # Second sum, subtracted: index (a+b)/2 + p' lam in [-m, m].
     half2 = (a + b) // 2
-    for lam in range(-((m + half2) // pp + 1), (m - half2) // pp + 2):
-        idx = half2 + pp * lam
-        if abs(idx) > m:
-            continue
-        e = lam * lam * n + lam * (pp * r + p * a) + r * a + m * m - idx * idx
-        out = out - S(m, idx).shift(e)
-    return out
+    terms += [-S(m, idx).shift(lam * lam * n + lam * (pp * r + p * a) + r * a
+                               + m * m - idx * idx)
+              for lam in range(-((m + half2) // pp + 1), (m - half2) // pp + 2)
+              if abs(idx := half2 + pp * lam) <= m]
+    return QSeries.sum(terms)
 
 
 def verify_rocha2(params: ModelParams, r: int, a: int, b: int,
@@ -129,16 +120,12 @@ def path_side_GEN(params: ModelParams, r: int, a: int, b: int, m: int) -> QSerie
     if b != b_of(r, a, params):
         raise ValueError("path generating sum requires the minimizing endpoint")
     table = _table(params)
-    out = QSeries.zero(None)
     shift = delta(params, r, b) - delta(params, r, a)
-    for path in enumerate_paths(a, b, m, params):
-        e = energy(path, table) + shift
-        if m > 0:
-            prev = path[m - 1]
-            e += m * (delta(params, r, prev) - delta(params, r, b)
-                      + (1 if prev == b else 0))
-        out = out + QSeries.monomial(e)
-    return out
+    # At m = 0 the boundary term is m * (...) = 0, so path[m - 1] is harmless.
+    return QSeries((energy(path, table) + shift
+                    + m * (delta(params, r, path[m - 1]) - delta(params, r, b)
+                           + (1 if path[m - 1] == b else 0)), 1)
+                   for path in enumerate_paths(a, b, m, params))
 
 
 def verify_GEN(params: ModelParams, r: int, a: int, m_max: int) -> list[CaseResult]:
@@ -158,16 +145,11 @@ def verify_IandS(params: ModelParams, r: int, a: int, b: int,
     out = []
     base = delta(params, r, b) - delta(params, r, a)
     for m in range(1, m_max + 1):
-        rhs = QSeries.zero(None)
-        for d in (b - 2, b, b + 2):
-            if not 1 <= d <= params.pp - 1:
-                continue
-            x = config_sum_X(a, d, b, m - 1, table)
-            if x.is_zero():
-                continue
-            e = m * (delta(params, r, d) - delta(params, r, b)
-                     + (1 if d == b else 0)) + base
-            rhs = rhs + x.shift(e)
+        rhs = QSeries.sum(
+            config_sum_X(a, d, b, m - 1, table).shift(
+                m * (delta(params, r, d) - delta(params, r, b) + (1 if d == b else 0))
+                + base)
+            for d in (b - 2, b, b + 2) if 1 <= d <= params.pp - 1)
         out.append(check(f"iands p={params.p} p'={params.pp} r={r} a={a} b={b} m={m}",
                          I_m(params, r, a, b, m), rhs))
     return out

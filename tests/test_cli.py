@@ -1,11 +1,14 @@
 """Command-line surface: exit codes, output formats, determinism, reports."""
 
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fractions import Fraction
 
@@ -175,6 +178,15 @@ class TestCommands:
         assert lines[0] == "num,den,coeff"
         assert len(lines) == 2  # single path, single energy monomial
 
+    def test_deep_paths_need_no_recursion(self, capsys):
+        # the (3,4) strip has one path of every even length; at m = 1500 a
+        # recursive enumeration exceeds the interpreter's recursion limit
+        argv = ["paths", "--p", "3", "--pp", "4", "--a", "1", "--b", "1",
+                "--m", "1500"]
+        assert run(argv + ["--list"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["paths"]) == 1
+        assert run(argv + ["--gf"]) == 0
+
     def test_grading_pieces(self, capsys):
         assert run(["grading", "--k", "1", "--r", "1", "--s", "1",
                     "--mmax", "2", "--qmax", "8"]) == 0
@@ -204,6 +216,41 @@ class TestDeterminism:
         _, out1 = self._capture(argv, capsys)
         _, out2 = self._capture(argv, capsys)
         assert out1 == out2
+
+
+# Every suite argument ranges over a few values around its valid ones.
+_ARG_RANGES = {"mmax": (-1, 4), "qmax": (-1, 8)}
+
+
+@st.composite
+def suite_argvs(draw) -> list[str]:
+    """`verify <suite>` with a random value for each argument the suite
+    reads; a model argument may also be left out.  Sizes are always given,
+    since their defaults are the slow full-scale runs."""
+    name = draw(st.sampled_from(sorted(SUITES)))
+    argv = ["verify", name]
+    for key, default in sorted(SUITES[name].defaults.items()):
+        values = st.integers(*_ARG_RANGES.get(key, (-1, 9)))
+        value = draw(values if default is not None else st.none() | values)
+        if value is not None:
+            argv += [f"--{key}", str(value)]
+    return argv
+
+
+@given(argv=suite_argvs())
+@settings(max_examples=100, deadline=None)
+def test_random_suite_argv_keeps_the_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    if code == 2:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("qlab: error: ")
+    else:
+        assert code in (0, 1)
+        report = json.loads(out.getvalue())
+        assert not [c for c in report["cases"] if c["detail"].startswith("error:")]
 
 
 # SHA-256 of `qlab all` stdout, the byte-identity reference for every

@@ -7,7 +7,7 @@ import pytest
 from qlab.qcore import QSeries, compare, poch_inv, q_binomial
 from qlab.supernomial import S
 from qlab.fusionchar import (
-    abf_finitized, ch_pi1_fused, ch_pi2_fused, euler_multiplicity,
+    abf_finitized, ch_pi1_fused, ch_pi2_fused, convolve, euler_multiplicity,
     graded_13_char, level1_char, unitary_params, verify_abf,
     verify_exact_sequence_chars, verify_grading, verify_i1_sector,
     verify_pi2pi3, verify_pmn, weight_string,
@@ -17,34 +17,45 @@ from qlab.vircharacters import rocha_caridi
 F = Fraction
 
 
+def dimension(ch: dict) -> int:
+    """Total coefficient sum of a weight-graded character (q=1, weight forgotten)."""
+    return sum(s.coeff_sum() for s in ch.values())
+
+
 class TestFusedStrings:
     def test_dimensions(self):
         for m in range(7):
-            assert ch_pi1_fused(m).dimension() == 2 ** m
-            assert ch_pi2_fused(m).dimension() == 3 ** m
+            assert dimension(ch_pi1_fused(m)) == 2 ** m
+            assert dimension(ch_pi2_fused(m)) == 3 ** m
 
     def test_components(self):
-        assert ch_pi1_fused(2).component(0) == q_binomial(2, 1)
-        assert ch_pi1_fused(2).component(3).is_zero()
+        assert ch_pi1_fused(2)[0] == q_binomial(2, 1)
+        assert 3 not in ch_pi1_fused(2)
         for m in range(6):
             for l in range(-m, m + 1):
-                assert ch_pi2_fused(m).component(2 * l) == S(m, l).flip(), (m, l)
+                assert ch_pi2_fused(m)[2 * l] == S(m, l).flip(), (m, l)
 
     def test_weight_string(self):
         ws = weight_string(2)
-        assert ws.weights() == [-2, 0, 2]
-        assert ws.dimension() == 3
+        assert sorted(ws) == [-2, 0, 2]
+        assert dimension(ws) == 3
+
+    def test_convolve_multiplies_dimension(self):
+        x = {1: QSeries.one(None), -1: QSeries.one(None)}
+        y = convolve(x, x)
+        assert dimension(y) == 4
+        assert y[0].coeff_sum() == 2
 
 
 class TestLevelOne:
     def test_vacuum_component_is_partition_series(self):
         ch = level1_char(0, F(15))
-        assert compare(ch.component(0), poch_inv(None, F(15))).ok
+        assert compare(ch[0], poch_inv(None, F(15))).ok
 
     def test_weight_parity(self):
         for i in (0, 1):
             ch = level1_char(i, F(12))
-            for w in ch.weights():
+            for w in ch:
                 assert w % 2 == i
 
     def test_string_sum_identity(self):

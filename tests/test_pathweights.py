@@ -132,7 +132,9 @@ class TestPaths:
 
     def test_endpoints_and_steps(self):
         params = ModelParams(5, 7)
-        for path in enumerate_paths(2, 4, 5, params):
+        paths = enumerate_paths(2, 4, 5, params)
+        assert paths == sorted(paths)  # lexicographic order
+        for path in paths:
             assert path[0] == 2 and path[-1] == 4
             for i in range(5):
                 assert path[i + 1] - path[i] in (-2, 0, 2)

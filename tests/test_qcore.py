@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlab.qcore import (
-    QSeries, QZChar, compare, exact_div, poch, poch_inv,
+    QSeries, compare, exact_div, poch, poch_inv,
     q_binomial, q_trinomial, sum_over_m, supernomial2,
 )
 
@@ -101,6 +101,41 @@ class TestRingLaws:
     def test_immutable(self, a):
         with pytest.raises(AttributeError):
             a.cutoff = None
+
+
+class TestSum:
+    @given(terms=st.lists(any_series(), max_size=6))
+    def test_matches_coefficient_oracle(self, terms):
+        # independent rule: add coefficients, then keep what lies below the
+        # least cutoff of the terms (none when every term is exact)
+        cuts = [t.cutoff for t in terms if t.cutoff is not None]
+        cut = min(cuts) if cuts else None
+        acc: dict = {}
+        for t in terms:
+            for e, c in t.items():
+                acc[e] = acc.get(e, 0) + c
+        want = {e: c for e, c in acc.items() if c != 0 and (cut is None or e < cut)}
+        got = QSeries.sum(iter(terms))
+        assert dict(got.items()) == want
+        assert got.cutoff == cut
+
+    @given(a=any_series(), b=any_series())
+    def test_pair_is_add(self, a, b):
+        assert a + b == QSeries.sum([a, b])
+
+    def test_empty_is_exact_zero(self):
+        assert QSeries.sum([]) == QSeries.zero(None)
+        assert QSeries.sum(iter(())) == QSeries.zero(None)
+
+    def test_cancelling_terms_vanish(self):
+        a = QSeries({F(1, 2): 3, 2: -1}, F(6))
+        total = QSeries.sum([a, -a, QSeries({4: 1}), QSeries({4: -1})])
+        assert total.is_zero() and total.cutoff == F(6)
+
+    def test_terms_at_or_above_least_cutoff_dropped(self):
+        total = QSeries.sum([QSeries({0: 1, 3: 2, 5: 1}), QSeries({1: 1}, F(3))])
+        assert dict(total.items()) == {F(0): 1, F(1): 1}
+        assert total.cutoff == F(3)
 
 
 class TestJson:
@@ -301,19 +336,3 @@ class TestSupernomial2:
 
     def test_half_odd_weight_vanishes(self):
         assert supernomial2(2, 1, F(1, 2)).is_zero()
-
-
-class TestQZChar:
-    def test_convolve_multiplies_dimension(self):
-        x = QZChar({1: QSeries.one(None), -1: QSeries.one(None)})
-        y = x.convolve(x)
-        assert y.dimension() == 4
-        assert y.component(0).coeff_sum() == 2
-
-    def test_json_round_trip(self):
-        x = QZChar({0: QSeries({F(1, 2): 3}, F(4)), 2: QSeries.one(None)})
-        assert QZChar.from_json_obj(x.to_json_obj()) == x
-
-    def test_flip_q(self):
-        x = QZChar({1: QSeries({2: 5}, None)})
-        assert x.flip_q().component(1).coeff(F(-2)) == 5
