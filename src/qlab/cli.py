@@ -339,7 +339,13 @@ def _cmd_grading(args) -> int:
 
 def _cmd_stable(args) -> int:
     table = S_table(args.mmax, args.lmax)
-    _emit(args, {"kind": "stable", **table})
+    csv_lines = ["m,l,family,num,den,coeff"]
+    for cell in table["cells"]:
+        for family in ("S", "S_tilde"):
+            for t in cell[family]["terms"]:
+                csv_lines.append(f"{cell['m']},{cell['l']},{family},"
+                                 f"{t['num']},{t['den']},{t['coeff']}")
+    _emit(args, {"kind": "stable", **table}, "\n".join(csv_lines) + "\n")
     return 0
 
 

@@ -10,7 +10,7 @@ table is validated against every structural fact it must satisfy before use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .qcore import QSeries
@@ -40,9 +40,10 @@ class ModelParams:
 
 
 def delta(params: ModelParams, r: int, s: int) -> Fraction:
-    """Conformal weight ((r t - s)^2 - (t - 1)^2) / (4 t)."""
-    t = params.t
-    return ((r * t - s) ** 2 - (t - 1) ** 2) / (4 * t)
+    """Conformal weight ((r t - s)^2 - (t - 1)^2) / (4 t), computed as
+    ((r p' - s p)^2 - (p' - p)^2) / (4 p p')."""
+    p, pp = params.p, params.pp
+    return Fraction((r * pp - s * p) ** 2 - (pp - p) ** 2, 4 * p * pp)
 
 
 def _frac(x: Fraction) -> Fraction:
@@ -51,20 +52,25 @@ def _frac(x: Fraction) -> Fraction:
 
 def tau(params: ModelParams, b: int) -> int:
     """floor((b+1)/t) - floor((b-1)/t); always 1 or 2 on the strip."""
-    t = params.t
-    val = math.floor(Fraction(b + 1) / t) - math.floor(Fraction(b - 1) / t)
+    p, pp = params.p, params.pp
+    val = (b + 1) * p // pp - (b - 1) * p // pp
     if val not in (1, 2):
         raise ValueError(f"tau({b}) = {val} out of range for {params}")
     return val
 
 
+Triple = tuple[int, int, int]
+
+
 @dataclass(frozen=True)
 class TauTable:
-    """Site data for one model: tau values and 1A/1B/2 labels, index 1..p'-1."""
+    """Site data for one model: tau values and 1A/1B/2 labels, index 1..p'-1,
+    and the weight of every admissible triple in units of 1/p'."""
 
     params: ModelParams
     taus: tuple[int, ...]      # taus[s], index 0 unused
     labels: tuple[str, ...]    # labels[s], index 0 unused
+    weights: dict[Triple, int] = field(compare=False, repr=False)
 
     def tau_of(self, s: int) -> int:
         if not 1 <= s <= self.params.pp - 1:
@@ -174,13 +180,40 @@ def _validate_table(params: ModelParams, taus: list[int], labels: list[str]) -> 
                 fail(f"tau=1 run at {lo}..{hi} does not end in 1A")
 
 
+def _weights(params: ModelParams, taus: list[int], labels: list[str]) -> dict[Triple, int]:
+    """p' * w(a, b, c) for every admissible triple, by the rules of ``weight``
+    in integers: with t = p'/p, 2/t = 2p/p' and frac(n/t) = (n p mod p')/p'."""
+    p, pp = params.p, params.pp
+    x_of = {"1A": 2, "1B": 3, "2": 2}
+    y_of = {"1A": 3, "1B": 2, "2": 4}
+    out: dict[Triple, int] = {}
+    for b in range(1, pp):
+        lo = (b - 1) * p % pp    # p' frac((b-1)/t)
+        hi = (b + 1) * p % pp    # p' frac((b+1)/t)
+        # Keyed by the steps (a - b, c - b); the edge rule is symmetric.
+        rule = {(2, -2): 2 * p, (-2, 2): 2 * p,
+                (-2, 0): 2 * pp - lo, (0, -2): 2 * pp - lo,
+                (0, 2): pp + hi, (2, 0): pp + hi,
+                (0, 0): (3 - taus[b]) * pp}
+        if b > 2:
+            rule[(-2, -2)] = -2 * lo + x_of[labels[b - 2]] * pp
+        if b < pp - 2:
+            rule[(2, 2)] = 2 * ((b + 3) * p % pp) - 4 * p + y_of[labels[b + 2]] * pp
+        nbrs = [s for s in (b - 2, b, b + 2) if _edge_ok(params, b, s)]
+        for a in nbrs:
+            for c in nbrs:
+                out[(a, b, c)] = rule[(a - b, c - b)]
+    return out
+
+
 def make_tau_table(params: ModelParams) -> TauTable:
-    """Construct and fully revalidate the site table; hard-fails on any defect."""
+    """Construct and fully revalidate the site table, then weigh every
+    admissible triple once; hard-fails on any defect."""
     pp = params.pp
     taus = [0] + [tau(params, s) for s in range(1, pp)]
     labels = _build_labels(params, taus)
     _validate_table(params, taus, labels)
-    return TauTable(params, tuple(taus), tuple(labels))
+    return TauTable(params, tuple(taus), tuple(labels), _weights(params, taus, labels))
 
 
 def _edge_ok(params: ModelParams, s: int, s2: int) -> bool:
@@ -192,35 +225,25 @@ def _edge_ok(params: ModelParams, s: int, s2: int) -> bool:
 
 
 def weight(a: int, b: int, c: int, table: TauTable) -> Fraction:
-    """Weight of the admissible triple (a, b, c); raises on invalid triples."""
-    params = table.params
-    pp, t = params.pp, params.t
+    """Weight of the admissible triple (a, b, c), read from the table;
+    raises on invalid triples.
+
+    With t = p'/p and the site letters x(1A, 1B, 2) = (2, 3, 2),
+    y(1A, 1B, 2) = (3, 2, 4), the weight by the steps (a - b, c - b) is
+      (2, -2), (-2, 2):  2/t
+      (-2, 0), (0, -2):  2 - frac((b-1)/t)
+      (0, 2), (2, 0):    1 + frac((b+1)/t)
+      (0, 0):            3 - tau(b)
+      (-2, -2):          -2 frac((b-1)/t) + x(b-2)
+      (2, 2):            2 frac((b+3)/t) - 4/t + y(b+2)
+    """
+    w = table.weights.get((a, b, c))
+    if w is not None:
+        return Fraction(w, table.params.pp)
     for s in (a, b, c):
-        if not 1 <= s <= pp - 1:
+        if not 1 <= s <= table.params.pp - 1:
             raise ValueError(f"site {s} off the strip")
-    if not (_edge_ok(params, a, b) and _edge_ok(params, b, c)):
-        raise ValueError(f"triple ({a},{b},{c}) is not admissible")
-
-    def x_of(site: int) -> int:
-        return {"1A": 2, "1B": 3, "2": 2}[table.label(site)]
-
-    def y_of(site: int) -> int:
-        return {"1A": 3, "1B": 2, "2": 4}[table.label(site)]
-
-    da, dc = a - b, c - b
-    if (da, dc) in ((2, -2), (-2, 2)):
-        return 2 / t
-    if (da, dc) in ((-2, 0), (0, -2)):
-        return 2 - _frac(Fraction(b - 1) / t)
-    if (da, dc) in ((0, 2), (2, 0)):
-        return 1 + _frac(Fraction(b + 1) / t)
-    if (da, dc) == (0, 0):
-        return Fraction(3 - table.tau_of(b))
-    if (da, dc) == (-2, -2):
-        return -2 * _frac(Fraction(b - 1) / t) + x_of(b - 2)
-    if (da, dc) == (2, 2):
-        return 2 * _frac(Fraction(b + 3) / t) - 4 / t + y_of(b + 2)
-    raise AssertionError("unreachable")
+    raise ValueError(f"triple ({a},{b},{c}) is not admissible")
 
 
 def b_of(r: int, a: int, params: ModelParams) -> int:
@@ -292,10 +315,14 @@ def count_paths(a: int, b: int, m: int, params: ModelParams) -> int:
 
 def energy(path: Path, table: TauTable) -> Fraction:
     """sum_i i * w(s_{i-1}, s_i, s_{i+1}) over interior positions of the path."""
-    total = Fraction(0)
+    w = table.weights
+    total = 0
     for i in range(1, len(path) - 1):
-        total += i * weight(path[i - 1], path[i], path[i + 1], table)
-    return total
+        wi = w.get((path[i - 1], path[i], path[i + 1]))
+        if wi is None:
+            weight(path[i - 1], path[i], path[i + 1], table)  # raises the reason
+        total += i * wi
+    return Fraction(total, table.params.pp)
 
 
 def _x_valid(params: ModelParams, a: int, b: int, c: int) -> bool:

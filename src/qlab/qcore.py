@@ -5,40 +5,106 @@ exclusive truncation bound (``cutoff``).  ``cutoff=None`` means the series is
 an exact Laurent polynomial: every coefficient outside the stored support is
 genuinely zero, not merely unknown.  All operations are pure; instances are
 treated as immutable.
+
+Internally every exponent of a series is an ``int`` key over one positive
+denominator ``den`` (exponent = key / den), and the cutoff is stored scaled
+by the same ``den``.  ``den`` is always the least such value, so equal series
+have equal keys, denominators and cutoffs.  Arithmetic runs on the int keys
+and rescales to the lcm of the denominators only when two differ.  Exponents
+cross the API and JSON boundary as ``int`` when integral and as ``Fraction``
+otherwise.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from operator import sub
+from operator import add, sub
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 ExpLike = Union[int, Fraction]
 CutoffLike = Union[int, Fraction, None]
 
 
-def _exp(x: ExpLike) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+def _den(x: ExpLike) -> int:
     if isinstance(x, int):
-        return Fraction(x)
+        return 1
+    if isinstance(x, Fraction):
+        return x.denominator
     raise TypeError(f"exponent must be int or Fraction, got {type(x).__name__}")
 
 
-def _cutoff(x: CutoffLike) -> Optional[Fraction]:
-    return None if x is None else _exp(x)
+def _key(x: ExpLike, den: int) -> int:
+    """x * den, for an exponent x whose denominator divides den."""
+    if isinstance(x, int):
+        return x * den
+    return x.numerator * (den // x.denominator)
 
 
-def _min_cutoff(a: Optional[Fraction], b: Optional[Fraction]) -> Optional[Fraction]:
+def _exp(key: int, den: int) -> ExpLike:
+    """The exponent key / den: an int when integral, else a Fraction."""
+    if den == 1:
+        return key
+    q, r = divmod(key, den)
+    return q if r == 0 else Fraction(key, den)
+
+
+def _min_cutoff(a: Optional[int], b: Optional[int]) -> Optional[int]:
     if a is None:
         return b
     if b is None:
         return a
     return min(a, b)
+
+
+def _floor_key(terms: dict[int, int], cut: Optional[int]) -> int:
+    if terms:
+        return min(terms)
+    return 0 if cut is None else cut
+
+
+def _scaled(s: "QSeries", den: int) -> tuple[dict[int, int], Optional[int]]:
+    """The keys and cutoff of ``s`` over ``den``, a multiple of its own."""
+    f = den // s._den
+    if f == 1:
+        return s._terms, s._cut
+    return ({k * f: c for k, c in s._terms.items()},
+            None if s._cut is None else s._cut * f)
+
+
+_set = object.__setattr__
+
+
+def _canon(terms: dict[int, int], den: int,
+           cut: Optional[int]) -> tuple[dict[int, int], int, Optional[int]]:
+    """Lower ``den`` to the least denominator of the keys and the cutoff."""
+    if den != 1:
+        g = math.gcd(den, *terms) if cut is None else math.gcd(den, cut, *terms)
+        if g != 1:
+            den //= g
+            terms = {k // g: c for k, c in terms.items()}
+            if cut is not None:
+                cut //= g
+    return terms, den, cut
+
+
+def _new(terms: dict[int, int], den: int, cut: Optional[int]) -> "QSeries":
+    """A series from keys over ``den`` that are already canonical: nonzero
+    coefficients, keys below ``cut``, and ``den`` least."""
+    s = object.__new__(QSeries)
+    _set(s, "_terms", terms)
+    _set(s, "_den", den)
+    _set(s, "_cut", cut)
+    return s
+
+
+def _reduced(terms: dict[int, int], den: int, cut: Optional[int]) -> "QSeries":
+    """As ``_new``, but first lowers ``den`` to its least value."""
+    return _new(*_canon(terms, den, cut))
 
 
 class QSeries:
@@ -49,33 +115,27 @@ class QSeries:
     cutoff itself for an empty truncated series, 0 for an exact zero).
     """
 
-    __slots__ = ("_terms", "cutoff", "floor")
+    __slots__ = ("_terms", "_den", "_cut")
 
     def __init__(self, terms: Mapping[ExpLike, int] | Iterable[tuple[ExpLike, int]] = (),
                  cutoff: CutoffLike = None):
-        cut = _cutoff(cutoff)
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Fraction, int] = {}
+        items = list(terms.items() if isinstance(terms, Mapping) else terms)
+        den = 1 if cutoff is None else _den(cutoff)
+        for e, _ in items:
+            if not isinstance(e, int):
+                den = math.lcm(den, _den(e))
+        cut = None if cutoff is None else _key(cutoff, den)
+        acc: dict[int, int] = {}
         for e, c in items:
             if not isinstance(c, int):
                 raise TypeError("coefficients must be int")
-            if c == 0:
-                continue
-            ee = _exp(e)
-            if cut is not None and ee >= cut:
-                continue
-            acc[ee] = acc.get(ee, 0) + c
-            if acc[ee] == 0:
-                del acc[ee]
-        object.__setattr__(self, "_terms", acc)
-        object.__setattr__(self, "cutoff", cut)
-        if acc:
-            floor = min(acc)
-        elif cut is not None:
-            floor = cut
-        else:
-            floor = Fraction(0)
-        object.__setattr__(self, "floor", floor)
+            k = _key(e, den)
+            if c and (cut is None or k < cut):
+                acc[k] = acc.get(k, 0) + c
+        terms, den, cut = _canon({k: c for k, c in acc.items() if c}, den, cut)
+        _set(self, "_terms", terms)
+        _set(self, "_den", den)
+        _set(self, "_cut", cut)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("QSeries is immutable")
@@ -88,26 +148,39 @@ class QSeries:
 
     @staticmethod
     def one(cutoff: CutoffLike = None) -> "QSeries":
-        return QSeries({Fraction(0): 1}, cutoff)
+        return QSeries({0: 1}, cutoff)
 
     @staticmethod
     def monomial(exp: ExpLike, coeff: int = 1, cutoff: CutoffLike = None) -> "QSeries":
-        return QSeries({_exp(exp): coeff}, cutoff)
+        return QSeries({exp: coeff}, cutoff)
 
     # -- inspection ----------------------------------------------------
 
     def coeff(self, exp: ExpLike) -> int:
-        return self._terms.get(_exp(exp), 0)
+        den = _den(exp)
+        if self._den % den:
+            return 0  # exp is not a multiple of 1/den
+        return self._terms.get(_key(exp, self._den), 0)
 
-    def items(self) -> Iterator[tuple[Fraction, int]]:
-        return iter(sorted(self._terms.items()))
+    def items(self) -> Iterator[tuple[ExpLike, int]]:
+        den = self._den
+        return iter([(_exp(k, den), c) for k, c in sorted(self._terms.items())])
 
-    def support(self) -> list[Fraction]:
-        return sorted(self._terms)
+    def support(self) -> list[ExpLike]:
+        den = self._den
+        return [_exp(k, den) for k in sorted(self._terms)]
+
+    @property
+    def cutoff(self) -> Optional[ExpLike]:
+        return None if self._cut is None else _exp(self._cut, self._den)
+
+    @property
+    def floor(self) -> ExpLike:
+        return _exp(_floor_key(self._terms, self._cut), self._den)
 
     @property
     def is_exact(self) -> bool:
-        return self.cutoff is None
+        return self._cut is None
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -138,17 +211,23 @@ class QSeries:
     def sum(terms: Iterable["QSeries"]) -> "QSeries":
         """Sum of ``terms`` in one pass, truncated below their least cutoff;
         an exact zero when ``terms`` is empty."""
-        it = iter(terms)
-        first = next(it, None)
-        if first is None:
-            return QSeries.zero(None)
-        acc = dict(first._terms)
-        cut = first.cutoff
-        for term in it:
-            cut = _min_cutoff(cut, term.cutoff)
-            for e, c in term._terms.items():
-                acc[e] = acc.get(e, 0) + c
-        return QSeries(acc, cut)
+        terms = list(terms)
+        if not terms:
+            return _new({}, 1, None)
+        den = math.lcm(*(t._den for t in terms))
+        acc: dict[int, int] = {}
+        cut = None
+        for t in terms:
+            tt, tc = _scaled(t, den)
+            cut = _min_cutoff(cut, tc)
+            if not acc:
+                acc = dict(tt)  # a first nonzero term is copied in one step
+                continue
+            get = acc.get
+            for k, c in tt.items():
+                acc[k] = get(k, 0) + c
+        return _reduced({k: c for k, c in acc.items()
+                         if c and (cut is None or k < cut)}, den, cut)
 
     def __add__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
@@ -156,7 +235,7 @@ class QSeries:
         return QSeries.sum((self, other))
 
     def __neg__(self) -> "QSeries":
-        return QSeries({e: -c for e, c in self._terms.items()}, self.cutoff)
+        return _new({k: -c for k, c in self._terms.items()}, self._den, self._cut)
 
     def __sub__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
@@ -165,49 +244,80 @@ class QSeries:
 
     def __mul__(self, other: Union["QSeries", int]) -> "QSeries":
         if isinstance(other, int):
-            return QSeries({e: c * other for e, c in self._terms.items()}, self.cutoff)
+            if other == 0:
+                return _reduced({}, self._den, self._cut)
+            return _new({k: c * other for k, c in self._terms.items()},
+                        self._den, self._cut)
         if not isinstance(other, QSeries):
             return NotImplemented
+        den = math.lcm(self._den, other._den)
+        ta, ca = _scaled(self, den)
+        tb, cb = _scaled(other, den)
         # Truncation is sound through the other factor's floor.
-        cut = _min_cutoff(
-            None if self.cutoff is None else self.cutoff + other.floor,
-            None if other.cutoff is None else other.cutoff + self.floor,
-        )
-        acc: dict[Fraction, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                if cut is not None and e >= cut:
-                    continue
-                acc[e] = acc.get(e, 0) + c1 * c2
-        return QSeries(acc, cut)
+        cut = _min_cutoff(None if ca is None else ca + _floor_key(tb, cb),
+                       None if cb is None else cb + _floor_key(ta, ca))
+        acc: dict[int, int] = {}
+        get = acc.get
+        if cut is None:
+            for e1, c1 in ta.items():
+                for e2, c2 in tb.items():
+                    e = e1 + e2
+                    acc[e] = get(e, 0) + c1 * c2
+        else:
+            # Ascending exponents of the second factor: the first at or
+            # above the cut ends the row.
+            row = sorted(tb.items())
+            for e1, c1 in ta.items():
+                lim = cut - e1
+                for e2, c2 in row:
+                    if e2 >= lim:
+                        break
+                    e = e1 + e2
+                    acc[e] = get(e, 0) + c1 * c2
+        return _reduced({k: c for k, c in acc.items() if c}, den, cut)
 
     __rmul__ = __mul__
 
     def shift(self, exp: ExpLike) -> "QSeries":
         """Multiply by q^exp."""
-        d = _exp(exp)
-        cut = None if self.cutoff is None else self.cutoff + d
-        return QSeries({e + d: c for e, c in self._terms.items()}, cut)
+        den = self._den
+        if isinstance(exp, int):
+            # An integral shift keeps the denominator least.
+            k = exp * den
+            return _new({e + k: c for e, c in self._terms.items()}, den,
+                        None if self._cut is None else self._cut + k)
+        den = math.lcm(den, _den(exp))
+        terms, cut = _scaled(self, den)
+        k = _key(exp, den)
+        return _reduced({e + k: c for e, c in terms.items()}, den,
+                        None if cut is None else cut + k)
 
     def truncate(self, cutoff: CutoffLike) -> "QSeries":
-        return QSeries(self._terms, _min_cutoff(self.cutoff, _cutoff(cutoff)))
+        if cutoff is None:
+            return self
+        den = math.lcm(self._den, _den(cutoff))
+        terms, cut = _scaled(self, den)
+        new_cut = _key(cutoff, den)
+        if cut is not None and cut <= new_cut:
+            return self
+        return _reduced({k: c for k, c in terms.items() if k < new_cut}, den, new_cut)
 
     def flip(self) -> "QSeries":
         """Substitute q -> 1/q; exact series only (negation of exponents)."""
         if not self.is_exact:
             raise ValueError("flip requires an exact series")
-        return QSeries({-e: c for e, c in self._terms.items()}, None)
+        return _new({-k: c for k, c in self._terms.items()}, self._den, None)
 
     # -- comparison ----------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QSeries):
             return NotImplemented
-        return self._terms == other._terms and self.cutoff == other.cutoff
+        return (self._den == other._den and self._cut == other._cut
+                and self._terms == other._terms)
 
     def __hash__(self) -> int:
-        return hash((frozenset(self._terms.items()), self.cutoff))
+        return hash((frozenset(self._terms.items()), self._den, self._cut))
 
     # -- serialization ---------------------------------------------------
 
@@ -240,11 +350,12 @@ class QSeries:
 @dataclass(frozen=True)
 class Comparison:
     """Result of comparing two series below the joint truncation bound; a
-    mismatch carries its exponent and the coefficient of each side there."""
+    mismatch carries its exponent and the coefficient of each side there.
+    Exponents are ``int`` when integral, else ``Fraction``."""
 
     ok: bool
-    verified_below: Optional[Fraction]  # None: full exact comparison
-    first_mismatch: Optional[Fraction] = None
+    verified_below: Optional[ExpLike]  # None: full exact comparison
+    first_mismatch: Optional[ExpLike] = None
     lhs_coeff: int = 0
     rhs_coeff: int = 0
 
@@ -258,26 +369,20 @@ class Comparison:
 
 
 def compare(a: QSeries, b: QSeries) -> Comparison:
-    bound = _min_cutoff(a.cutoff, b.cutoff)
-    bad = [e for e in set(a._terms) | set(b._terms)
-           if (bound is None or e < bound) and a._terms.get(e, 0) != b._terms.get(e, 0)]
+    den = math.lcm(a._den, b._den)
+    ta, ca = _scaled(a, den)
+    tb, cb = _scaled(b, den)
+    bound = _min_cutoff(ca, cb)
+    bad = [k for k in ta.keys() | tb.keys()
+           if (bound is None or k < bound) and ta.get(k, 0) != tb.get(k, 0)]
+    below = None if bound is None else _exp(bound, den)
     if bad:
-        e = min(bad)
-        return Comparison(False, bound, e, a._terms.get(e, 0), b._terms.get(e, 0))
-    return Comparison(True, bound)
+        k = min(bad)
+        return Comparison(False, below, _exp(k, den), ta.get(k, 0), tb.get(k, 0))
+    return Comparison(True, below)
 
 
-# -- Pochhammer factors ----------------------------------------------------
-
-
-def poch(m: int, cutoff: CutoffLike = None) -> QSeries:
-    """(q)_m = prod_{i=1}^m (1 - q^i), exact for cutoff=None."""
-    if m < 0:
-        raise ValueError("poch needs m >= 0")
-    out = QSeries.one(cutoff)
-    for i in range(1, m + 1):
-        out = out * QSeries({0: 1, i: -1}, cutoff)
-    return out
+# -- Pochhammer inverse ----------------------------------------------------
 
 
 def poch_inv(m: Optional[int], cutoff: CutoffLike) -> QSeries:
@@ -285,21 +390,25 @@ def poch_inv(m: Optional[int], cutoff: CutoffLike) -> QSeries:
 
     Coefficient of q^n is the number of partitions of n into parts <= m.
     """
-    cut = _cutoff(cutoff)
-    if cut is None:
+    if cutoff is None:
         raise ValueError("poch_inv requires a finite cutoff")
     if m is not None and m < 0:
         raise ValueError("poch_inv needs m >= 0 or m=None")
-    n_max = int(cut) - 1 if cut == int(cut) else int(cut)  # largest n < cut
+    den = _den(cutoff)
+    cut = _key(cutoff, den)
+    n_max = -(-cut // den) - 1  # largest integer n < cutoff
     if n_max < 0:
-        return QSeries.zero(cut)
-    coeffs = [0] * (n_max + 1)
-    coeffs[0] = 1
+        return QSeries.zero(cutoff)
+    coeffs = [1] + [0] * n_max
     top = n_max if m is None else min(m, n_max)
     for part in range(1, top + 1):
-        for n in range(part, n_max + 1):
-            coeffs[n] += coeffs[n - part]
-    return QSeries({Fraction(n): coeffs[n] for n in range(n_max + 1)}, cut)
+        # coeffs[n] += coeffs[n - part] for ascending n, one block of
+        # ``part`` entries at a time: each block reads the one below it,
+        # which is already updated.
+        for lo in range(part, n_max + 1, part):
+            coeffs[lo:lo + part] = map(add, coeffs[lo:lo + part], coeffs[lo - part:lo])
+    # Keys n * den with the key 0 present are already in least terms.
+    return _new({n * den: c for n, c in enumerate(coeffs) if c}, den, cut)
 
 
 def sum_over_m(poly_of: Callable[[int], QSeries], cut: ExpLike, start: int = 0,
@@ -312,7 +421,6 @@ def sum_over_m(poly_of: Callable[[int], QSeries], cut: ExpLike, start: int = 0,
     (default int(cut) + 2).  Returns (total, m, capped): the m at which the
     sum stopped, and whether the cap stopped it.
     """
-    cut = _exp(cut)
     cap = int(cut) + 2 if cap is None else cap
     terms = [QSeries.zero(cut)]  # gives an empty sum its cutoff
     quiet = 0
@@ -331,44 +439,6 @@ def sum_over_m(poly_of: Callable[[int], QSeries], cut: ExpLike, start: int = 0,
             terms.append(poly * poch_inv(m, cut - poly.floor))
         m += 1
     return QSeries.sum(terms), m, True
-
-
-# -- exact division ---------------------------------------------------------
-
-
-def exact_div(num: QSeries, den: QSeries) -> QSeries:
-    """Quotient of exact series, asserting the division leaves no remainder."""
-    if not (num.is_exact and den.is_exact):
-        raise ValueError("exact_div requires exact series")
-    if den.is_zero():
-        raise ZeroDivisionError("exact_div by zero series")
-    if num.is_zero():
-        return QSeries.zero(None)
-    rem = dict(num._terms)
-    den_items = sorted(den._terms.items())
-    d_exp, d_coeff = den_items[0]
-    # In an exact quotient the top exponents add up, so any quotient term
-    # beyond this bound proves the division leaves a remainder.
-    qe_bound = max(num._terms) - den_items[-1][0]
-    quo: dict[Fraction, int] = {}
-    while rem:
-        e = min(rem)
-        c = rem[e]
-        if c % d_coeff != 0:
-            raise ArithmeticError("division is not exact")
-        qc = c // d_coeff
-        qe = e - d_exp
-        if qe > qe_bound:
-            raise ArithmeticError("division is not exact")
-        quo[qe] = qc
-        for de, dc in den_items:
-            key = qe + de
-            v = rem.get(key, 0) - qc * dc
-            if v == 0:
-                rem.pop(key, None)
-            else:
-                rem[key] = v
-    return QSeries(quo, None)
 
 
 # -- binomial family --------------------------------------------------------
@@ -414,7 +484,8 @@ def q_binomial(L: int, a: int) -> QSeries:
     if L < 0:
         n, sign, offset = a - L - 1, (-1) ** a, a * L - a * (a - 1) // 2
     coeffs = _gauss_coeffs(n, a)
-    return QSeries({offset + j: sign * c for j, c in enumerate(coeffs)}, None)
+    # Every coefficient of a Gaussian binomial is positive.
+    return _new({offset + j: sign * c for j, c in enumerate(coeffs)}, 1, None)
 
 
 def q_trinomial(n: int, a: int, b: int, c: int) -> QSeries:

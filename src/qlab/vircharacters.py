@@ -121,10 +121,11 @@ def path_side_GEN(params: ModelParams, r: int, a: int, b: int, m: int) -> QSerie
         raise ValueError("path generating sum requires the minimizing endpoint")
     table = _table(params)
     shift = delta(params, r, b) - delta(params, r, a)
+    # shift plus the boundary term, by the next-to-last site d = path[m - 1].
     # At m = 0 the boundary term is m * (...) = 0, so path[m - 1] is harmless.
-    return QSeries((energy(path, table) + shift
-                    + m * (delta(params, r, path[m - 1]) - delta(params, r, b)
-                           + (1 if path[m - 1] == b else 0)), 1)
+    end = {d: shift + m * (delta(params, r, d) - delta(params, r, b) + (1 if d == b else 0))
+           for d in (b - 2, b, b + 2) if 1 <= d <= params.pp - 1}
+    return QSeries((energy(path, table) + end[path[m - 1]], 1)
                    for path in enumerate_paths(a, b, m, params))
 
 
@@ -166,42 +167,58 @@ def rigged_path_gf(params: ModelParams, r: int, a: int,
     with n_i in Z + delta(r, s_{i-1}) - delta(r, s_i).  Each pair contributes
     q^{sum_i n_i + delta(r,b) - delta(r,a)}; the result equals the normalized
     character.  This is a brute-force oracle: no product formula is used.
+
+    The enumeration runs on integers in units of 1/(4 p p'), a common
+    denominator of every weight and conformal weight of the model; each
+    scaled weight and delta-difference is checked to be integral.
     """
     cut = Fraction(cutoff)
     b = b_of(r, a, params)
     table = _table(params)
-    shift = delta(params, r, b) - delta(params, r, a)
-    acc: dict[Fraction, int] = {}
+    unit = 4 * params.p * params.pp
 
-    def add_riggings(path: tuple[int, ...]) -> Fraction:
+    def units(x: Fraction) -> int:
+        y = x * unit
+        if y.denominator != 1:
+            raise ArithmeticError(f"{x} is not a multiple of 1/{unit}")
+        return y.numerator
+
+    cut_u = math.ceil(cut * unit)  # an integer exponent e is < cut iff e < cut_u
+    w_u = {t: units(weight(*t, table)) for t in table.weights}
+    # d_u[s] = delta(r, s) - delta(r, b), the delta-differences of the rules.
+    d_u = [0] + [units(delta(params, r, s) - delta(params, r, b))
+                 for s in range(1, params.pp)]
+    shift = -d_u[a]
+    acc: dict[int, int] = {}
+
+    def add_riggings(path: tuple[int, ...]) -> int:
         m = len(path) - 1
         if m == 0:
-            if shift < cut:
+            if shift < cut_u:
                 acc[shift] = acc.get(shift, 0) + 1
             return shift
-        w = [Fraction(0)] * m  # w[i] = weight at interior position i, 1 <= i <= m-1
+        w = [0] * m  # w[i] = weight at interior position i, 1 <= i <= m-1
         for i in range(1, m):
-            w[i] = weight(path[i - 1], path[i], path[i + 1], table)
+            w[i] = w_u[(path[i - 1], path[i], path[i + 1])]
         # cmin[i] = sum_{k=1}^{i-1} k * w[k]: minimal extra mass below position i
-        cmin = [Fraction(0)] * (m + 1)
-        for i in range(1, m + 1):
-            cmin[i] = cmin[i - 1] + (i - 1) * w[i - 1] if i >= 2 else Fraction(0)
-        bdr = (delta(params, r, path[m - 1]) - delta(params, r, b)
-               + (1 if path[m - 1] == b else 0))
+        cmin = [0] * (m + 1)
+        for i in range(2, m + 1):
+            cmin[i] = cmin[i - 1] + (i - 1) * w[i - 1]
+        bdr = d_u[path[m - 1]] + (unit if path[m - 1] == b else 0)
 
-        def descend(i: int, lower: Fraction, partial: Fraction) -> None:
+        def descend(i: int, lower: int, partial: int) -> None:
             # choose n_i = lower + k, k >= 0
             n_i = lower
             while True:
                 rest = partial + n_i + (i - 1) * n_i + cmin[i] + shift
-                if rest >= cut:
+                if rest >= cut_u:
                     return
                 if i == 1:
                     e = partial + n_i + shift
                     acc[e] = acc.get(e, 0) + 1
                 else:
                     descend(i - 1, n_i + w[i - 1], partial + n_i)
-                n_i += 1
+                n_i += unit
 
         # tight chain gives the minimal exponent for this path
         chain = bdr
@@ -209,7 +226,7 @@ def rigged_path_gf(params: ModelParams, r: int, a: int,
         for i in range(m - 1, 0, -1):
             chain = chain + w[i]
             tight += chain
-        descend(m, bdr, Fraction(0))
+        descend(m, bdr, 0)
         return tight + shift
 
     quiet = 0
@@ -218,19 +235,19 @@ def rigged_path_gf(params: ModelParams, r: int, a: int,
     m = 0
     while m <= cap and quiet < 3:
         paths = enumerate_paths(a, b, m, params)
-        min_tight: Optional[Fraction] = None
+        min_tight: Optional[int] = None
         for path in paths:
             t = add_riggings(path)
             if min_tight is None or t < min_tight:
                 min_tight = t
-        if min_tight is None or min_tight >= cut:
+        if min_tight is None or min_tight >= cut_u:
             if seen:
                 quiet += 1
         else:
             seen = True
             quiet = 0
         m += 1
-    return QSeries(acc, cut)
+    return QSeries(((Fraction(e, unit), c) for e, c in acc.items()), cut)
 
 
 def verify_rigged(params: ModelParams, r: int, a: int,

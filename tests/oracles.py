@@ -1,0 +1,145 @@
+"""Slow reference routes that the tests hold the library against.
+
+Everything here is written against the public ``QSeries`` API, or against
+plain ``dict[Fraction, int]`` maps, and shares no code with ``qlab.qcore``'s
+integer-keyed internals:
+
+- ``exact_div`` and ``poch``: the sparse long-division route to Gaussian
+  binomials and trinomials that the dense kernel replaced;
+- ``RefSeries``: a ``Fraction``-keyed sparse series with the straightforward
+  sum, product, shift, truncation, flip and comparison rules.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterable, Optional
+
+from qlab.qcore import QSeries
+
+
+def poch(m: int, cutoff=None) -> QSeries:
+    """(q)_m = prod_{i=1}^m (1 - q^i), exact for cutoff=None."""
+    if m < 0:
+        raise ValueError("poch needs m >= 0")
+    out = QSeries.one(cutoff)
+    for i in range(1, m + 1):
+        out = out * QSeries({0: 1, i: -1}, cutoff)
+    return out
+
+
+def exact_div(num: QSeries, den: QSeries) -> QSeries:
+    """Quotient of exact series by sparse long division, asserting the
+    division leaves no remainder."""
+    if not (num.is_exact and den.is_exact):
+        raise ValueError("exact_div requires exact series")
+    if den.is_zero():
+        raise ZeroDivisionError("exact_div by zero series")
+    if num.is_zero():
+        return QSeries.zero(None)
+    rem = {Fraction(e): c for e, c in num.items()}
+    den_items = [(Fraction(e), c) for e, c in den.items()]
+    d_exp, d_coeff = den_items[0]
+    # In an exact quotient the top exponents add up, so any quotient term
+    # beyond this bound proves the division leaves a remainder.
+    qe_bound = max(rem) - den_items[-1][0]
+    quo: dict[Fraction, int] = {}
+    while rem:
+        e = min(rem)
+        c = rem[e]
+        if c % d_coeff != 0:
+            raise ArithmeticError("division is not exact")
+        qc = c // d_coeff
+        qe = e - d_exp
+        if qe > qe_bound:
+            raise ArithmeticError("division is not exact")
+        quo[qe] = qc
+        for de, dc in den_items:
+            key = qe + de
+            v = rem.get(key, 0) - qc * dc
+            if v == 0:
+                rem.pop(key, None)
+            else:
+                rem[key] = v
+    return QSeries(quo, None)
+
+
+def _min_cut(a: Optional[Fraction], b: Optional[Fraction]) -> Optional[Fraction]:
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return min(a, b)
+
+
+@dataclass(frozen=True)
+class RefSeries:
+    """Sparse series keyed by ``Fraction`` exponents, truncated below
+    ``cutoff`` (``None``: exact).  ``terms`` holds no zero coefficient and no
+    exponent at or above the cutoff."""
+
+    terms: dict
+    cutoff: Optional[Fraction]
+
+    @staticmethod
+    def make(pairs: Iterable[tuple], cutoff=None) -> "RefSeries":
+        cut = None if cutoff is None else Fraction(cutoff)
+        acc: dict[Fraction, int] = {}
+        for e, c in pairs:
+            e = Fraction(e)
+            if cut is None or e < cut:
+                acc[e] = acc.get(e, 0) + c
+        return RefSeries({e: c for e, c in acc.items() if c}, cut)
+
+    @staticmethod
+    def of(s: QSeries) -> "RefSeries":
+        """The terms and cutoff ``s`` reports, taken as they are: a zero
+        coefficient or an exponent at or above the cutoff stays visible."""
+        cut = None if s.cutoff is None else Fraction(s.cutoff)
+        return RefSeries({Fraction(e): c for e, c in s.items()}, cut)
+
+    @property
+    def floor(self) -> Fraction:
+        if self.terms:
+            return min(self.terms)
+        return Fraction(0) if self.cutoff is None else self.cutoff
+
+    @staticmethod
+    def sum(terms: list["RefSeries"]) -> "RefSeries":
+        cut = None
+        for t in terms:
+            cut = _min_cut(cut, t.cutoff)
+        return RefSeries.make(((e, c) for t in terms for e, c in t.terms.items()), cut)
+
+    def __mul__(self, other: "RefSeries") -> "RefSeries":
+        # Truncation is sound through the other factor's floor.
+        cut = _min_cut(
+            None if self.cutoff is None else self.cutoff + other.floor,
+            None if other.cutoff is None else other.cutoff + self.floor,
+        )
+        return RefSeries.make(((e1 + e2, c1 * c2)
+                               for e1, c1 in self.terms.items()
+                               for e2, c2 in other.terms.items()), cut)
+
+    def shift(self, d) -> "RefSeries":
+        cut = None if self.cutoff is None else self.cutoff + d
+        return RefSeries.make(((e + d, c) for e, c in self.terms.items()), cut)
+
+    def truncate(self, cutoff) -> "RefSeries":
+        return RefSeries.make(self.terms.items(), _min_cut(self.cutoff, Fraction(cutoff)))
+
+    def flip(self) -> "RefSeries":
+        assert self.cutoff is None
+        return RefSeries.make(((-e, c) for e, c in self.terms.items()))
+
+    def compare(self, other: "RefSeries") -> tuple:
+        """(ok, verified_below, first_mismatch, lhs_coeff, rhs_coeff)."""
+        bound = _min_cut(self.cutoff, other.cutoff)
+        bad = sorted(e for e in set(self.terms) | set(other.terms)
+                     if (bound is None or e < bound)
+                     and self.terms.get(e, 0) != other.terms.get(e, 0))
+        if not bad:
+            return (True, bound, None, 0, 0)
+        e = bad[0]
+        return (False, bound, e, self.terms.get(e, 0), other.terms.get(e, 0))

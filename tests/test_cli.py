@@ -199,6 +199,20 @@ class TestCommands:
         assert payload["kind"] == "stable" and payload["m_max"] == 2
 
 
+    def test_stable_csv(self, capsys):
+        assert run(["stable", "--mmax", "2", "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "m,l,family,num,den,coeff"
+        assert run(["stable", "--mmax", "2"]) == 0
+        cells = json.loads(capsys.readouterr().out)["cells"]
+        rows = [(c["m"], c["l"], family, t["num"], t["den"], t["coeff"])
+                for c in cells for family in ("S", "S_tilde")
+                for t in c[family]["terms"]]
+        # one row per term of every S and S~ cell, in the JSON's order
+        assert len(lines) == 1 + len(rows) > 1
+        assert lines[1:] == [",".join(map(str, row)) for row in rows]
+
+
 class TestDeterminism:
     def _capture(self, argv, capsys):
         code = run(argv)

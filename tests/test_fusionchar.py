@@ -144,6 +144,22 @@ class TestGrading:
                 assert case.ok, (k, case)
 
 
+def test_exponents_come_out_as_int_when_integral():
+    from qlab.pathweights import ModelParams
+    from qlab.vircharacters import I_m
+    params = ModelParams(3, 4)
+    for series in (q_binomial(9, 4), q_binomial(-3, 2), poch_inv(5, 20),
+                   poch_inv(None, F(41, 4)), S(4, 1), I_m(params, 1, 1, 1, 4),
+                   rocha_caridi(params, 1, 2, 15)):
+        exps = [e for e, _ in series.items()] + series.support() + [series.floor]
+        assert exps and all(type(e) is int for e in exps), series
+    # On (3,4) the sector (1, 2) has delta = 1/16: its graded pieces sit at
+    # half-integral exponents, which stay Fractions.
+    piece = graded_13_char(1, 1, 2, 1, 10)
+    assert piece.floor == F(17, 16) and type(piece.floor) is F
+    assert all(type(e) is F and e.denominator == 16 for e in piece.support())
+
+
 def test_finitized_head_is_ising_vacuum():
     # the (0,0) cell at large size opens with the vacuum character head
     fin = abf_finitized(14, 1, 0, 0)

@@ -124,6 +124,94 @@ class TestWeight:
             weight(1, 1, 3, TABLES[(3, 4)])
 
 
+def _strips(pp_max: int) -> list[tuple[int, int]]:
+    return [(p, pp) for pp in range(4, pp_max + 1) for p in range(3, pp)
+            if pp < 2 * p and math.gcd(p, pp) == 1]
+
+
+def _slope_weight(a: int, b: int, c: int, table: TauTable) -> Fraction:
+    """The weight rules written with the slope t = p'/p and fractional parts,
+    kept here as the reference for the tabled integer weights."""
+    t = table.params.t
+
+    def frac(x: Fraction) -> Fraction:
+        return x - math.floor(x)
+
+    x_of = {"1A": 2, "1B": 3, "2": 2}
+    y_of = {"1A": 3, "1B": 2, "2": 4}
+    da, dc = a - b, c - b
+    if (da, dc) in ((2, -2), (-2, 2)):
+        return 2 / t
+    if (da, dc) in ((-2, 0), (0, -2)):
+        return 2 - frac(Fraction(b - 1) / t)
+    if (da, dc) in ((0, 2), (2, 0)):
+        return 1 + frac(Fraction(b + 1) / t)
+    if (da, dc) == (0, 0):
+        return Fraction(3 - table.tau_of(b))
+    if (da, dc) == (-2, -2):
+        return -2 * frac(Fraction(b - 1) / t) + x_of[table.label(b - 2)]
+    assert (da, dc) == (2, 2)
+    return 2 * frac(Fraction(b + 3) / t) - 4 / t + y_of[table.label(b + 2)]
+
+
+def _admissible(a: int, b: int, c: int, pp: int) -> bool:
+    if not all(1 <= s <= pp - 1 for s in (a, b, c)):
+        return False
+    for s, s2 in ((a, b), (b, c)):
+        if s2 - s not in (-2, 0, 2) or s == s2 == 1 or s == s2 == pp - 1:
+            return False
+    return True
+
+
+class TestWeightTable:
+    """The per-model weight table against the slope-based definitions, on
+    every strip with p' <= 12."""
+
+    def test_every_admissible_triple(self):
+        for p, pp in _strips(12):
+            table = make_tau_table(ModelParams(p, pp))
+            n = 0
+            for a in range(1, pp):
+                for b in range(1, pp):
+                    for c in range(1, pp):
+                        if _admissible(a, b, c, pp):
+                            w = weight(a, b, c, table)
+                            assert w == _slope_weight(a, b, c, table), (p, pp, a, b, c)
+                            assert isinstance(w, Fraction)
+                            n += 1
+            assert n == len(table.weights), (p, pp)
+
+    def test_non_admissible_triples_raise(self):
+        for p, pp in _strips(12):
+            table = make_tau_table(ModelParams(p, pp))
+            sites = range(-1, pp + 2)
+            for a in sites:
+                for b in sites:
+                    for c in sites:
+                        if _admissible(a, b, c, pp):
+                            continue
+                        off = [s for s in (a, b, c) if not 1 <= s <= pp - 1]
+                        want = (f"site {off[0]} off the strip" if off
+                                else f"triple ({a},{b},{c}) is not admissible")
+                        with pytest.raises(ValueError) as exc:
+                            weight(a, b, c, table)
+                        assert str(exc.value) == want, (p, pp, a, b, c)
+
+    def test_delta_closed_form(self):
+        for p, pp in _strips(12):
+            params = ModelParams(p, pp)
+            t = Fraction(pp, p)
+            for r in range(1, p):
+                for s in range(1, pp):
+                    want = ((r * t - s) ** 2 - (t - 1) ** 2) / (4 * t)
+                    assert delta(params, r, s) == want, (p, pp, r, s)
+
+    def test_energy_rejects_forbidden_step(self):
+        params = ModelParams(3, 4)
+        with pytest.raises(ValueError, match="not admissible"):
+            energy((1, 1, 3), make_tau_table(params))
+
+
 class TestPaths:
     def test_single_forced_path(self):
         params = ModelParams(3, 4)

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlab.qcore import (
-    QSeries, compare, exact_div, poch, poch_inv,
-    q_binomial, q_trinomial, sum_over_m, supernomial2,
+    QSeries, compare, poch_inv, q_binomial, q_trinomial, sum_over_m, supernomial2,
 )
+
+from oracles import RefSeries, exact_div, poch
 
 F = Fraction
 
@@ -136,6 +137,112 @@ class TestSum:
         total = QSeries.sum([QSeries({0: 1, 3: 2, 5: 1}), QSeries({1: 1}, F(3))])
         assert dict(total.items()) == {F(0): 1, F(1): 1}
         assert total.cutoff == F(3)
+
+
+# Exponents and cutoffs with denominators 1..12, so that sums, products and
+# shifts mix denominators and their lcm.
+wide_exps = st.builds(F, st.integers(-30, 30), st.integers(1, 12))
+wide_cuts = st.one_of(st.none(), st.builds(F, st.integers(-12, 60), st.integers(1, 12)))
+
+
+@st.composite
+def wide_series(draw, exact=False):
+    terms = draw(st.dictionaries(wide_exps, st.integers(-9, 9), max_size=8))
+    return QSeries(terms, None if exact else draw(wide_cuts))
+
+
+def ref_json(r: RefSeries) -> str:
+    """The JSON text of a series, built from the reference representation."""
+    terms = [{"num": e.numerator, "den": e.denominator, "coeff": str(c)}
+             for e, c in sorted(r.terms.items())]
+    cut = (None if r.cutoff is None
+           else {"num": r.cutoff.numerator, "den": r.cutoff.denominator})
+    return json.dumps({"terms": terms, "cutoff": cut}, separators=(",", ":"),
+                      sort_keys=True)
+
+
+def assert_canonical(s: QSeries) -> None:
+    """A series equals, and hashes like, the series rebuilt from its public
+    view, and its integral exponents come out as ``int``."""
+    rebuilt = QSeries(dict(s.items()), s.cutoff)
+    assert s == rebuilt and hash(s) == hash(rebuilt)
+    for e in [*s.support(), s.floor, s.cutoff]:
+        if e is not None:
+            assert type(e) is (int if F(e).denominator == 1 else F), e
+
+
+class TestAgainstFractionOracle:
+    """The integer-keyed core against the Fraction-keyed reference series in
+    ``oracles.RefSeries``, on exponent denominators 1..12."""
+
+    @given(terms=st.dictionaries(wide_exps, st.integers(-9, 9), max_size=8),
+           cut=wide_cuts, probe=wide_exps)
+    def test_inspection_and_json(self, terms, cut, probe):
+        s = QSeries(terms, cut)
+        ref = RefSeries.make(terms.items(), cut)
+        assert dict(s.items()) == ref.terms
+        assert s.support() == sorted(ref.terms)
+        assert s.cutoff == ref.cutoff and s.floor == ref.floor
+        for e in [probe, *terms]:
+            assert s.coeff(e) == ref.terms.get(e, 0)
+        assert s.dumps() == ref_json(ref)
+        assert_canonical(s)
+
+    @given(a=wide_series(), b=wide_series())
+    @settings(max_examples=150)
+    def test_mul(self, a, b):
+        got = a * b
+        assert RefSeries.of(got) == RefSeries.of(a) * RefSeries.of(b)
+        assert_canonical(got)
+
+    @given(terms=st.lists(wide_series(), max_size=5))
+    def test_sum(self, terms):
+        got = QSeries.sum(terms)
+        assert RefSeries.of(got) == RefSeries.sum([RefSeries.of(t) for t in terms])
+        assert_canonical(got)
+
+    @given(a=wide_series(), d=wide_exps, cut=st.builds(F, st.integers(-12, 60),
+                                                        st.integers(1, 12)))
+    def test_shift_truncate_neg(self, a, d, cut):
+        ref = RefSeries.of(a)
+        for got, want in ((a.shift(d), ref.shift(d)),
+                          (a.truncate(cut), ref.truncate(cut)),
+                          (-a, RefSeries.make(((e, -c) for e, c in ref.terms.items()),
+                                              ref.cutoff)),
+                          (a - a, RefSeries.make((), ref.cutoff))):
+            assert RefSeries.of(got) == want
+            assert_canonical(got)
+
+    @given(a=wide_series(exact=True))
+    def test_flip(self, a):
+        got = a.flip()
+        assert RefSeries.of(got) == RefSeries.of(a).flip()
+        assert_canonical(got)
+
+    @given(a=wide_series(), b=wide_series())
+    def test_compare(self, a, b):
+        cmp = compare(a, b)
+        assert (cmp.ok, cmp.verified_below, cmp.first_mismatch, cmp.lhs_coeff,
+                cmp.rhs_coeff) == RefSeries.of(a).compare(RefSeries.of(b))
+
+    @given(a=wide_series(), d=wide_exps)
+    def test_shift_round_trip_is_canonical(self, a, d):
+        back = a.shift(d).shift(-d)
+        assert back == a and hash(back) == hash(a)
+
+    def test_product_drops_terms_at_the_cut(self):
+        a = QSeries({0: 1, 1: 1}, 2)
+        assert a * a == QSeries({0: 1, 1: 2}, 2)
+
+    def test_denominator_is_least(self):
+        quarter = QSeries.monomial(F(1, 4)).shift(F(3, 4))
+        assert quarter == QSeries.monomial(1)
+        assert hash(quarter) == hash(QSeries.monomial(1))
+        halves = QSeries({F(1, 2): 1, F(3, 2): 1}, F(5, 2)) - QSeries({F(1, 2): 1})
+        assert halves == QSeries({F(3, 2): 1}, F(5, 2))
+        assert halves.truncate(1) == QSeries.zero(1)
+        assert list(QSeries({F(1, 6): 1, F(1, 3): 1}).shift(F(5, 6)).items()) == [
+            (1, 1), (F(7, 6), 1)]
 
 
 class TestJson:
