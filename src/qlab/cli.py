@@ -16,7 +16,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .qcore import QSeries
 from .supernomial import S_table, verify_S_recurrences
@@ -271,30 +271,31 @@ def _run_suite(name: str, params: dict, chunks: list[Chunk],
     return SuiteReport(name, SUITES[name].anchor, params, tuple(cases))
 
 
-def _emit(args, payload: dict, csv_text: Optional[str] = None) -> None:
-    if args.format == "csv" and csv_text is not None:
-        sys.stdout.write(csv_text)
+def _emit(args, payload: dict, header: str, rows: Iterable[Sequence]) -> None:
+    """``payload`` as JSON, or under --format csv the header and one
+    comma-joined line per row."""
+    if args.format == "csv":
+        lines = [header, *(",".join(map(str, row)) for row in rows)]
+        sys.stdout.write("\n".join(lines) + "\n")
     else:
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _series_csv(series: QSeries) -> str:
-    lines = ["num,den,coeff"]
-    for e, c in series.items():
-        lines.append(f"{e.numerator},{e.denominator},{c}")
-    return "\n".join(lines) + "\n"
+def _terms(series: dict, *prefix) -> list[tuple]:
+    """CSV rows (*prefix, num, den, coeff) of a series' JSON object."""
+    return [(*prefix, t["num"], t["den"], t["coeff"]) for t in series["terms"]]
 
 
 def _cmd_char(args) -> int:
     params = ModelParams(args.p, args.pp)
-    series = rocha_caridi(params, args.r, args.s, args.qmax + 1)
+    series = rocha_caridi(params, args.r, args.s, args.qmax + 1).to_json_obj()
     payload = {
         "kind": "character",
         "p": args.p, "pp": args.pp, "r": args.r, "s": args.s,
         "qmax": args.qmax,
-        "series": series.to_json_obj(),
+        "series": series,
     }
-    _emit(args, payload, _series_csv(series))
+    _emit(args, payload, "num,den,coeff", _terms(series))
     return 0
 
 
@@ -302,50 +303,37 @@ def _cmd_paths(args) -> int:
     params = ModelParams(args.p, args.pp)
     if args.count:
         n = count_paths(args.a, args.b, args.m, params)
-        _emit(args, {"kind": "path-count", "count": n}, f"count\n{n}\n")
-        return 0
-    if args.gf:
-        table = make_tau_table(params)
-        gf = QSeries((energy(path, table), 1)
-                     for path in enumerate_paths(args.a, args.b, args.m, params))
-        payload = {"kind": "path-gf", "p": args.p, "pp": args.pp,
-                   "a": args.a, "b": args.b, "m": args.m,
-                   "series": gf.to_json_obj()}
-        _emit(args, payload, _series_csv(gf))
+        _emit(args, {"kind": "path-count", "count": n}, "count", [(n,)])
         return 0
     paths = enumerate_paths(args.a, args.b, args.m, params)
-    payload = {"kind": "path-list", "p": args.p, "pp": args.pp,
-               "a": args.a, "b": args.b, "m": args.m,
-               "paths": [list(path) for path in paths]}
-    csv_text = "path\n" + "".join(" ".join(map(str, p)) + "\n" for p in paths)
-    _emit(args, payload, csv_text)
+    head = {"p": args.p, "pp": args.pp, "a": args.a, "b": args.b, "m": args.m}
+    if args.gf:
+        table = make_tau_table(params)
+        gf = QSeries((energy(path, table), 1) for path in paths).to_json_obj()
+        _emit(args, {"kind": "path-gf", **head, "series": gf},
+              "num,den,coeff", _terms(gf))
+        return 0
+    _emit(args, {"kind": "path-list", **head, "paths": [list(p) for p in paths]},
+          "path", [(" ".join(map(str, p)),) for p in paths])
     return 0
 
 
 def _cmd_grading(args) -> int:
-    pieces = []
-    for m in range(args.mmax + 1):
-        g = graded_13_char(args.k, args.r, args.s, m, args.qmax + 1)
-        pieces.append({"m": m, "series": g.to_json_obj()})
+    pieces = [{"m": m, "series": graded_13_char(args.k, args.r, args.s, m,
+                                                args.qmax + 1).to_json_obj()}
+              for m in range(args.mmax + 1)]
     payload = {"kind": "grading", "k": args.k, "r": args.r, "s": args.s,
                "mmax": args.mmax, "qmax": args.qmax, "pieces": pieces}
-    csv_lines = ["m,num,den,coeff"]
-    for piece in pieces:
-        for t in piece["series"]["terms"]:
-            csv_lines.append(f"{piece['m']},{t['num']},{t['den']},{t['coeff']}")
-    _emit(args, payload, "\n".join(csv_lines) + "\n")
+    _emit(args, payload, "m,num,den,coeff",
+          [row for piece in pieces for row in _terms(piece["series"], piece["m"])])
     return 0
 
 
 def _cmd_stable(args) -> int:
     table = S_table(args.mmax, args.lmax)
-    csv_lines = ["m,l,family,num,den,coeff"]
-    for cell in table["cells"]:
-        for family in ("S", "S_tilde"):
-            for t in cell[family]["terms"]:
-                csv_lines.append(f"{cell['m']},{cell['l']},{family},"
-                                 f"{t['num']},{t['den']},{t['coeff']}")
-    _emit(args, {"kind": "stable", **table}, "\n".join(csv_lines) + "\n")
+    _emit(args, {"kind": "stable", **table}, "m,l,family,num,den,coeff",
+          [row for cell in table["cells"] for family in ("S", "S_tilde")
+           for row in _terms(cell[family], cell["m"], cell["l"], family)])
     return 0
 
 

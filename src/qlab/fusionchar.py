@@ -15,9 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .qcore import (
-    QSeries, compare, poch_inv, q_binomial, sum_over_m, supernomial2,
-)
+from .qcore import QSeries, poch_inv, q_binomial, sum_over_m, supernomial2
 from .report import CaseResult, check, first_failure
 from .supernomial import S
 from .pathweights import ModelParams, delta
@@ -97,8 +95,8 @@ def verify_pi2pi3(cutoff: int | Fraction) -> list[CaseResult]:
         # S_{m,l}(q) is the flipped string component at weight 2l.
         total, _, _ = sum_over_m(lambda m: S(m, l).shift(m * m), cut,
                                  abs(l), int(cut) + abs(l) + 4)
-        cmp = compare(total, lhs.get(2 * l, QSeries.zero(None)).truncate(cut))
-        out.append(CaseResult(f"pi2pi3 l={l}", cmp.ok, cmp.detail()))
+        out.append(check(f"pi2pi3 l={l}", total,
+                         lhs.get(2 * l, QSeries.zero(None)).truncate(cut)))
     return out
 
 
@@ -211,10 +209,8 @@ def verify_grading(k: int, m_max: int, cutoff: int | Fraction) -> list[CaseResul
             total, _, _ = sum_over_m(
                 lambda m: I_m(params, r, s, r + i, m).shift(d), d + cut,
                 cap=int(cut) + 2)
-            target = rocha_caridi(params, r, s, cut).shift(d)
-            cmp = compare(total, target)
-            out.append(CaseResult(
-                f"grading-sum k={k} r={r} s={s}", cmp.ok, cmp.detail()))
+            out.append(check(f"grading-sum k={k} r={r} s={s}", total,
+                             rocha_caridi(params, r, s, cut).shift(d)))
 
             def routes(m: int):
                 direct = I_m(params, r, s, r + i, m)
@@ -257,8 +253,6 @@ def verify_abf(k: int, N: int, deg: int) -> list[CaseResult]:
                            if fin.is_zero() else check(case_id, fin, QSeries.zero(None)))
                 continue
             off = Fraction((l - j) ** 2, 4)
-            target = rocha_caridi(params, j + 1, l + 1,
-                                  Fraction(deg + 1) - off).shift(off)
-            cmp = compare(fin, target)
-            out.append(CaseResult(case_id, cmp.ok, cmp.detail()))
+            out.append(check(case_id, fin, rocha_caridi(
+                params, j + 1, l + 1, Fraction(deg + 1) - off).shift(off)))
     return out

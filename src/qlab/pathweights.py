@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .qcore import QSeries
 from .report import CaseResult, check
+from .supernomial import S, S_tilde
 
 Path = tuple[int, ...]
 
@@ -44,10 +45,6 @@ def delta(params: ModelParams, r: int, s: int) -> Fraction:
     ((r p' - s p)^2 - (p' - p)^2) / (4 p p')."""
     p, pp = params.p, params.pp
     return Fraction((r * pp - s * p) ** 2 - (pp - p) ** 2, 4 * p * pp)
-
-
-def _frac(x: Fraction) -> Fraction:
-    return x - math.floor(x)
 
 
 def tau(params: ModelParams, b: int) -> int:
@@ -256,9 +253,11 @@ def b_of(r: int, a: int, params: ModelParams) -> int:
         raise ValueError("r out of range")
     if not 1 <= a <= params.pp - 1:
         raise ValueError("a out of range")
-    cands = [b for b in range(1, params.pp) if (b - a) % 2 == 0]
-    best = min(delta(params, r, b) for b in cands)
-    winners = [b for b in cands if delta(params, r, b) == best]
+    p, pp = params.p, params.pp
+    # delta(r, b) grows with |r p' - b p|; candidates share the parity of a.
+    dist = {b: abs(r * pp - b * p) for b in range(2 - a % 2, pp, 2)}
+    best = min(dist.values())
+    winners = [b for b, d in dist.items() if d == best]
     if len(winners) != 1:
         raise ValueError(f"tie among minimizing endpoints {winners}")
     return winners[0]
@@ -375,11 +374,16 @@ def brute_config_sum_X(a: int, b: int, c: int, m: int, table: TauTable) -> QSeri
 
 def f_function(a: int, b: int, c: int, m: int, table: TauTable) -> QSeries:
     """Single supernomial summand f_{a,b,c,m}; a may be any integer of the
-    parity of b, while b and c must lie on the strip with c in {b, b+-2}."""
-    from .supernomial import S, S_tilde
+    parity of b, while b and c must lie on the strip with c in {b, b+-2}.
 
+    With l = (b - a)/2 and t = p'/p the exponent is m^2 - l^2 plus
+      c = b + 2:  l(l+1)/t + (m-l) frac((b+1)/t)
+      c = b:      l(l-1)/t + l (1 - frac((b-1)/t))
+      c = b - 2:  l(l-1)/t + (m+l) (1 - frac((b-1)/t)),
+    summed in units of 1/p' as in ``_weights``.
+    """
     params = table.params
-    pp, t = params.pp, params.t
+    p, pp = params.p, params.pp
     if not 1 <= b <= pp - 1:
         raise ValueError("b off the strip")
     if m < 0:
@@ -389,54 +393,43 @@ def f_function(a: int, b: int, c: int, m: int, table: TauTable) -> QSeries:
     if (a - b) % 2 != 0:
         return QSeries.zero(None)
     l = (b - a) // 2
-    base = Fraction(m * m - l * l)
+    gap = pp - (b - 1) * p % pp    # p' (1 - frac((b-1)/t))
+    exp = (m * m - l * l) * pp
     if c == b + 2:
-        exp = Fraction(l * (l + 1)) / t + base + (m - l) * _frac(Fraction(b + 1) / t)
+        exp += l * (l + 1) * p + (m - l) * ((b + 1) * p % pp)
         fac = S_tilde(m, l) if table.label(c) == "1A" else S(m, l)
     elif c == b:
-        exp = Fraction(l * (l - 1)) / t + base + l * (1 - _frac(Fraction(b - 1) / t))
+        exp += l * (l - 1) * p + l * gap
         if table.label(b) in ("1A", "1B"):
             fac = S(m, l).shift(m)
         else:
             fac = S_tilde(m, l).shift(l)
     else:  # c == b - 2
-        exp = Fraction(l * (l - 1)) / t + base + (m + l) * (1 - _frac(Fraction(b - 1) / t))
+        exp += l * (l - 1) * p + (m + l) * gap
         if table.label(c) in ("1A", "2"):
             fac = S(m, l)
         else:
             fac = S_tilde(m, l).shift(l)
-    return fac.shift(exp)
+    return fac.shift(Fraction(exp, pp))
 
 
 def f_sum(a: int, b: int, c: int, m: int, table: TauTable) -> QSeries:
     """Alternating sum over the reflection orbit of a:
     sum_{eps=+-1} eps * sum_n f_{eps(a + 2 p' n), b, c, m}."""
     pp = table.params.pp
-    terms = []
-    for eps in (1, -1):
-        # Only arguments with |(b - arg)/2| <= m contribute.
-        lo, hi = b - 2 * m, b + 2 * m
-        # eps * (a + 2 p' n) in [lo, hi]
-        lo_n = math.ceil(Fraction(eps * lo - a, 2 * pp)) if eps == 1 else math.ceil(Fraction(-hi - a, 2 * pp))
-        hi_n = math.floor(Fraction(eps * hi - a, 2 * pp)) if eps == 1 else math.floor(Fraction(-lo - a, 2 * pp))
-        terms += [eps * f_function(eps * (a + 2 * pp * n), b, c, m, table)
-                  for n in range(lo_n, hi_n + 1)]
-    return QSeries.sum(terms)
+    # Only arguments within 2m of b contribute: a + 2 p' n in eps b +- 2m.
+    return QSeries.sum(eps * f_function(eps * (a + 2 * pp * n), b, c, m, table)
+                       for eps in (1, -1)
+                       for n in range(-((a - eps * b + 2 * m) // (2 * pp)),
+                                      (eps * b + 2 * m - a) // (2 * pp) + 1))
 
 
 def x_configs(params: ModelParams) -> list[tuple[int, int, int]]:
     """All (a, b, c) on which the configuration sum is defined and not
-    trivially zero by parity or adjacency."""
-    pp = params.pp
-    out = []
-    for b in range(1, pp):
-        for c in (b - 2, b, b + 2):
-            if not _edge_ok(params, b, c):
-                continue
-            for a in range(1, pp):
-                if (a - b) % 2 == 0:
-                    out.append((a, b, c))
-    return sorted(out)
+    trivially zero by parity or adjacency, in sorted order."""
+    sites = range(1, params.pp)
+    return [(a, b, c) for a in sites for b in sites for c in (b - 2, b, b + 2)
+            if _x_valid(params, a, b, c)]
 
 
 def verify_Xandf(table: TauTable, m_max: int) -> list[CaseResult]:

@@ -246,6 +246,8 @@ class QSeries:
         if isinstance(other, int):
             if other == 0:
                 return _reduced({}, self._den, self._cut)
+            if other == 1:
+                return self  # series are immutable
             return _new({k: c * other for k, c in self._terms.items()},
                         self._den, self._cut)
         if not isinstance(other, QSeries):
@@ -362,7 +364,7 @@ class Comparison:
     def detail(self) -> str:
         if self.ok:
             if self.verified_below is None:
-                return "exact polynomial equality"
+                return "exact"
             return f"coefficients agree below q^{self.verified_below}"
         return (f"first mismatch at q^{self.first_mismatch}: "
                 f"{self.lhs_coeff} != {self.rhs_coeff}")
@@ -373,9 +375,11 @@ def compare(a: QSeries, b: QSeries) -> Comparison:
     ta, ca = _scaled(a, den)
     tb, cb = _scaled(b, den)
     bound = _min_cutoff(ca, cb)
-    bad = [k for k in ta.keys() | tb.keys()
-           if (bound is None or k < bound) and ta.get(k, 0) != tb.get(k, 0)]
     below = None if bound is None else _exp(bound, den)
+    # Equal keys, the common case, pass without a scan.
+    bad = [] if ta == tb else [k for k in ta.keys() | tb.keys()
+                               if (bound is None or k < bound)
+                               and ta.get(k, 0) != tb.get(k, 0)]
     if bad:
         k = min(bad)
         return Comparison(False, below, _exp(k, den), ta.get(k, 0), tb.get(k, 0))

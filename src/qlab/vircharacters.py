@@ -80,18 +80,14 @@ def I_m(params: ModelParams, r: int, a: int, b: int, m: int) -> QSeries:
         raise ValueError("m must be >= 0")
     p, pp = params.p, params.pp
     n = p * pp
-    # First sum: index (a-b)/2 - p' lam must lie in [-m, m].
-    half = (a - b) // 2
-    terms = [S(m, idx).shift(lam * lam * n + lam * (pp * r - p * a) + m * m - idx * idx)
-             for lam in range(-((m - half) // pp + 1), (m + half) // pp + 2)
-             if abs(idx := half - pp * lam) <= m]
-    # Second sum, subtracted: index (a+b)/2 + p' lam in [-m, m].
-    half2 = (a + b) // 2
-    terms += [-S(m, idx).shift(lam * lam * n + lam * (pp * r + p * a) + r * a
-                               + m * m - idx * idx)
-              for lam in range(-((m + half2) // pp + 1), (m - half2) // pp + 2)
-              if abs(idx := half2 + pp * lam) <= m]
-    return QSeries.sum(terms)
+    # Two sums, the second subtracted and indexed by -lam; each keeps the
+    # terms whose index half - p' lam lies in [-m, m].
+    return QSeries.sum(
+        sign * S(m, idx).shift(lam * lam * n + lam * beta + shift + m * m - idx * idx)
+        for half, beta, shift, sign in (((a - b) // 2, pp * r - p * a, 0, 1),
+                                        ((a + b) // 2, -(pp * r + p * a), r * a, -1))
+        for lam in range(-((m - half) // pp + 1), (m + half) // pp + 2)
+        if abs(idx := half - pp * lam) <= m)
 
 
 def verify_rocha2(params: ModelParams, r: int, a: int, b: int,
@@ -112,6 +108,14 @@ def verify_rocha2(params: ModelParams, r: int, a: int, b: int,
     return CaseResult(case_id, cmp.ok, detail)
 
 
+def _end_shifts(params: ModelParams, r: int, a: int, b: int, m: int) -> dict[int, Fraction]:
+    """The exponent shift of an m-step path from a to b, by its next-to-last
+    site d: delta(r,b) - delta(r,a) + m (delta(r,d) - delta(r,b) + [d == b])."""
+    base = delta(params, r, b) - delta(params, r, a)
+    return {d: base + m * (delta(params, r, d) - delta(params, r, b) + (d == b))
+            for d in (b - 2, b, b + 2) if 1 <= d <= params.pp - 1}
+
+
 def path_side_GEN(params: ModelParams, r: int, a: int, b: int, m: int) -> QSeries:
     """Path-sum form of I_m: sum over paths of q^{E + m*(boundary) + shift}.
 
@@ -120,11 +124,8 @@ def path_side_GEN(params: ModelParams, r: int, a: int, b: int, m: int) -> QSerie
     if b != b_of(r, a, params):
         raise ValueError("path generating sum requires the minimizing endpoint")
     table = _table(params)
-    shift = delta(params, r, b) - delta(params, r, a)
-    # shift plus the boundary term, by the next-to-last site d = path[m - 1].
     # At m = 0 the boundary term is m * (...) = 0, so path[m - 1] is harmless.
-    end = {d: shift + m * (delta(params, r, d) - delta(params, r, b) + (1 if d == b else 0))
-           for d in (b - 2, b, b + 2) if 1 <= d <= params.pp - 1}
+    end = _end_shifts(params, r, a, b, m)
     return QSeries((energy(path, table) + end[path[m - 1]], 1)
                    for path in enumerate_paths(a, b, m, params))
 
@@ -139,21 +140,15 @@ def verify_GEN(params: ModelParams, r: int, a: int, m_max: int) -> list[CaseResu
 
 def verify_IandS(params: ModelParams, r: int, a: int, b: int,
                  m_max: int) -> list[CaseResult]:
-    """I_m rebuilt from configuration sums over the next-to-last site:
-    I_m = sum_{d} q^{m (delta(r,d) - delta(r,b) + [d==b]) + delta(r,b) - delta(r,a)}
-    X_{a,d,b,m-1}, checked exactly for 1 <= m <= m_max."""
+    """I_m rebuilt from configuration sums over the next-to-last site d,
+    I_m = sum_d q^{_end_shifts(d)} X_{a,d,b,m-1}, checked exactly for
+    1 <= m <= m_max."""
     table = _table(params)
-    out = []
-    base = delta(params, r, b) - delta(params, r, a)
-    for m in range(1, m_max + 1):
-        rhs = QSeries.sum(
-            config_sum_X(a, d, b, m - 1, table).shift(
-                m * (delta(params, r, d) - delta(params, r, b) + (1 if d == b else 0))
-                + base)
-            for d in (b - 2, b, b + 2) if 1 <= d <= params.pp - 1)
-        out.append(check(f"iands p={params.p} p'={params.pp} r={r} a={a} b={b} m={m}",
-                         I_m(params, r, a, b, m), rhs))
-    return out
+    return [check(f"iands p={params.p} p'={params.pp} r={r} a={a} b={b} m={m}",
+                  I_m(params, r, a, b, m),
+                  QSeries.sum(config_sum_X(a, d, b, m - 1, table).shift(e)
+                              for d, e in _end_shifts(params, r, a, b, m).items()))
+            for m in range(1, m_max + 1)]
 
 
 def rigged_path_gf(params: ModelParams, r: int, a: int,
@@ -252,21 +247,15 @@ def rigged_path_gf(params: ModelParams, r: int, a: int,
 
 def verify_rigged(params: ModelParams, r: int, a: int,
                   cutoff: int | Fraction) -> CaseResult:
-    lhs = rigged_path_gf(params, r, a, cutoff)
-    rhs = rocha_caridi(params, r, a, cutoff)
-    cmp = compare(lhs, rhs)
-    case_id = f"rigged p={params.p} p'={params.pp} r={r} a={a}"
-    return CaseResult(case_id, cmp.ok, cmp.detail())
+    return check(f"rigged p={params.p} p'={params.pp} r={r} a={a}",
+                 rigged_path_gf(params, r, a, cutoff), rocha_caridi(params, r, a, cutoff))
 
 
 def verify_poch_inv_expansion(l_max: int, cutoff: int | Fraction) -> list[CaseResult]:
     """For each |l| <= l_max: 1/(q)_infinity = sum_m q^{m^2 - l^2} S_{m,l} / (q)_m."""
     cut = Fraction(cutoff)
     target = poch_inv(None, cut)
-    out = []
-    for l in range(-l_max, l_max + 1):
-        total, _, _ = sum_over_m(lambda m: S(m, l).shift(m * m - l * l), cut,
-                                 abs(l), int(cut) + abs(l) + 4)
-        cmp = compare(total, target)
-        out.append(CaseResult(f"pochsum l={l}", cmp.ok, cmp.detail()))
-    return out
+    return [check(f"pochsum l={l}",
+                  sum_over_m(lambda m: S(m, l).shift(m * m - l * l), cut,
+                             abs(l), int(cut) + abs(l) + 4)[0], target)
+            for l in range(-l_max, l_max + 1)]

@@ -6,6 +6,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -276,6 +277,19 @@ def test_random_suite_argv_keeps_the_exit_contract(argv):
 def test_all_stdout_is_pinned(fmt, digest, capsys):
     assert run(["all", "--format", fmt]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# SHA-256 of the stdout of every benchmark op, recorded by
+# perfbench/record_digests.py; read here, never written.
+with open(Path(__file__).resolve().parents[1] / "perfbench" / "digests.json") as fh:
+    BENCH_DIGESTS = json.load(fh)
+
+
+@pytest.mark.parametrize("op", sorted(BENCH_DIGESTS))
+def test_benchmark_op_stdout_is_pinned(op, capsys):
+    assert run(op.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == BENCH_DIGESTS[op]
 
 
 def test_console_script_installed():

@@ -4,7 +4,6 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from qlab.pathweights import (
     ModelParams, TauTable, b_of, brute_config_sum_X, config_sum_X,
@@ -259,8 +258,8 @@ class TestConfigSums:
                 assert got == brute_config_sum_X(a, b, c, m, table), (a, b, c, m)
 
     def test_alternating_closed_form(self):
-        for key in ((3, 4), (4, 7)):
-            for chk in verify_Xandf(TABLES[key], 3):
+        for key in _strips(12):
+            for chk in verify_Xandf(make_tau_table(ModelParams(*key)), 3):
                 assert chk.ok, (key, chk)
 
 
@@ -272,15 +271,14 @@ class TestBoundary:
         assert b_of(1, 2, ising) == 2
         assert b_of(2, 2, ising) == 2
 
-    @given(st.sampled_from(MODELS), st.data())
-    @settings(max_examples=40)
-    def test_minimizer_is_unique_and_on_grid(self, model, data):
-        params = ModelParams(*model)
-        r = data.draw(st.integers(1, params.p - 1))
-        a = data.draw(st.integers(1, params.pp - 1))
-        b = b_of(r, a, params)
-        assert (b - a) % 2 == 0 and 1 <= b <= params.pp - 1
-        best = delta(params, r, b)
-        for bb in range(1, params.pp):
-            if (bb - a) % 2 == 0 and bb != b:
-                assert delta(params, r, bb) > best, (model, r, a, bb)
+    def test_minimizer_is_unique_and_on_grid(self):
+        for model in _strips(12):
+            params = ModelParams(*model)
+            for r in range(1, params.p):
+                for a in range(1, params.pp):
+                    b = b_of(r, a, params)
+                    assert (b - a) % 2 == 0 and 1 <= b <= params.pp - 1
+                    best = delta(params, r, b)
+                    for bb in range(1, params.pp):
+                        if (bb - a) % 2 == 0 and bb != b:
+                            assert delta(params, r, bb) > best, (model, r, a, bb)
