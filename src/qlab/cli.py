@@ -18,10 +18,9 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .qcore import QSeries
 from .supernomial import S_table, verify_S_recurrences
 from .pathweights import (
-    ModelParams, b_of, enumerate_paths, count_paths, energy, make_tau_table,
+    ModelParams, b_of, enumerate_paths, count_paths, energy_gf, make_tau_table,
     verify_Xandf,
 )
 from .vircharacters import (
@@ -308,8 +307,7 @@ def _cmd_paths(args) -> int:
     paths = enumerate_paths(args.a, args.b, args.m, params)
     head = {"p": args.p, "pp": args.pp, "a": args.a, "b": args.b, "m": args.m}
     if args.gf:
-        table = make_tau_table(params)
-        gf = QSeries((energy(path, table), 1) for path in paths).to_json_obj()
+        gf = energy_gf(paths, make_tau_table(params)).to_json_obj()
         _emit(args, {"kind": "path-gf", **head, "series": gf},
               "num,den,coeff", _terms(gf))
         return 0

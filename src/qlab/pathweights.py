@@ -10,8 +10,10 @@ table is validated against every structural fact it must satisfy before use.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterable, Mapping, Optional
 
 from .qcore import QSeries
 from .report import CaseResult, check
@@ -276,9 +278,14 @@ def enumerate_paths(a: int, b: int, m: int, params: ModelParams) -> list[Path]:
     in lexicographic order."""
     _check_path_ends(a, b, m, params)
     out: list[Path] = []
+    # Successors of each site in descending order, so that they pop from the
+    # stack in ascending order.
+    succ = {s: [s2 for s2 in (s + 2, s, s - 2) if _edge_ok(params, s, s2)]
+            for s in range(1, params.pp)}
     # Depth-first on an explicit stack of (position, site), so long paths
-    # need no recursion; successors are pushed in descending order to pop in
-    # ascending order, and ``prefix`` holds the sites before the popped one.
+    # need no recursion; ``prefix`` holds the sites before the popped one.
+    # A site goes on the stack only if b is still within reach of it, two
+    # sites per remaining step, which drops no path and keeps the order.
     prefix: list[int] = []
     stack = [(0, a)]
     while stack:
@@ -289,8 +296,9 @@ def enumerate_paths(a: int, b: int, m: int, params: ModelParams) -> list[Path]:
             if s == b:
                 out.append(tuple(prefix))
             continue
-        for s2 in (s + 2, s, s - 2):
-            if _edge_ok(params, s, s2):
+        reach = 2 * (m - i - 1)
+        for s2 in succ[s]:
+            if abs(s2 - b) <= reach:
                 stack.append((i + 1, s2))
     return out
 
@@ -312,8 +320,9 @@ def count_paths(a: int, b: int, m: int, params: ModelParams) -> int:
     return vec[b]
 
 
-def energy(path: Path, table: TauTable) -> Fraction:
-    """sum_i i * w(s_{i-1}, s_i, s_{i+1}) over interior positions of the path."""
+def energy_units(path: Path, table: TauTable) -> int:
+    """p' times the energy of the path: sum_i i * p' w(s_{i-1}, s_i, s_{i+1})
+    over interior positions, in ints from the weight table."""
     w = table.weights
     total = 0
     for i in range(1, len(path) - 1):
@@ -321,7 +330,31 @@ def energy(path: Path, table: TauTable) -> Fraction:
         if wi is None:
             weight(path[i - 1], path[i], path[i + 1], table)  # raises the reason
         total += i * wi
-    return Fraction(total, table.params.pp)
+    return total
+
+
+def energy(path: Path, table: TauTable) -> Fraction:
+    """sum_i i * w(s_{i-1}, s_i, s_{i+1}) over interior positions of the path."""
+    return Fraction(energy_units(path, table), table.params.pp)
+
+
+def energy_gf(paths: Iterable[Path], table: TauTable,
+              ends: Optional[Mapping[int, int]] = None) -> QSeries:
+    """Exact generating sum over ``paths`` of q^{E + ends[d] / (4pp')}, with
+    E = energy(path) and d the next-to-last site; a path without steps, or
+    no ``ends``, adds no end term.  4pp' is a common denominator of every
+    weight and conformal weight of the model.
+
+    Each path costs one int exponent; the exponents are counted in a dict
+    and the series is built once from the distinct ones.
+    """
+    pp = table.params.pp
+    if ends is None:
+        return QSeries.from_keys(Counter(energy_units(path, table) for path in paths), pp)
+    k = 4 * table.params.p  # 4pp' E = 4p energy_units
+    return QSeries.from_keys(Counter(k * energy_units(path, table)
+                                     + (ends[path[-2]] if len(path) > 1 else 0)
+                                     for path in paths), k * pp)
 
 
 def _x_valid(params: ModelParams, a: int, b: int, c: int) -> bool:
@@ -365,8 +398,7 @@ def brute_config_sum_X(a: int, b: int, c: int, m: int, table: TauTable) -> QSeri
     params = table.params
     if not _x_valid(params, a, b, c):
         return QSeries.zero(None)
-    return QSeries((energy(path + (c,), table), 1)
-                   for path in enumerate_paths(a, b, m, params))
+    return energy_gf((path + (c,) for path in enumerate_paths(a, b, m, params)), table)
 
 
 # -- closed-form side of the configuration sum -------------------------------

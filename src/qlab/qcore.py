@@ -154,6 +154,14 @@ class QSeries:
     def monomial(exp: ExpLike, coeff: int = 1, cutoff: CutoffLike = None) -> "QSeries":
         return QSeries({exp: coeff}, cutoff)
 
+    @staticmethod
+    def from_keys(terms: Mapping[int, int], den: int) -> "QSeries":
+        """The exact series sum_k c_k q^{k/den} from int keys k over a
+        positive ``den``; no exponent passes through ``Fraction``."""
+        if den < 1:
+            raise ValueError("den must be positive")
+        return _reduced({k: c for k, c in terms.items() if c}, den, None)
+
     # -- inspection ----------------------------------------------------
 
     def coeff(self, exp: ExpLike) -> int:

@@ -23,7 +23,7 @@ from .pathweights import (
     b_of,
     delta,
     config_sum_X,
-    energy,
+    energy_gf,
     enumerate_paths,
     make_tau_table,
     weight,
@@ -108,12 +108,17 @@ def verify_rocha2(params: ModelParams, r: int, a: int, b: int,
     return CaseResult(case_id, cmp.ok, detail)
 
 
-def _end_shifts(params: ModelParams, r: int, a: int, b: int, m: int) -> dict[int, Fraction]:
+def _end_shifts(params: ModelParams, r: int, a: int, b: int, m: int) -> dict[int, int]:
     """The exponent shift of an m-step path from a to b, by its next-to-last
-    site d: delta(r,b) - delta(r,a) + m (delta(r,d) - delta(r,b) + [d == b])."""
-    base = delta(params, r, b) - delta(params, r, a)
-    return {d: base + m * (delta(params, r, d) - delta(params, r, b) + (d == b))
-            for d in (b - 2, b, b + 2) if 1 <= d <= params.pp - 1}
+    site d, in units of 1/(4pp'):
+    delta(r,b) - delta(r,a) + m (delta(r,d) - delta(r,b) + [d == b]),
+    from 4pp' delta(r,s) = (r p' - s p)^2 - (p' - p)^2, whose constant
+    cancels in every difference."""
+    p, pp = params.p, params.pp
+    sq = {s: (r * pp - s * p) ** 2 for s in (a, b - 2, b, b + 2)}
+    base = sq[b] - sq[a]
+    return {d: base + m * (sq[d] - sq[b] + (4 * p * pp if d == b else 0))
+            for d in (b - 2, b, b + 2) if 1 <= d <= pp - 1}
 
 
 def path_side_GEN(params: ModelParams, r: int, a: int, b: int, m: int) -> QSeries:
@@ -123,11 +128,9 @@ def path_side_GEN(params: ModelParams, r: int, a: int, b: int, m: int) -> QSerie
     """
     if b != b_of(r, a, params):
         raise ValueError("path generating sum requires the minimizing endpoint")
-    table = _table(params)
-    # At m = 0 the boundary term is m * (...) = 0, so path[m - 1] is harmless.
-    end = _end_shifts(params, r, a, b, m)
-    return QSeries((energy(path, table) + end[path[m - 1]], 1)
-                   for path in enumerate_paths(a, b, m, params))
+    # At m = 0 the only path is (a) with a = b, whose end shift is 0.
+    return energy_gf(enumerate_paths(a, b, m, params), _table(params),
+                     _end_shifts(params, r, a, b, m))
 
 
 def verify_GEN(params: ModelParams, r: int, a: int, m_max: int) -> list[CaseResult]:
@@ -144,9 +147,10 @@ def verify_IandS(params: ModelParams, r: int, a: int, b: int,
     I_m = sum_d q^{_end_shifts(d)} X_{a,d,b,m-1}, checked exactly for
     1 <= m <= m_max."""
     table = _table(params)
+    unit = 4 * params.p * params.pp
     return [check(f"iands p={params.p} p'={params.pp} r={r} a={a} b={b} m={m}",
                   I_m(params, r, a, b, m),
-                  QSeries.sum(config_sum_X(a, d, b, m - 1, table).shift(e)
+                  QSeries.sum(config_sum_X(a, d, b, m - 1, table).shift(Fraction(e, unit))
                               for d, e in _end_shifts(params, r, a, b, m).items()))
             for m in range(1, m_max + 1)]
 

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import accumulate, product
 
 import pytest
 
@@ -241,6 +242,23 @@ class TestPaths:
     def test_rejects_bad_ends(self, fn, a, b, m):
         with pytest.raises(ValueError):
             fn(a, b, m, ModelParams(3, 4))
+
+    def test_enumeration_matches_walk_oracle(self):
+        # Every step sequence in (-2, 0, 2)^m from a, kept when it stays on
+        # the strip and never rests on a wall, grouped by its end: the same
+        # paths in the same (lexicographic) order as enumerate_paths.
+        for p, pp in _strips(9):
+            params = ModelParams(p, pp)
+            for a in range(1, pp):
+                for m in range(7):
+                    walks: dict[int, list[tuple[int, ...]]] = {b: [] for b in range(1, pp)}
+                    for steps in product((-2, 0, 2), repeat=m):
+                        path = tuple(accumulate(steps, initial=a))
+                        if all(1 <= s <= pp - 1 for s in path) and not any(
+                                s == s2 in (1, pp - 1) for s, s2 in zip(path, path[1:])):
+                            walks[path[-1]].append(path)
+                    for b, want in walks.items():
+                        assert enumerate_paths(a, b, m, params) == want, (p, pp, a, b, m)
 
     def test_energy_of_forced_path(self):
         table = TABLES[(3, 4)]

@@ -225,6 +225,18 @@ class TestAgainstFractionOracle:
         assert (cmp.ok, cmp.verified_below, cmp.first_mismatch, cmp.lhs_coeff,
                 cmp.rhs_coeff) == RefSeries.of(a).compare(RefSeries.of(b))
 
+    @given(keys=st.dictionaries(st.integers(-40, 40), st.integers(-9, 9), max_size=8),
+           den=st.integers(1, 12))
+    def test_from_keys(self, keys, den):
+        got = QSeries.from_keys(keys, den)
+        assert RefSeries.of(got) == RefSeries.make(
+            ((F(k, den), c) for k, c in keys.items()), None)
+        assert_canonical(got)
+
+    def test_from_keys_rejects_bad_den(self):
+        with pytest.raises(ValueError):
+            QSeries.from_keys({1: 1}, 0)
+
     @given(a=wide_series(), d=wide_exps)
     def test_shift_round_trip_is_canonical(self, a, d):
         back = a.shift(d).shift(-d)

@@ -4,12 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from qlab.pathweights import ModelParams, b_of, count_paths
+from qlab.pathweights import (
+    ModelParams, b_of, count_paths, delta, energy, enumerate_paths, make_tau_table,
+)
+from qlab.qcore import QSeries
 from qlab.vircharacters import (
     I_m, path_side_GEN, rigged_path_gf, rocha_caridi, verify_GEN,
     verify_IandS, verify_poch_inv_expansion, verify_rigged, verify_rocha2,
 )
 
+from test_pathweights import _strips
 from test_qcore import partitions
 
 F = Fraction
@@ -126,21 +130,46 @@ class TestDecomposition:
             path_side_GEN(ISING, 1, 1, 3, 2)
 
     def test_path_sum_equals_Im(self):
-        for p, pp in ((3, 4), (4, 7)):
+        for p, pp in _strips(9):
             params = ModelParams(p, pp)
             for r in range(1, p):
                 for a in range(1, pp):
                     for case in verify_GEN(params, r, a, 4):
                         assert case.ok, (p, pp, r, a, case)
 
+    def test_path_sum_matches_fraction_reference(self):
+        for p, pp in _strips(9):
+            params = ModelParams(p, pp)
+            for r in range(1, p):
+                for a in range(1, pp):
+                    b = b_of(r, a, params)
+                    for m in range(6):
+                        assert (path_side_GEN(params, r, a, b, m)
+                                == _path_side_reference(params, r, a, b, m)), (p, pp, r, a, m)
+
     def test_Im_splits_over_last_step(self):
-        for p, pp in ((3, 4), (4, 5)):
+        for p, pp in _strips(9):
             params = ModelParams(p, pp)
             for r in range(1, p):
                 for a in range(1, pp):
                     b = b_of(r, a, params)
                     for case in verify_IandS(params, r, a, b, 4):
                         assert case.ok, (p, pp, r, a, case)
+
+
+def _path_side_reference(params: ModelParams, r: int, a: int, b: int, m: int) -> QSeries:
+    """sum over paths of q^{energy(path) + shift}, the shift summed in
+    Fraction from its delta formula, with d the next-to-last site:
+    delta(r,b) - delta(r,a) + m (delta(r,d) - delta(r,b) + [d == b])."""
+    table = make_tau_table(params)
+
+    def shift(path: tuple[int, ...]) -> Fraction:
+        d = path[-2] if m else b
+        return (delta(params, r, b) - delta(params, r, a)
+                + m * (delta(params, r, d) - delta(params, r, b) + (d == b)))
+
+    return QSeries((energy(path, table) + shift(path), 1)
+                   for path in enumerate_paths(a, b, m, params))
 
 
 class TestRiggedOracle:
