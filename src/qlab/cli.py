@@ -335,16 +335,10 @@ def _cmd_stable(args) -> int:
     return 0
 
 
-def _report_exit(args, rep: SuiteReport) -> int:
-    if args.format == "csv":
-        sys.stdout.write(rep.to_csv())
-    else:
-        sys.stdout.write(rep.to_json() + "\n")
-    return 0 if rep.ok else 1
-
-
 def _cmd_verify(args) -> int:
-    return _report_exit(args, _run_suite(args.suite, *_build(args.suite, args), args.jobs))
+    rep = _run_suite(args.suite, *_build(args.suite, args), args.jobs)
+    _emit(args, rep.to_json_obj(), "id,status,detail", rep.csv_rows())
+    return 0 if rep.ok else 1
 
 
 def _cmd_all(args) -> int:
@@ -352,15 +346,10 @@ def _cmd_all(args) -> int:
     reports = [_run_suite(name, params, chunks, args.jobs)
                for name, params, chunks in built]
     ok = all(rep.ok for rep in reports)
-    if args.format == "csv":
-        lines = ["suite,id,status,detail"]
-        for rep in reports:
-            lines += [f"{rep.suite},{row}" for row in rep.to_csv().splitlines()[1:]]
-        sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        payload = {"kind": "all-suites", "ok": ok,
-                   "suites": [rep.to_json_obj() for rep in reports]}
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    payload = {"kind": "all-suites", "ok": ok,
+               "suites": [rep.to_json_obj() for rep in reports]}
+    _emit(args, payload, "suite,id,status,detail",
+          ((rep.suite, *row) for rep in reports for row in rep.csv_rows()))
     return 0 if ok else 1
 
 

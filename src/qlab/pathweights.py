@@ -9,6 +9,7 @@ table is validated against every structural fact it must satisfy before use.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -198,7 +199,7 @@ def _weights(params: ModelParams, taus: list[int], labels: list[str]) -> dict[Tr
             rule[(-2, -2)] = -2 * lo + x_of[labels[b - 2]] * pp
         if b < pp - 2:
             rule[(2, 2)] = 2 * ((b + 3) * p % pp) - 4 * p + y_of[labels[b + 2]] * pp
-        nbrs = [s for s in (b - 2, b, b + 2) if _edge_ok(params, b, s)]
+        nbrs = _successors(pp)[b]
         for a in nbrs:
             for c in nbrs:
                 out[(a, b, c)] = rule[(a - b, c - b)]
@@ -215,12 +216,14 @@ def make_tau_table(params: ModelParams) -> TauTable:
     return TauTable(params, tuple(taus), tuple(labels), _weights(params, taus, labels))
 
 
-def _edge_ok(params: ModelParams, s: int, s2: int) -> bool:
-    if not (1 <= s2 <= params.pp - 1) or s2 - s not in (-2, 0, 2):
-        return False
-    if s == s2 == 1 or s == s2 == params.pp - 1:
-        return False
-    return True
+@functools.lru_cache(maxsize=None)
+def _successors(pp: int) -> tuple[tuple[int, ...], ...]:
+    """The sites one step from each site s of the strip 1..p'-1, ascending,
+    at index s (index 0 is empty): s - 2, s, s + 2 where on the strip, less
+    the rests (1, 1) and (p'-1, p'-1) on the walls."""
+    return tuple(tuple(s2 for s2 in (s - 2, s, s + 2)
+                       if 1 <= s2 <= pp - 1 and not s == s2 in (1, pp - 1))
+                 for s in range(pp))
 
 
 def weight(a: int, b: int, c: int, table: TauTable) -> Fraction:
@@ -278,10 +281,7 @@ def enumerate_paths(a: int, b: int, m: int, params: ModelParams) -> list[Path]:
     in lexicographic order."""
     _check_path_ends(a, b, m, params)
     out: list[Path] = []
-    # Successors of each site in descending order, so that they pop from the
-    # stack in ascending order.
-    succ = {s: [s2 for s2 in (s + 2, s, s - 2) if _edge_ok(params, s, s2)]
-            for s in range(1, params.pp)}
+    succ = _successors(params.pp)
     # Depth-first on an explicit stack of (position, site), so long paths
     # need no recursion; ``prefix`` holds the sites before the popped one.
     # A site goes on the stack only if b is still within reach of it, two
@@ -297,25 +297,27 @@ def enumerate_paths(a: int, b: int, m: int, params: ModelParams) -> list[Path]:
                 out.append(tuple(prefix))
             continue
         reach = 2 * (m - i - 1)
-        for s2 in succ[s]:
+        # Pushed in descending order, so they pop in ascending order.
+        for s2 in reversed(succ[s]):
             if abs(s2 - b) <= reach:
                 stack.append((i + 1, s2))
     return out
 
 
 def count_paths(a: int, b: int, m: int, params: ModelParams) -> int:
-    """Transfer-matrix path count; independent of the recursive enumeration."""
+    """Transfer-matrix path count over the same successor table as
+    ``enumerate_paths``."""
     _check_path_ends(a, b, m, params)
     pp = params.pp
+    succ = _successors(pp)
     vec = [0] * pp
     vec[a] = 1
     for _ in range(m):
         nxt = [0] * pp
         for s in range(1, pp):
             if vec[s]:
-                for s2 in (s - 2, s, s + 2):
-                    if _edge_ok(params, s, s2):
-                        nxt[s2] += vec[s]
+                for s2 in succ[s]:
+                    nxt[s2] += vec[s]
         vec = nxt
     return vec[b]
 
@@ -348,22 +350,19 @@ def energy_gf(paths: Iterable[Path], table: TauTable,
     Each path costs one int exponent; the exponents are counted in a dict
     and the series is built once from the distinct ones.
     """
-    pp = table.params.pp
-    if ends is None:
-        return QSeries.from_keys(Counter(energy_units(path, table) for path in paths), pp)
-    k = 4 * table.params.p  # 4pp' E = 4p energy_units
-    return QSeries.from_keys(Counter(k * energy_units(path, table)
-                                     + (ends[path[-2]] if len(path) > 1 else 0)
-                                     for path in paths), k * pp)
+    # Units of 1/p' without end terms, else of 1/(4pp'), where 4pp' E = 4p
+    # energy_units.
+    k = 1 if ends is None else 4 * table.params.p
+    return QSeries.from_keys(Counter(
+        k * energy_units(path, table)
+        + (ends[path[-2]] if ends is not None and len(path) > 1 else 0)
+        for path in paths), k * table.params.pp)
 
 
 def _x_valid(params: ModelParams, a: int, b: int, c: int) -> bool:
     pp = params.pp
-    if not (1 <= a <= pp - 1 and 1 <= b <= pp - 1 and 1 <= c <= pp - 1):
-        return False
-    if (a - b) % 2 != 0:
-        return False
-    return _edge_ok(params, b, c)
+    return (1 <= a <= pp - 1 and 1 <= b <= pp - 1 and (a - b) % 2 == 0
+            and c in _successors(pp)[b])
 
 
 _X_CACHE: dict[tuple, QSeries] = {}
@@ -385,10 +384,9 @@ def config_sum_X(a: int, b: int, c: int, m: int, table: TauTable) -> QSeries:
         out = QSeries.one(None) if a == b else QSeries.zero(None)
     else:
         out = QSeries.sum(
-            part.shift(m * weight(d, b, c, table))
-            for d in (b - 2, b, b + 2)
-            if _x_valid(params, a, d, b)
-            and not (part := config_sum_X(a, d, b, m - 1, table)).is_zero())
+            part.shift(Fraction(m * table.weights[(d, b, c)], params.pp))
+            for d in _successors(params.pp)[b]
+            if not (part := config_sum_X(a, d, b, m - 1, table)).is_zero())
     _X_CACHE[key] = out
     return out
 

@@ -3,17 +3,17 @@
 Every identity check is a ``CaseResult``; ``check`` decides one equality of
 two series, and ``first_failure`` decides a case made of several.
 
-Reports serialize deterministically: cases are sorted by id, JSON keys are
-sorted, and no timing or host information is embedded, so byte-identical
-output across runs and ``--jobs`` values is a hard guarantee.
+Reports give their cases sorted by id, as a JSON object or as CSV rows, and
+embed no timing or host information; ``cli._emit`` writes either with sorted
+JSON keys, so byte-identical output across runs and ``--jobs`` values is a
+hard guarantee.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .qcore import QSeries, compare
 
@@ -55,15 +55,11 @@ class SuiteReport:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2, sort_keys=True)
-
-    def to_csv(self) -> str:
-        lines = ["id,status,detail"]
+    def csv_rows(self) -> Iterator[tuple[str, str, str]]:
+        """(id, status, detail) per case in id order, the detail wrapped in
+        double quotes with any inner one turned into a single quote."""
         for c in self.sorted_cases():
-            detail = c.detail.replace('"', "'")
-            lines.append(f'{c.case_id},{c.status},"{detail}"')
-        return "\n".join(lines) + "\n"
+            yield c.case_id, c.status, '"' + c.detail.replace('"', "'") + '"'
 
 
 def check(case_id: str, lhs: QSeries, rhs: QSeries) -> CaseResult:

@@ -6,12 +6,15 @@ integer-keyed internals:
 
 - ``exact_div`` and ``poch``: the sparse long-division route to Gaussian
   binomials and trinomials that the dense kernel replaced;
+- ``supernomial2_sum``: the two-row supernomial as one sum of products of
+  Gaussian binomials, themselves built by the q-Pascal rule;
 - ``RefSeries``: a ``Fraction``-keyed sparse series with the straightforward
   sum, product, shift, truncation, flip and comparison rules.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -63,6 +66,31 @@ def exact_div(num: QSeries, den: QSeries) -> QSeries:
             else:
                 rem[key] = v
     return QSeries(quo, None)
+
+
+@functools.lru_cache(maxsize=None)
+def gauss(n: int, k: int) -> QSeries:
+    """[n, k]_q for n >= 0 by the q-Pascal rule [n-1, k-1] + q^k [n-1, k];
+    zero for k outside 0..n."""
+    if not 0 <= k <= n:
+        return QSeries.zero(None)
+    if k in (0, n):
+        return QSeries.one(None)
+    return gauss(n - 1, k - 1) + gauss(n - 1, k).shift(k)
+
+
+def supernomial2_sum(L1: int, L2: int, twice_a: int) -> QSeries:
+    """The two-row supernomial at weight a = twice_a/2 as the single sum
+    (Schilling--Warnaar)
+
+        sum_{j1 + j2 = a + L1/2 + L2} q^{j1 (L2 - j2)} [L2, j2] [L1 + j2, j1],
+
+    zero unless a + L1/2 is an integer."""
+    if (twice_a + L1) % 2:
+        return QSeries.zero(None)
+    n = (twice_a + L1) // 2 + L2
+    return QSeries.sum(gauss(L2, j2) * gauss(L1 + j2, n - j2).shift((n - j2) * (L2 - j2))
+                       for j2 in range(L2 + 1))
 
 
 def _min_cut(a: Optional[Fraction], b: Optional[Fraction]) -> Optional[Fraction]:

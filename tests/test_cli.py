@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from fractions import Fraction
 
-from qlab.cli import _SUITE_ARGS, SUITES, _run_chunks, build_parser, run
+from qlab import cli
+from qlab.cli import _SUITE_ARGS, SUITES, Suite, _run_chunks, build_parser, run
 from qlab.qcore import QSeries
 from qlab.report import CaseResult, SuiteReport, check, first_failure
 
@@ -32,11 +33,31 @@ class TestReport:
         assert [c["id"] for c in obj["cases"]] == ["a", "b"]
         assert obj["anchor"] == "x"
 
-    def test_csv_shape(self):
-        rep = SuiteReport("demo", "x", {}, (CaseResult("a", False, "why"),))
-        lines = rep.to_csv().strip().splitlines()
-        assert lines[0] == "id,status,detail"
-        assert lines[1].startswith("a,fail")
+    def test_csv_rows(self):
+        rep = SuiteReport("demo", "x", {}, (
+            CaseResult("b", True, "exact"), CaseResult("a", False, 'say "why"')))
+        assert list(rep.csv_rows()) == [
+            ("a", "fail", "\"say 'why'\""), ("b", "pass", '"exact"')]
+
+    def test_csv_quotes_details_under_verify_and_all(self, monkeypatch, capsys):
+        # A chunk raising ValueError("p' ...") gives a detail with double
+        # quotes, which CSV prints as single quotes inside its own.
+        def boom():
+            raise ValueError("p' off the strip")
+
+        demo = Suite("demo anchor", {"mmax": 1}, {}, lambda v: ({}, [
+            ("demo", lambda: [CaseResult("ok", True, "exact")]), ("bad", boom)]))
+        monkeypatch.setattr(cli, "SUITES", {"demo": demo})
+        rows = ["bad,fail,\"error: ValueError('p' off the strip')\"",
+                'ok,pass,"exact"']
+        assert run(["verify", "demo", "--format", "csv"]) == 1
+        assert capsys.readouterr().out.splitlines() == ["id,status,detail", *rows]
+        assert run(["all", "--format", "csv"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "suite,id,status,detail", *(f"demo,{row}" for row in rows)]
+        assert run(["verify", "demo"]) == 1
+        cases = json.loads(capsys.readouterr().out)["cases"]
+        assert cases[0]["detail"] == """error: ValueError("p' off the strip")"""
 
     def test_run_chunks_preserves_order_and_catches(self):
         def boom():

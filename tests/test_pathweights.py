@@ -154,13 +154,14 @@ def _slope_weight(a: int, b: int, c: int, table: TauTable) -> Fraction:
     return 2 * frac(Fraction(b + 3) / t) - 4 / t + y_of[table.label(b + 2)]
 
 
+def _step_ok(s: int, s2: int, pp: int) -> bool:
+    """s -> s2 is one step on the strip 1..p'-1 and no rest on a wall."""
+    return (1 <= s <= pp - 1 and 1 <= s2 <= pp - 1 and s2 - s in (-2, 0, 2)
+            and not s == s2 in (1, pp - 1))
+
+
 def _admissible(a: int, b: int, c: int, pp: int) -> bool:
-    if not all(1 <= s <= pp - 1 for s in (a, b, c)):
-        return False
-    for s, s2 in ((a, b), (b, c)):
-        if s2 - s not in (-2, 0, 2) or s == s2 == 1 or s == s2 == pp - 1:
-            return False
-    return True
+    return _step_ok(a, b, pp) and _step_ok(b, c, pp)
 
 
 class TestWeightTable:
@@ -259,6 +260,7 @@ class TestPaths:
                             walks[path[-1]].append(path)
                     for b, want in walks.items():
                         assert enumerate_paths(a, b, m, params) == want, (p, pp, a, b, m)
+                        assert count_paths(a, b, m, params) == len(want), (p, pp, a, b, m)
 
     def test_energy_of_forced_path(self):
         table = TABLES[(3, 4)]
@@ -274,6 +276,25 @@ class TestConfigSums:
             for m in range(5):
                 got = config_sum_X(a, b, c, m, table)
                 assert got == brute_config_sum_X(a, b, c, m, table), (a, b, c, m)
+
+    def test_x_configs_is_the_domain(self):
+        # a and b on the strip of one parity, b -> c one admissible step
+        for p, pp in _strips(12):
+            sites = range(1, pp)
+            want = [(a, b, c) for a in sites for b in sites for c in sites
+                    if (a - b) % 2 == 0 and _step_ok(b, c, pp)]
+            assert x_configs(ModelParams(p, pp)) == want, (p, pp)
+
+    def test_zero_off_the_domain(self):
+        for p, pp in _strips(12):
+            table = make_tau_table(ModelParams(p, pp))
+            domain = set(x_configs(table.params))
+            for a, b, c in product(range(-1, pp + 2), repeat=3):
+                if (a, b, c) in domain:
+                    continue
+                for m in (0, 2):
+                    got = config_sum_X(a, b, c, m, table)
+                    assert got.is_zero() and got.is_exact, (p, pp, a, b, c, m)
 
     def test_alternating_closed_form(self):
         for key in _strips(12):

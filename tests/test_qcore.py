@@ -11,7 +11,7 @@ from qlab.qcore import (
     QSeries, compare, poch_inv, q_binomial, q_trinomial, sum_over_m, supernomial2,
 )
 
-from oracles import RefSeries, exact_div, poch
+from oracles import RefSeries, exact_div, poch, supernomial2_sum
 
 F = Fraction
 
@@ -455,3 +455,17 @@ class TestSupernomial2:
 
     def test_half_odd_weight_vanishes(self):
         assert supernomial2(2, 1, F(1, 2)).is_zero()
+
+    def test_matches_single_sum_oracle(self):
+        # The kernel's descent in L2 against the Schilling--Warnaar single
+        # sum, on every weight 2a in and just past the support, half-odd a
+        # included.
+        n = 0
+        for L1 in range(11):
+            for L2 in range(7):
+                top = L1 + 2 * L2
+                for twice_a in range(-top - 2, top + 3):
+                    assert supernomial2(L1, L2, F(twice_a, 2)) == supernomial2_sum(
+                        L1, L2, twice_a), (L1, L2, twice_a)
+                    n += 1
+        assert n == 2079

@@ -48,7 +48,7 @@ def test_support_and_positivity():
 
 def test_matches_two_row_supernomial():
     # the L1=0 two-row family is this family in 1/q
-    for m in range(8):
+    for m in range(9):
         for l in range(-m, m + 1):
             assert supernomial2(0, m, l) == S(m, l).flip(), (m, l)
 
