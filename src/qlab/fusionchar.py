@@ -200,7 +200,9 @@ def verify_grading(k: int, m_max: int, cutoff: int | Fraction) -> list[CaseResul
             neg = []
             for m in range(m_max + 1):
                 g = graded_13_char(k, r, s, m, cut)
-                neg.extend(f"m={m} q^{e}" for e, c in g.items() if c < 0)
+                # Only a piece with a negative coefficient needs its exponents.
+                if min(g.coeffs(), default=0) < 0:
+                    neg.extend(f"m={m} q^{e}" for e, c in g.items() if c < 0)
             out.append(CaseResult(
                 f"grading-nonneg k={k} r={r} s={s}", not neg,
                 "all coefficients >= 0" if not neg else "negative at " + ", ".join(neg[:4])))

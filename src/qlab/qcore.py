@@ -174,6 +174,11 @@ class QSeries:
         den = self._den
         return iter([(_exp(k, den), c) for k, c in sorted(self._terms.items())])
 
+    def coeffs(self) -> Iterable[int]:
+        """The nonzero coefficients, in no fixed order, without their
+        exponents."""
+        return self._terms.values()
+
     def support(self) -> list[ExpLike]:
         den = self._den
         return [_exp(k, den) for k in sorted(self._terms)]
@@ -260,6 +265,12 @@ class QSeries:
                         self._den, self._cut)
         if not isinstance(other, QSeries):
             return NotImplemented
+        # An exact monomial c q^e factor is a scale and a shift; the cutoff
+        # moves by e, as the general rule's ``ca + floor`` gives.
+        for mono, rest in ((self, other), (other, self)):
+            if mono._cut is None and len(mono._terms) == 1:
+                (k, c), = mono._terms.items()
+                return rest * c if k == 0 else (rest * c).shift(_exp(k, mono._den))
         den = math.lcm(self._den, other._den)
         ta, ca = _scaled(self, den)
         tb, cb = _scaled(other, den)
@@ -397,10 +408,13 @@ def compare(a: QSeries, b: QSeries) -> Comparison:
 # -- Pochhammer inverse ----------------------------------------------------
 
 
+@lru_cache(maxsize=None, typed=True)
 def poch_inv(m: Optional[int], cutoff: CutoffLike) -> QSeries:
     """1/(q)_m truncated below cutoff; m=None gives 1/(q)_infinity.
 
     Coefficient of q^n is the number of partitions of n into parts <= m.
+    Cached: the m-sums ask for the same factor many times.  ``typed`` keeps
+    an int and a float cutoff apart, so a float still raises ``TypeError``.
     """
     if cutoff is None:
         raise ValueError("poch_inv requires a finite cutoff")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from .qcore import QSeries, compare, poch_inv, sum_over_m
@@ -67,11 +68,13 @@ def rocha_caridi(params: ModelParams, r: int, s: int, cutoff: int | Fraction) ->
     return QSeries(terms, cut) * poch_inv(None, cut)
 
 
+@lru_cache(maxsize=None, typed=True)
 def I_m(params: ModelParams, r: int, a: int, b: int, m: int) -> QSeries:
     """Finite configuration polynomial: the m-th term of the decomposition
     q^{-delta(r,a)} chi_{r,a} = sum_m I_m / (q)_m, valid for any b = a mod 2.
 
-    Exact Laurent polynomial in q (integer exponents).
+    Exact Laurent polynomial in q (integer exponents).  Cached: the grading,
+    i1, gen and iands checks build the same pieces.
     """
     _check_rs(params, r, a)
     if not 1 <= b <= params.pp - 1 or (a - b) % 2 != 0:

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -321,6 +322,18 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 1
+
+
+def test_module_entry_point_prints_what_run_prints(capsys):
+    argv = ["verify", "tau", "--pp", "5"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-m", "qlab", *argv],
+                          capture_output=True, env=env)
+    assert proc.returncode == 0
+    assert run(argv) == 0
+    assert proc.stdout == capsys.readouterr().out.encode()
 
 
 def test_parser_lists_all_suites():

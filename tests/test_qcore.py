@@ -7,11 +7,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qlab.cli import run
+from qlab.pathweights import ModelParams, delta
 from qlab.qcore import (
     QSeries, compare, poch_inv, q_binomial, q_trinomial, sum_over_m, supernomial2,
 )
 
 from oracles import RefSeries, exact_div, poch, supernomial2_sum
+from test_pathweights import _strips
 
 F = Fraction
 
@@ -142,13 +145,23 @@ class TestSum:
 # Exponents and cutoffs with denominators 1..12, so that sums, products and
 # shifts mix denominators and their lcm.
 wide_exps = st.builds(F, st.integers(-30, 30), st.integers(1, 12))
-wide_cuts = st.one_of(st.none(), st.builds(F, st.integers(-12, 60), st.integers(1, 12)))
+finite_cuts = st.builds(F, st.integers(-12, 60), st.integers(1, 12))
+wide_cuts = st.one_of(st.none(), finite_cuts)
+wide_terms = st.dictionaries(wide_exps, st.integers(-9, 9), max_size=8)
 
 
 @st.composite
 def wide_series(draw, exact=False):
-    terms = draw(st.dictionaries(wide_exps, st.integers(-9, 9), max_size=8))
+    terms = draw(wide_terms)
     return QSeries(terms, None if exact else draw(wide_cuts))
+
+
+# Exact one-term series c q^e, which ``QSeries.__mul__`` turns into a scale
+# and a shift: e integral (0 included) or rational, c = +-1 or another value.
+exact_monomials = st.builds(
+    QSeries.monomial,
+    st.one_of(st.just(0), st.integers(-30, 30), wide_exps),
+    st.one_of(st.sampled_from([1, -1]), st.integers(-9, 9).filter(bool)))
 
 
 def ref_json(r: RefSeries) -> str:
@@ -194,6 +207,19 @@ class TestAgainstFractionOracle:
         got = a * b
         assert RefSeries.of(got) == RefSeries.of(a) * RefSeries.of(b)
         assert_canonical(got)
+
+    @given(mono=exact_monomials, other=st.one_of(
+        wide_series(exact=True), st.builds(QSeries, wide_terms, finite_cuts),
+        st.builds(QSeries.zero, finite_cuts), st.just(QSeries.zero(None))))
+    @settings(max_examples=200)
+    def test_mul_by_exact_monomial(self, mono, other):
+        want = RefSeries.of(mono) * RefSeries.of(other)
+        for got in (mono * other, other * mono):
+            assert RefSeries.of(got) == want
+            # Equal to the series rebuilt from the reference: same least
+            # denominator, and the same cutoff over it.
+            assert got == QSeries(want.terms, want.cutoff)
+            assert_canonical(got)
 
     @given(terms=st.lists(wide_series(), max_size=5))
     def test_sum(self, terms):
@@ -302,6 +328,29 @@ class TestPochhammer:
     def test_product_with_poch_is_one(self, m):
         prod = poch(m) * poch_inv(m, F(20))
         assert compare(prod, QSeries.one(F(20))).ok
+
+    def test_cached_factors_match_a_fresh_build_after_use(self, capsys):
+        # ``verify grading`` multiplies cached factors into its pieces; none
+        # of them may change under that use.
+        assert run(["verify", "grading"]) == 0
+        capsys.readouterr()
+        cuts = [c for n in range(-1, 62) for c in (n, F(n))]
+        cuts += sorted({delta(ModelParams(p, pp), r, s) + 41 for p, pp in _strips(9)
+                        for r in range(1, p) for s in range(1, pp)})
+        for m in (None, *range(9)):
+            for cut in cuts:
+                assert poch_inv(m, cut) == poch_inv.__wrapped__(m, cut), (m, cut)
+
+    def test_float_cutoff_raises_after_int_is_cached(self):
+        poch_inv(3, 4)
+        with pytest.raises(TypeError):
+            poch_inv(3, 4.0)
+
+    @pytest.mark.parametrize("m,cut", [(-1, 5), (3, None), (None, None)])
+    def test_bad_arguments_raise_on_every_call(self, m, cut):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                poch_inv(m, cut)
 
     def test_exact_div_rejects_remainder(self):
         with pytest.raises(ArithmeticError):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qlab.cli import run
 from qlab.pathweights import (
     ModelParams, b_of, count_paths, delta, energy, enumerate_paths, make_tau_table,
 )
@@ -109,6 +110,29 @@ class TestIm:
     def test_rejects_parity_mismatch(self):
         with pytest.raises(ValueError):
             I_m(ISING, 1, 1, 2, 3)
+
+    def test_cached_pieces_match_a_fresh_build_after_use(self, capsys):
+        # ``verify grading`` shifts, scales and multiplies cached pieces; none
+        # of them may change under that use.
+        assert run(["verify", "grading"]) == 0
+        capsys.readouterr()
+        for p, pp in _strips(9):
+            params = ModelParams(p, pp)
+            for r in range(1, p):
+                for a in range(1, pp):
+                    for b in range(2 - a % 2, pp, 2):
+                        for m in range(9):
+                            assert (I_m(params, r, a, b, m)
+                                    == I_m.__wrapped__(params, r, a, b, m)), (p, pp, r, a, b, m)
+
+    @pytest.mark.parametrize("r,a,b,m", [
+        (0, 1, 1, 2), (3, 1, 1, 2), (1, 0, 2, 2), (1, 4, 2, 2), (1, 1, 5, 2),
+        (1, 1, 2, 3), (1, 1, 1, -1),
+    ])
+    def test_bad_arguments_raise_on_every_call(self, r, a, b, m):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                I_m(ISING, r, a, b, m)
 
 
 class TestDecomposition:
