@@ -17,17 +17,9 @@ from fractions import Fraction
 
 from .qcore import QSeries, poch_inv, q_binomial, sum_over_m, supernomial2
 from .report import CaseResult, check, first_failure
-from .supernomial import S
+from .supernomial import S, S_floor
 from .pathweights import ModelParams, delta
-from .vircharacters import I_m, rocha_caridi
-
-
-def ch_pi1_fused(m: int) -> dict[int, QSeries]:
-    """Character of a fused string of m two-dimensional factors: the
-    weight-l component is the Gaussian binomial [m, (m+l)/2]_q."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    return {l: q_binomial(m, (m + l) // 2) for l in range(-m, m + 1, 2)}
+from .vircharacters import I_m, I_m_floor, rocha_caridi
 
 
 def ch_pi2_fused(m: int) -> dict[int, QSeries]:
@@ -92,8 +84,10 @@ def verify_pi2pi3(cutoff: int | Fraction) -> list[CaseResult]:
     lhs = level1_char(0, cut)
     out = []
     for l in range(-math.isqrt(int(cut)) - 1, math.isqrt(int(cut)) + 2):
-        # S_{m,l}(q) is the flipped string component at weight 2l.
-        total, _, _ = sum_over_m(lambda m: S(m, l).shift(m * m), cut,
+        # S_{m,l}(q) is the flipped string component at weight 2l; it is
+        # nonzero for every m >= |l|, so its floor is never None.
+        total, _, _ = sum_over_m(lambda m: S(m, l).shift(m * m),
+                                 lambda m: S_floor(m, l) + m * m, cut,
                                  abs(l), int(cut) + abs(l) + 4)
         out.append(check(f"pi2pi3 l={l}", total,
                          lhs.get(2 * l, QSeries.zero(None)).truncate(cut)))
@@ -170,16 +164,17 @@ def graded_13_char(k: int, r: int, s: int, m: int,
     q^{delta(r,s)} I_{r,s,r+i,m} / (q)_m with i = r - s mod 2.
 
     ``cutoff`` counts degrees above the leading exponent delta(r,s); the
-    returned series is truncated below delta(r,s) + cutoff.
+    returned series is truncated below delta(r,s) + cutoff.  The product is
+    formed on the integer exponents of I_m and shifted by delta(r,s) once.
     """
     params = unitary_params(k)
     i = (r - s) % 2
     d = delta(params, r, s)
-    cut_abs = d + Fraction(cutoff)
-    poly = I_m(params, r, s, r + i, m).shift(d)
+    cut = Fraction(cutoff)
+    poly = I_m(params, r, s, r + i, m)
     if poly.is_zero():
-        return QSeries.zero(cut_abs)
-    return poly * poch_inv(m, cut_abs - poly.floor)
+        return QSeries.zero(d + cut)
+    return (poly * poch_inv(m, cut - poly.floor)).shift(d)
 
 
 def verify_grading(k: int, m_max: int, cutoff: int | Fraction) -> list[CaseResult]:
@@ -207,11 +202,11 @@ def verify_grading(k: int, m_max: int, cutoff: int | Fraction) -> list[CaseResul
                 f"grading-nonneg k={k} r={r} s={s}", not neg,
                 "all coefficients >= 0" if not neg else "negative at " + ", ".join(neg[:4])))
 
-            # The m-th term is the graded piece graded_13_char(k, r, s, m, cut).
-            total, _, _ = sum_over_m(
-                lambda m: I_m(params, r, s, r + i, m).shift(d), d + cut,
-                cap=int(cut) + 2)
-            out.append(check(f"grading-sum k={k} r={r} s={s}", total,
+            # The m-th term, shifted by d, is the graded piece
+            # graded_13_char(k, r, s, m, cut); the sum is shifted once.
+            total, _, _ = sum_over_m(lambda m: I_m(params, r, s, r + i, m),
+                                     lambda m: I_m_floor(params, r, s, r + i, m), cut)
+            out.append(check(f"grading-sum k={k} r={r} s={s}", total.shift(d),
                              rocha_caridi(params, r, s, cut).shift(d)))
 
             def routes(m: int):

@@ -72,11 +72,6 @@ class TauTable:
     labels: tuple[str, ...]    # labels[s], index 0 unused
     weights: dict[Triple, int] = field(compare=False, repr=False)
 
-    def tau_of(self, s: int) -> int:
-        if not 1 <= s <= self.params.pp - 1:
-            raise ValueError(f"site {s} off the strip")
-        return self.taus[s]
-
     def label(self, s: int) -> str:
         if not 1 <= s <= self.params.pp - 1:
             raise ValueError(f"site {s} off the strip")

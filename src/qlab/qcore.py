@@ -151,10 +151,6 @@ class QSeries:
         return QSeries({0: 1}, cutoff)
 
     @staticmethod
-    def monomial(exp: ExpLike, coeff: int = 1, cutoff: CutoffLike = None) -> "QSeries":
-        return QSeries({exp: coeff}, cutoff)
-
-    @staticmethod
     def from_keys(terms: Mapping[int, int], den: int) -> "QSeries":
         """The exact series sum_k c_k q^{k/den} from int keys k over a
         positive ``den``; no exponent passes through ``Fraction``."""
@@ -179,10 +175,6 @@ class QSeries:
         exponents."""
         return self._terms.values()
 
-    def support(self) -> list[ExpLike]:
-        den = self._den
-        return [_exp(k, den) for k in sorted(self._terms)]
-
     @property
     def cutoff(self) -> Optional[ExpLike]:
         return None if self._cut is None else _exp(self._cut, self._den)
@@ -197,12 +189,6 @@ class QSeries:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def coeff_sum(self) -> int:
-        """Value at q=1; exact series only."""
-        if not self.is_exact:
-            raise ValueError("coeff_sum requires an exact series")
-        return sum(self._terms.values())
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -437,8 +423,9 @@ def poch_inv(m: Optional[int], cutoff: CutoffLike) -> QSeries:
     return _new({n * den: c for n, c in enumerate(coeffs) if c}, den, cut)
 
 
-def sum_over_m(poly_of: Callable[[int], QSeries], cut: ExpLike, start: int = 0,
-               cap: Optional[int] = None) -> tuple[QSeries, int, bool]:
+def sum_over_m(poly_of: Callable[[int], QSeries],
+               floor_of: Callable[[int], Optional[ExpLike]], cut: ExpLike,
+               start: int = 0, cap: Optional[int] = None) -> tuple[QSeries, int, bool]:
     """sum_{m >= start} poly_of(m) / (q)_m below ``cut``.
 
     A term is silent when its polynomial is zero or starts at or above
@@ -446,6 +433,14 @@ def sum_over_m(poly_of: Callable[[int], QSeries], cut: ExpLike, start: int = 0,
     the sum stops after three consecutive silent terms, or once m > cap
     (default int(cut) + 2).  Returns (total, m, capped): the m at which the
     sum stopped, and whether the cap stopped it.
+
+    ``floor_of(m)`` is a lower bound on the least exponent of poly_of(m), or
+    None only if poly_of(m) is zero.  After the first non-silent term, an m
+    whose bound is None or at or above ``cut`` is silent without building
+    its polynomial; before it, an m whose bound is None is skipped as a
+    leading zero.  The bound decides only what is built: the stop rule, and
+    so the total and the stop m, are those of building every term.  A built
+    polynomial that starts below its bound raises ``ArithmeticError``.
     """
     cap = int(cut) + 2 if cap is None else cap
     terms = [QSeries.zero(cut)]  # gives an empty sum its cutoff
@@ -453,16 +448,19 @@ def sum_over_m(poly_of: Callable[[int], QSeries], cut: ExpLike, start: int = 0,
     seen = False
     m = start
     while m <= cap:
-        poly = poly_of(m)
-        if poly.is_zero() or poly.floor >= cut:
-            if seen or not poly.is_zero():
-                quiet += 1
-                if quiet == 3:
-                    return QSeries.sum(terms), m, False
-        else:
+        bound = floor_of(m)
+        poly = None if bound is None or (seen and bound >= cut) else poly_of(m)
+        if poly and poly.floor < bound:
+            raise ArithmeticError(
+                f"term m={m} starts at q^{poly.floor}, below its bound q^{bound}")
+        if poly and poly.floor < cut:
             seen = True
             quiet = 0
             terms.append(poly * poch_inv(m, cut - poly.floor))
+        elif seen or poly:  # silent; a leading zero is skipped
+            quiet += 1
+            if quiet == 3:
+                return QSeries.sum(terms), m, False
         m += 1
     return QSeries.sum(terms), m, True
 

@@ -44,6 +44,23 @@ def S_tilde(m: int, l: int) -> QSeries:
 S.cache_info = _s_family.cache_info
 
 
+def S_floor(m: int, l: int) -> Optional[int]:
+    """The least exponent of S_{m,l}, or None iff S_{m,l} is zero; S is not
+    built.
+
+    Every nu-term of S is a shifted product of Gaussian binomials with
+    positive coefficients, so nothing cancels and the floor is the least
+    exponent (nu+l-m)(nu+l) + nu(nu-m) = 2nu^2 - 2(m-l)nu + l(l-m) over the
+    admissible nu, those with 0 <= m-l-nu <= nu <= m.  That quadratic rises
+    for nu >= (m-l)/2, so the least admissible nu, ceil((m-l)/2) or 0, gives
+    the minimum.
+    """
+    nu = max(0, (m - l + 1) // 2)
+    if nu > min(m, m - l):
+        return None
+    return (nu + l - m) * (nu + l) + nu * (nu - m)
+
+
 SImpl = Callable[[int, int], QSeries]
 
 

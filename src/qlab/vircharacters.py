@@ -17,7 +17,7 @@ from typing import Optional
 
 from .qcore import QSeries, compare, poch_inv, sum_over_m
 from .report import CaseResult, check
-from .supernomial import S
+from .supernomial import S, S_floor
 from .pathweights import (
     ModelParams,
     TauTable,
@@ -68,13 +68,12 @@ def rocha_caridi(params: ModelParams, r: int, s: int, cutoff: int | Fraction) ->
     return QSeries(terms, cut) * poch_inv(None, cut)
 
 
-@lru_cache(maxsize=None, typed=True)
-def I_m(params: ModelParams, r: int, a: int, b: int, m: int) -> QSeries:
-    """Finite configuration polynomial: the m-th term of the decomposition
-    q^{-delta(r,a)} chi_{r,a} = sum_m I_m / (q)_m, valid for any b = a mod 2.
+def _I_m_terms(params: ModelParams, r: int, a: int, b: int,
+               m: int) -> list[tuple[int, int, int]]:
+    """I_m as (sign, idx, e): I_m = sum sign * q^e S_{m,idx}, every |idx| <= m.
 
-    Exact Laurent polynomial in q (integer exponents).  Cached: the grading,
-    i1, gen and iands checks build the same pieces.
+    Two sums over lam, the second subtracted and indexed by -lam; each keeps
+    the terms whose index half - p' lam lies in [-m, m].
     """
     _check_rs(params, r, a)
     if not 1 <= b <= params.pp - 1 or (a - b) % 2 != 0:
@@ -83,14 +82,35 @@ def I_m(params: ModelParams, r: int, a: int, b: int, m: int) -> QSeries:
         raise ValueError("m must be >= 0")
     p, pp = params.p, params.pp
     n = p * pp
-    # Two sums, the second subtracted and indexed by -lam; each keeps the
-    # terms whose index half - p' lam lies in [-m, m].
-    return QSeries.sum(
-        sign * S(m, idx).shift(lam * lam * n + lam * beta + shift + m * m - idx * idx)
-        for half, beta, shift, sign in (((a - b) // 2, pp * r - p * a, 0, 1),
-                                        ((a + b) // 2, -(pp * r + p * a), r * a, -1))
-        for lam in range(-((m - half) // pp + 1), (m + half) // pp + 2)
-        if abs(idx := half - pp * lam) <= m)
+    return [(sign, idx, lam * lam * n + lam * beta + shift + m * m - idx * idx)
+            for half, beta, shift, sign in (((a - b) // 2, pp * r - p * a, 0, 1),
+                                            ((a + b) // 2, -(pp * r + p * a), r * a, -1))
+            for lam in range(-((m - half) // pp + 1), (m + half) // pp + 2)
+            if abs(idx := half - pp * lam) <= m]
+
+
+@lru_cache(maxsize=None, typed=True)
+def I_m(params: ModelParams, r: int, a: int, b: int, m: int) -> QSeries:
+    """Finite configuration polynomial: the m-th term of the decomposition
+    q^{-delta(r,a)} chi_{r,a} = sum_m I_m / (q)_m, valid for any b = a mod 2.
+
+    Exact Laurent polynomial in q (integer exponents).  Cached: the grading,
+    i1, gen and iands checks build the same pieces.
+    """
+    return QSeries.sum(sign * S(m, idx).shift(e)
+                       for sign, idx, e in _I_m_terms(params, r, a, b, m))
+
+
+def I_m_floor(params: ModelParams, r: int, a: int, b: int, m: int) -> Optional[int]:
+    """A lower bound on the least exponent of I_m, or None when I_m has no
+    term at all (and so is zero); I_m is not built.
+
+    The bound is the least floor of the signed terms q^e S_{m,idx}.  Each S
+    has positive coefficients, and cancellation between the terms can only
+    raise the floor or make the sum zero, never lower it.
+    """
+    return min((S_floor(m, idx) + e for _, idx, e in _I_m_terms(params, r, a, b, m)),
+               default=None)
 
 
 def verify_rocha2(params: ModelParams, r: int, a: int, b: int,
@@ -100,11 +120,14 @@ def verify_rocha2(params: ModelParams, r: int, a: int, b: int,
     The m-sum follows the shared stop rule of ``sum_over_m``: I_m is silent
     when it is zero or supported entirely at or above the cutoff, leading
     zero terms are skipped, and the sum stops after three consecutive silent
-    terms or past the hard cap m <= cutoff + 2.
+    terms or past the hard cap m <= cutoff + 2.  ``I_m_floor`` bounds each
+    I_m from below, so a term the bound proves silent after the first live
+    one is not built; the stop rule and the m it stops at are unchanged.
     """
     cut = Fraction(cutoff)
     target = rocha_caridi(params, r, a, cut)
-    total, m, capped = sum_over_m(lambda m: I_m(params, r, a, b, m), cut)
+    total, m, capped = sum_over_m(lambda m: I_m(params, r, a, b, m),
+                                  lambda m: I_m_floor(params, r, a, b, m), cut)
     cmp = compare(total, target)
     case_id = f"rocha2 p={params.p} p'={params.pp} r={r} a={a} b={b}"
     detail = cmp.detail() + (f"; hard cap m<={m - 1} hit" if capped else f"; m summed to {m}")
@@ -263,6 +286,9 @@ def verify_poch_inv_expansion(l_max: int, cutoff: int | Fraction) -> list[CaseRe
     cut = Fraction(cutoff)
     target = poch_inv(None, cut)
     return [check(f"pochsum l={l}",
-                  sum_over_m(lambda m: S(m, l).shift(m * m - l * l), cut,
+                  sum_over_m(lambda m: S(m, l).shift(m * m - l * l),
+                             # S_{m,l} is nonzero for every m >= |l|, so its
+                             # floor is never None.
+                             lambda m: S_floor(m, l) + m * m - l * l, cut,
                              abs(l), int(cut) + abs(l) + 4)[0], target)
             for l in range(-l_max, l_max + 1)]

@@ -9,7 +9,11 @@ integer-keyed internals:
 - ``supernomial2_sum``: the two-row supernomial as one sum of products of
   Gaussian binomials, themselves built by the q-Pascal rule;
 - ``RefSeries``: a ``Fraction``-keyed sparse series with the straightforward
-  sum, product, shift, truncation, flip and comparison rules.
+  sum, product, shift, truncation, flip and comparison rules;
+- ``sum_over_m_every_term``: the m-sum that builds every term to decide
+  whether it is silent, with no floor bound;
+- ``monomial``, ``support`` and ``coeff_sum``: small views of a series that
+  only the tests need.
 """
 
 from __future__ import annotations
@@ -17,9 +21,55 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
-from qlab.qcore import QSeries
+from qlab.qcore import QSeries, poch_inv
+
+
+def monomial(exp, coeff: int = 1, cutoff=None) -> QSeries:
+    """The series coeff * q^exp."""
+    return QSeries({exp: coeff}, cutoff)
+
+
+def support(s: QSeries) -> list:
+    """The exponents of the nonzero coefficients, ascending."""
+    return [e for e, _ in s.items()]
+
+
+def coeff_sum(s: QSeries) -> int:
+    """Value at q=1 of an exact series."""
+    if not s.is_exact:
+        raise ValueError("coeff_sum requires an exact series")
+    return sum(s.coeffs())
+
+
+def sum_over_m_every_term(poly_of: Callable[[int], QSeries], cut, start: int = 0,
+                          cap: Optional[int] = None) -> tuple[QSeries, int, bool]:
+    """sum_{m >= start} poly_of(m) / (q)_m below ``cut``, building every term.
+
+    A term is silent when its polynomial is zero or starts at or above
+    ``cut``.  Zero polynomials before the first non-silent term are skipped;
+    the sum stops after three consecutive silent terms, or once m > cap
+    (default int(cut) + 2).  Returns (total, m, capped).
+    """
+    cap = int(cut) + 2 if cap is None else cap
+    terms = [QSeries.zero(cut)]
+    quiet = 0
+    seen = False
+    m = start
+    while m <= cap:
+        poly = poly_of(m)
+        if poly.is_zero() or poly.floor >= cut:
+            if seen or not poly.is_zero():
+                quiet += 1
+                if quiet == 3:
+                    return QSeries.sum(terms), m, False
+        else:
+            seen = True
+            quiet = 0
+            terms.append(poly * poch_inv(m, cut - poly.floor))
+        m += 1
+    return QSeries.sum(terms), m, True
 
 
 def poch(m: int, cutoff=None) -> QSeries:

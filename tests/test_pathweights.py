@@ -63,7 +63,7 @@ class TestTauTable:
             t = params.t
             for b in range(1, pp):
                 floors = math.floor((b + 1) / t) - math.floor((b - 1) / t)
-                assert table.tau_of(b) == floors == tau(params, b)
+                assert table.taus[b] == floors == tau(params, b)
 
     def test_sweep_validates(self):
         # every admissible strip up to width 24 builds without complaint
@@ -147,7 +147,7 @@ def _slope_weight(a: int, b: int, c: int, table: TauTable) -> Fraction:
     if (da, dc) in ((0, 2), (2, 0)):
         return 1 + frac(Fraction(b + 1) / t)
     if (da, dc) == (0, 0):
-        return Fraction(3 - table.tau_of(b))
+        return Fraction(3 - table.taus[b])
     if (da, dc) == (-2, -2):
         return -2 * frac(Fraction(b - 1) / t) + x_of[table.label(b - 2)]
     assert (da, dc) == (2, 2)

@@ -13,7 +13,10 @@ from qlab.qcore import (
     QSeries, compare, poch_inv, q_binomial, q_trinomial, sum_over_m, supernomial2,
 )
 
-from oracles import RefSeries, exact_div, poch, supernomial2_sum
+from oracles import (
+    RefSeries, coeff_sum, exact_div, monomial, poch, sum_over_m_every_term, support,
+    supernomial2_sum,
+)
 from test_pathweights import _strips
 
 F = Fraction
@@ -159,7 +162,7 @@ def wide_series(draw, exact=False):
 # Exact one-term series c q^e, which ``QSeries.__mul__`` turns into a scale
 # and a shift: e integral (0 included) or rational, c = +-1 or another value.
 exact_monomials = st.builds(
-    QSeries.monomial,
+    monomial,
     st.one_of(st.just(0), st.integers(-30, 30), wide_exps),
     st.one_of(st.sampled_from([1, -1]), st.integers(-9, 9).filter(bool)))
 
@@ -179,7 +182,7 @@ def assert_canonical(s: QSeries) -> None:
     view, and its integral exponents come out as ``int``."""
     rebuilt = QSeries(dict(s.items()), s.cutoff)
     assert s == rebuilt and hash(s) == hash(rebuilt)
-    for e in [*s.support(), s.floor, s.cutoff]:
+    for e in [*support(s), s.floor, s.cutoff]:
         if e is not None:
             assert type(e) is (int if F(e).denominator == 1 else F), e
 
@@ -194,7 +197,7 @@ class TestAgainstFractionOracle:
         s = QSeries(terms, cut)
         ref = RefSeries.make(terms.items(), cut)
         assert dict(s.items()) == ref.terms
-        assert s.support() == sorted(ref.terms)
+        assert support(s) == sorted(ref.terms)
         assert s.cutoff == ref.cutoff and s.floor == ref.floor
         for e in [probe, *terms]:
             assert s.coeff(e) == ref.terms.get(e, 0)
@@ -273,9 +276,9 @@ class TestAgainstFractionOracle:
         assert a * a == QSeries({0: 1, 1: 2}, 2)
 
     def test_denominator_is_least(self):
-        quarter = QSeries.monomial(F(1, 4)).shift(F(3, 4))
-        assert quarter == QSeries.monomial(1)
-        assert hash(quarter) == hash(QSeries.monomial(1))
+        quarter = monomial(F(1, 4)).shift(F(3, 4))
+        assert quarter == monomial(1)
+        assert hash(quarter) == hash(monomial(1))
         halves = QSeries({F(1, 2): 1, F(3, 2): 1}, F(5, 2)) - QSeries({F(1, 2): 1})
         assert halves == QSeries({F(3, 2): 1}, F(5, 2))
         assert halves.truncate(1) == QSeries.zero(1)
@@ -362,11 +365,18 @@ class TestPochhammer:
         assert got == want
 
 
+def floor_or_none(s: QSeries):
+    """The exact floor of a series as an m-sum bound: None for zero."""
+    return s.floor if s else None
+
+
 class TestSumOverM:
     def test_leading_zero_terms_are_skipped(self):
         # Five leading zeros, then 1 at m = 5: the zeros never stop the sum.
-        total, m, capped = sum_over_m(
-            lambda m: QSeries.one(None) if m == 5 else QSeries.zero(None), 10)
+        def poly_of(m):
+            return QSeries.one(None) if m == 5 else QSeries.zero(None)
+
+        total, m, capped = sum_over_m(poly_of, lambda m: floor_or_none(poly_of(m)), 10)
         assert total == poch_inv(5, 10)
         assert (m, capped) == (8, False)
 
@@ -375,21 +385,44 @@ class TestSumOverM:
 
         def poly_of(m):
             seen.append(m)
-            return QSeries.monomial(0 if m in (0, 2) else 10)  # q^10 is at the cut
+            return monomial(0 if m in (0, 2) else 10)  # q^10 is at the cut
 
-        total, m, capped = sum_over_m(poly_of, 10)
+        # A bound of 0 proves nothing silent, so every term is built.
+        total, m, capped = sum_over_m(poly_of, lambda m: 0, 10)
         assert seen == [0, 1, 2, 3, 4, 5]
         assert (m, capped) == (5, False)
         assert total == poch_inv(0, 10) + poch_inv(2, 10)
 
     def test_leading_terms_above_the_cut_count(self):
-        total, m, capped = sum_over_m(lambda m: QSeries.monomial(50), 10)
+        total, m, capped = sum_over_m(lambda m: monomial(50), lambda m: 50, 10)
         assert (m, capped, total) == (2, False, QSeries.zero(10))
 
     def test_cap_sets_capped(self):
-        total, m, capped = sum_over_m(lambda m: QSeries.one(None), 10, start=2, cap=4)
+        total, m, capped = sum_over_m(lambda m: QSeries.one(None), lambda m: 0, 10,
+                                      start=2, cap=4)
         assert (m, capped) == (5, True)
         assert total == poch_inv(2, 10) + poch_inv(3, 10) + poch_inv(4, 10)
+
+    def test_provably_silent_terms_are_not_built(self):
+        # A leading zero, live at m = 1, then a zero and two terms at or above
+        # the cut, and one at m = 5 that the rule never reaches: the bounds
+        # prove every term but m = 1 zero or silent, so only m = 1 is built.
+        polys = {0: QSeries.zero(None), 1: QSeries.one(None), 2: QSeries.zero(None),
+                 3: monomial(10), 4: monomial(12), 5: QSeries.one(None)}
+        built = []
+
+        def poly_of(m):
+            built.append(m)
+            return polys[m]
+
+        got = sum_over_m(poly_of, lambda m: floor_or_none(polys[m]), 10)
+        assert built == [1]
+        assert got == sum_over_m_every_term(polys.__getitem__, 10) == (
+            poch_inv(1, 10), 4, False)
+
+    def test_term_below_its_bound_raises(self):
+        with pytest.raises(ArithmeticError, match="below its bound"):
+            sum_over_m(lambda m: monomial(3), lambda m: 4, 10)
 
 
 class TestQBinomial:
@@ -417,7 +450,7 @@ class TestQBinomial:
 
     @given(L=st.integers(0, 10), a=st.integers(0, 10))
     def test_counts_at_q_one(self, L, a):
-        assert q_binomial(L, a).coeff_sum() == math.comb(L, a)
+        assert coeff_sum(q_binomial(L, a)) == math.comb(L, a)
 
     @given(L=st.integers(-8, 30), a=st.integers(-1, 12))
     @settings(max_examples=120, deadline=None)
@@ -458,7 +491,7 @@ class TestQTrinomial:
         n = a + b + c
         want = math.factorial(n) // (
             math.factorial(a) * math.factorial(b) * math.factorial(c))
-        assert q_trinomial(n, a, b, c).coeff_sum() == want
+        assert coeff_sum(q_trinomial(n, a, b, c)) == want
 
     @given(a=st.integers(0, 6), b=st.integers(0, 6), c=st.integers(0, 6))
     @settings(max_examples=60, deadline=None)
@@ -498,7 +531,7 @@ class TestSupernomial2:
         for L1 in (0, 2, 4):
             for L2 in range(0, 4):
                 n = L1 // 2 + L2
-                total = sum(supernomial2(L1, L2, a).coeff_sum()
+                total = sum(coeff_sum(supernomial2(L1, L2, a))
                             for a in range(-n, n + 1))
                 assert total == 2 ** L1 * 3 ** L2, (L1, L2)
 

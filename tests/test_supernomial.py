@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from qlab.qcore import QSeries, supernomial2
-from qlab.supernomial import S, S_table, S_tilde, verify_S_recurrences
+from qlab.supernomial import S, S_floor, S_table, S_tilde, verify_S_recurrences
+
+from oracles import monomial
 
 F = Fraction
 
@@ -46,6 +48,16 @@ def test_support_and_positivity():
                     assert lo <= e <= hi, (fam.__name__, m, l, e)
 
 
+def test_floor_is_exact():
+    # S_floor is the least exponent of S without building it, and None
+    # exactly where S vanishes.
+    for m in range(15):
+        for l in range(-(m + 2), m + 3):
+            poly = S(m, l)
+            want = poly.floor if poly else None
+            assert S_floor(m, l) == want, (m, l)
+
+
 def test_matches_two_row_supernomial():
     # the L1=0 two-row family is this family in 1/q
     for m in range(9):
@@ -65,7 +77,7 @@ def test_recurrences_catch_perturbation():
     def s_bad(m, l):
         poly = S(m, l)
         if (m, l) == (3, 0):
-            return poly + QSeries.monomial(F(-1))
+            return poly + monomial(F(-1))
         return poly
 
     checks = verify_S_recurrences(5, s_impl=s_bad, s_tilde_impl=S_tilde)

@@ -5,15 +5,17 @@ from fractions import Fraction
 import pytest
 
 from qlab.cli import run
+from qlab.fusionchar import unitary_params
 from qlab.pathweights import (
     ModelParams, b_of, count_paths, delta, energy, enumerate_paths, make_tau_table,
 )
-from qlab.qcore import QSeries
+from qlab.qcore import QSeries, sum_over_m
 from qlab.vircharacters import (
-    I_m, path_side_GEN, rigged_path_gf, rocha_caridi, verify_GEN,
+    I_m, I_m_floor, path_side_GEN, rigged_path_gf, rocha_caridi, verify_GEN,
     verify_IandS, verify_poch_inv_expansion, verify_rigged, verify_rocha2,
 )
 
+from oracles import coeff_sum, sum_over_m_every_term
 from test_pathweights import _strips
 from test_qcore import partitions
 
@@ -81,7 +83,7 @@ class TestIm:
                             continue
                         poly = I_m(params, r, a, b, 0)
                         if b == a:
-                            assert poly.coeff(F(0)) == 1 and len(poly.support()) == 1
+                            assert poly.coeff(F(0)) == 1 and len(poly) == 1
                         else:
                             assert poly.is_zero(), (p, pp, r, a, b)
 
@@ -104,7 +106,7 @@ class TestIm:
                 for a in range(1, pp):
                     b = b_of(r, a, params)
                     for m in range(6):
-                        assert (I_m(params, r, a, b, m).coeff_sum()
+                        assert (coeff_sum(I_m(params, r, a, b, m))
                                 == count_paths(a, b, m, params)), (p, pp, r, a, m)
 
     def test_rejects_parity_mismatch(self):
@@ -213,3 +215,36 @@ class TestRiggedOracle:
 def test_poch_inv_expansion_identity():
     for case in verify_poch_inv_expansion(3, F(26)):
         assert case.ok, case
+
+
+class TestFloorBound:
+    def test_I_m_floor_bounds_I_m(self):
+        # A lower bound on every strip p' <= 10, and None only for a zero I_m.
+        for p, pp in _strips(10):
+            params = ModelParams(p, pp)
+            for r in range(1, p):
+                for a in range(1, pp):
+                    for b in range(2 - a % 2, pp, 2):
+                        for m in range(11):
+                            bound = I_m_floor(params, r, a, b, m)
+                            poly = I_m(params, r, a, b, m)
+                            case = (p, pp, r, a, b, m)
+                            if bound is None:
+                                assert poly.is_zero(), case
+                            elif poly:
+                                assert bound <= poly.floor, case
+
+    def test_m_sums_match_building_every_term(self):
+        # The bounded sum returns what building every term returns: total,
+        # stop m and cap flag, on rocha2 and on the unitary grading sums.
+        cases = [(ModelParams(p, pp), r, a, b, F(qmax))
+                 for p, pp in _strips(9) for r in range(1, p) for a in range(1, pp)
+                 for b in range(2 - a % 2, pp, 2) for qmax in (10, 20)]
+        cases += [(unitary_params(k), r, s, r + (r - s) % 2, F(15))
+                  for k in (1, 2, 3) for r in range(1, k + 2) for s in range(1, k + 3)]
+        for *args, cut in cases:
+            def poly_of(m):
+                return I_m(*args, m)
+
+            assert (sum_over_m(poly_of, lambda m: I_m_floor(*args, m), cut)
+                    == sum_over_m_every_term(poly_of, cut)), args
