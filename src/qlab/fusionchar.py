@@ -17,17 +17,9 @@ from fractions import Fraction
 
 from .qcore import QSeries, poch_inv, q_binomial, sum_over_m, supernomial2
 from .report import CaseResult, check, first_failure
-from .supernomial import S, S_floor
+from .supernomial import S, string_sum
 from .pathweights import ModelParams, delta
 from .vircharacters import I_m, I_m_floor, rocha_caridi
-
-
-def ch_pi2_fused(m: int) -> dict[int, QSeries]:
-    """Character of a fused string of m three-dimensional factors: the
-    weight-2l component is S_{m,l}(1/q)."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    return {2 * l: S(m, l).flip() for l in range(-m, m + 1)}
 
 
 def weight_string(j: int) -> dict[int, QSeries]:
@@ -78,20 +70,14 @@ def level1_char(i: int, cutoff: int | Fraction) -> dict[int, QSeries]:
 
 
 def verify_pi2pi3(cutoff: int | Fraction) -> list[CaseResult]:
-    """Level-one character as a q^{m^2}/(q)_m-weighted sum of flipped
-    three-dimensional string characters, checked per weight component."""
+    """Level-one character per weight component: the weight-2l component is
+    ``string_sum(l)``, a q^{m^2}/(q)_m-weighted sum of the flipped
+    three-dimensional string components S_{m,l}(q)."""
     cut = Fraction(cutoff)
     lhs = level1_char(0, cut)
-    out = []
-    for l in range(-math.isqrt(int(cut)) - 1, math.isqrt(int(cut)) + 2):
-        # S_{m,l}(q) is the flipped string component at weight 2l; it is
-        # nonzero for every m >= |l|, so its floor is never None.
-        total, _, _ = sum_over_m(lambda m: S(m, l).shift(m * m),
-                                 lambda m: S_floor(m, l) + m * m, cut,
-                                 abs(l), int(cut) + abs(l) + 4)
-        out.append(check(f"pi2pi3 l={l}", total,
-                         lhs.get(2 * l, QSeries.zero(None)).truncate(cut)))
-    return out
+    return [check(f"pi2pi3 l={l}", string_sum(l, cut),
+                  lhs.get(2 * l, QSeries.zero(None)).truncate(cut))
+            for l in range(-math.isqrt(int(cut)) - 1, math.isqrt(int(cut)) + 2)]
 
 
 def verify_pmn(N_max: int) -> list[CaseResult]:
@@ -116,8 +102,8 @@ def euler_multiplicity(V: dict[int, QSeries], k: int, l: int) -> QSeries:
     if not V:
         return QSeries.zero(None)
     step = 2 * (k + 2)
-    lam_lo = math.ceil(Fraction(min(V) + l, step))
-    lam_hi = math.floor(Fraction(max(V) + l + 2, step))
+    lam_lo = -(-(min(V) + l) // step)
+    lam_hi = (max(V) + l + 2) // step
     zero = QSeries.zero(None)
     return QSeries.sum(
         (V.get(step * lam - l, zero) - V.get(step * lam - l - 2, zero))
@@ -144,8 +130,8 @@ def abf_finitized(N: int, k: int, j: int, l: int) -> QSeries:
         ((2 * N - l - j - 2) // 2, -((k + 3) * (j + 1) + (k + 2) * (l + 1)),
          (j + 1) * (l + 1), -1),
     ):
-        lam_lo = math.ceil(Fraction(-base, k + 3))
-        lam_hi = math.floor(Fraction(2 * N - base, k + 3))
+        lam_lo = -(base // (k + 3))
+        lam_hi = (2 * N - base) // (k + 3)
         terms += [sign * q_binomial(2 * N, base + (k + 3) * lam).shift(
                       pq * lam * lam + lin * lam + shift)
                   for lam in range(lam_lo, lam_hi + 1)]
@@ -212,7 +198,7 @@ def verify_grading(k: int, m_max: int, cutoff: int | Fraction) -> list[CaseResul
             def routes(m: int):
                 direct = I_m(params, r, s, r + i, m)
                 if i == 0:
-                    V = convolve({w: ch.flip() for w, ch in ch_pi2_fused(m).items()},
+                    V = convolve({2 * l: S(m, l) for l in range(-m, m + 1)},
                                  weight_string(r - 1))
                     alt = euler_multiplicity(V, k + 1, s - 1)
                     return alt.shift(m * m), direct.shift(Fraction((s - r) ** 2, 4))

@@ -17,7 +17,6 @@ otherwise.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -337,22 +336,6 @@ class QSeries:
                else {"num": self.cutoff.numerator, "den": self.cutoff.denominator})
         return {"terms": terms, "cutoff": cut}
 
-    @staticmethod
-    def from_json_obj(obj: dict) -> "QSeries":
-        terms = {
-            Fraction(t["num"], t["den"]): int(t["coeff"]) for t in obj["terms"]
-        }
-        cut = obj.get("cutoff")
-        cutoff = None if cut is None else Fraction(cut["num"], cut["den"])
-        return QSeries(terms, cutoff)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"), sort_keys=True)
-
-    @staticmethod
-    def loads(s: str) -> "QSeries":
-        return QSeries.from_json_obj(json.loads(s))
-
 
 @dataclass(frozen=True)
 class Comparison:
@@ -510,16 +493,6 @@ def q_binomial(L: int, a: int) -> QSeries:
     coeffs = _gauss_coeffs(n, a)
     # Every coefficient of a Gaussian binomial is positive.
     return _new({offset + j: sign * c for j, c in enumerate(coeffs)}, 1, None)
-
-
-def q_trinomial(n: int, a: int, b: int, c: int) -> QSeries:
-    """(q)_n / ((q)_a (q)_b (q)_c) = [n, a]_q [b+c, b]_q for a+b+c=n; zero if
-    any index is negative."""
-    if a + b + c != n:
-        raise ValueError("q_trinomial requires a + b + c = n")
-    if min(a, b, c) < 0:
-        return QSeries.zero(None)
-    return q_binomial(n, a) * q_binomial(b + c, b)
 
 
 # -- two-row supernomial -----------------------------------------------------

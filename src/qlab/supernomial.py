@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Optional
 
-from .qcore import QSeries, q_binomial
+from .qcore import ExpLike, QSeries, q_binomial, sum_over_m
 from .report import CaseResult, check
 
 
@@ -59,6 +59,14 @@ def S_floor(m: int, l: int) -> Optional[int]:
     if nu > min(m, m - l):
         return None
     return (nu + l - m) * (nu + l) + nu * (nu - m)
+
+
+def string_sum(l: int, cutoff: ExpLike) -> QSeries:
+    """sum_{m >= |l|} q^{m^2} S_{m,l}(q) / (q)_m below ``cutoff``."""
+    # S_{m,l} is nonzero for every m >= |l|, so its floor is never None.
+    return sum_over_m(lambda m: S(m, l).shift(m * m),
+                      lambda m: S_floor(m, l) + m * m, cutoff,
+                      abs(l), int(cutoff) + abs(l) + 4)[0]
 
 
 SImpl = Callable[[int, int], QSeries]

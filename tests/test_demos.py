@@ -1,5 +1,7 @@
-"""The demo scripts print exactly the bytes they printed when pinned."""
+"""The demo scripts print exactly the bytes they printed when pinned, and
+the package re-exports exactly the names they and the README example use."""
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -8,7 +10,10 @@ from pathlib import Path
 
 import pytest
 
-DEMOS = Path(__file__).resolve().parents[1] / "demos"
+import qlab
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = ROOT / "demos"
 
 # SHA-256 of each demo's stdout; any change to a printed byte fails here.
 DIGESTS = {
@@ -29,3 +34,19 @@ def test_demo_stdout_is_pinned(name):
     with contextlib.redirect_stdout(out):
         runpy.run_path(str(DEMOS / name), run_name="__main__")
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == DIGESTS[name]
+
+
+def _qlab_imports(source: str) -> set[str]:
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module == "qlab"
+            for alias in node.names}
+
+
+def test_package_exports_what_demos_and_readme_import():
+    readme = (ROOT / "README.md").read_text()
+    blocks = [b.split("\n", 1)[1] for b in readme.split("```")[1::2]
+              if b.startswith("python\n")]
+    assert blocks
+    used = set().union(*(_qlab_imports(s) for s in blocks),
+                       *(_qlab_imports(p.read_text()) for p in DEMOS.glob("*.py")))
+    assert used == set(qlab.__all__)

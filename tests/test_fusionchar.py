@@ -7,7 +7,7 @@ import pytest
 from qlab.qcore import QSeries, compare, poch_inv, q_binomial
 from qlab.supernomial import S
 from qlab.fusionchar import (
-    abf_finitized, ch_pi2_fused, convolve, euler_multiplicity,
+    abf_finitized, convolve, euler_multiplicity,
     graded_13_char, level1_char, unitary_params, verify_abf,
     verify_exact_sequence_chars, verify_grading, verify_i1_sector,
     verify_pi2pi3, verify_pmn, weight_string,
@@ -34,14 +34,11 @@ class TestFusedStrings:
     def test_dimensions(self):
         for m in range(7):
             assert dimension(ch_pi1_fused(m)) == 2 ** m
-            assert dimension(ch_pi2_fused(m)) == 3 ** m
+            assert dimension({2 * l: S(m, l) for l in range(-m, m + 1)}) == 3 ** m
 
     def test_components(self):
         assert ch_pi1_fused(2)[0] == q_binomial(2, 1)
         assert 3 not in ch_pi1_fused(2)
-        for m in range(6):
-            for l in range(-m, m + 1):
-                assert ch_pi2_fused(m)[2 * l] == S(m, l).flip(), (m, l)
 
     def test_weight_string(self):
         ws = weight_string(2)

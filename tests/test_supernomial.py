@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 
 from qlab.qcore import QSeries, supernomial2
-from qlab.supernomial import S, S_floor, S_table, S_tilde, verify_S_recurrences
+from qlab.supernomial import (
+    S, S_floor, S_table, S_tilde, string_sum, verify_S_recurrences,
+)
 
-from oracles import monomial
+from oracles import monomial, sum_over_m_every_term
 
 F = Fraction
 
@@ -58,6 +60,20 @@ def test_floor_is_exact():
             assert S_floor(m, l) == want, (m, l)
 
 
+def test_string_sum_matches_building_every_term():
+    # One string sum serves both frames: pi2pi3 sums q^{m^2} S_{m,l}, and
+    # pochsum the same terms divided by q^{l^2}, below a cut raised by l^2.
+    for l in range(-6, 7):
+        for c in range(41):
+            cap = c + abs(l) + 4
+            want = sum_over_m_every_term(lambda m: S(m, l).shift(m * m), c,
+                                         abs(l), cap)[0]
+            assert string_sum(l, c) == want, (l, c)
+            want = sum_over_m_every_term(lambda m: S(m, l).shift(m * m - l * l), c,
+                                         abs(l), cap)[0]
+            assert string_sum(l, c + l * l).shift(-l * l) == want, (l, c)
+
+
 def test_matches_two_row_supernomial():
     # the L1=0 two-row family is this family in 1/q
     for m in range(9):
@@ -92,7 +108,7 @@ def test_table_export():
     seen = {(cell["m"], cell["l"]) for cell in table["cells"]}
     assert seen == {(m, l) for m in range(4) for l in range(-3, 4)}
     for cell in table["cells"]:
-        assert QSeries.from_json_obj(cell["S"]) == S(cell["m"], cell["l"])
+        assert cell["S"] == S(cell["m"], cell["l"]).to_json_obj()
 
 
 def test_rejects_negative_m():

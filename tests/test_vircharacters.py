@@ -9,7 +9,7 @@ from qlab.fusionchar import unitary_params
 from qlab.pathweights import (
     ModelParams, b_of, count_paths, delta, energy, enumerate_paths, make_tau_table,
 )
-from qlab.qcore import QSeries, sum_over_m
+from qlab.qcore import QSeries, poch_inv, sum_over_m
 from qlab.vircharacters import (
     I_m, I_m_floor, path_side_GEN, rigged_path_gf, rocha_caridi, verify_GEN,
     verify_IandS, verify_poch_inv_expansion, verify_rigged, verify_rocha2,
@@ -145,6 +145,28 @@ class TestDecomposition:
     def test_sums_to_character(self, p, pp, r, a, b):
         res = verify_rocha2(ModelParams(p, pp), r, a, b, F(26))
         assert res.ok, res.detail
+
+    # The quiet-3 stop rule ends these m-sums too early; ROADMAP item 1.
+    # Each reads "first mismatch at q^8", "q^5" and "q^10" respectively.
+    STOP_RULE_WITNESSES = [(5, 9, 1, 8, 8, 10), (7, 10, 1, 5, 9, 5),
+                           (11, 12, 10, 2, 2, 20)]
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the quiet-3 m-sum stop rule stops too early")
+    @pytest.mark.parametrize("p,pp,r,a,b,qmax", STOP_RULE_WITNESSES)
+    def test_stop_rule_witness(self, p, pp, r, a, b, qmax):
+        res = verify_rocha2(ModelParams(p, pp), r, a, b, F(qmax + 1))
+        assert res.ok, res.detail
+
+    @pytest.mark.parametrize("p,pp,r,a,b,qmax", STOP_RULE_WITNESSES)
+    def test_witness_holds_when_every_m_is_summed(self, p, pp, r, a, b, qmax):
+        # With every m <= cut + 2 summed and no quiet stop, the identity holds.
+        params, cut = ModelParams(p, pp), F(qmax + 1)
+        polys = (I_m(params, r, a, b, m) for m in range(int(cut) + 3))
+        total = QSeries.sum([QSeries.zero(cut)] + [
+            poly * poch_inv(m, cut - poly.floor)
+            for m, poly in enumerate(polys) if poly and poly.floor < cut])
+        assert total == rocha_caridi(params, r, a, cut)
 
     def test_detail_names_where_the_sum_stopped(self):
         res = verify_rocha2(ISING, r=1, a=1, b=3, cutoff=41)
