@@ -12,10 +12,11 @@ run serially; ``--jobs`` (or ``QLAB_JOBS``) is accepted and changes nothing.
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import math
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Optional, Sequence
 
 from .supernomial import S_table, verify_S_recurrences
@@ -270,14 +271,71 @@ def _run_suite(name: str, params: dict, chunks: list[Chunk],
     return SuiteReport(name, SUITES[name].anchor, params, tuple(cases))
 
 
+# How _json_text writes each scalar type; exact types, so bool is not int.
+_SCALARS: dict[type, Callable[[object], str]] = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _json_text(obj) -> str:
+    """The text of ``json.dumps(obj, indent=2, sort_keys=True)`` for a
+    payload built of dicts with str keys, lists, tuples, str, int, bool and
+    None; any other type raises ``TypeError``."""
+    out: list[str] = []
+    _json_write(obj, "\n", out)
+    return "".join(out)
+
+
+def _json_write(obj, nl: str, out: list[str]) -> None:
+    """Append ``obj`` to ``out``; ``nl`` is a newline and the indent of the
+    line ``obj`` starts on.  A scalar item goes out with its key as one
+    piece."""
+    t = type(obj)
+    if t is dict:
+        keys = sorted(obj)
+        opener, closer = "{", "}"
+    elif t is list or t is tuple:
+        keys = None
+        opener, closer = "[", "]"
+    else:
+        enc = _SCALARS.get(t)
+        if enc is None:
+            raise TypeError(f"{t.__name__} is not a JSON payload type")
+        out.append(enc(obj))
+        return
+    if not obj:
+        out.append(opener + closer)
+        return
+    inner = nl + "  "
+    sep = opener + inner
+    for item in (obj if keys is None else keys):
+        if keys is not None:
+            if type(item) is not str:
+                raise TypeError(f"{type(item).__name__} key in a JSON payload")
+            sep += encode_basestring_ascii(item) + ": "
+            item = obj[item]
+        enc = _SCALARS.get(type(item))
+        if enc is None:
+            out.append(sep)
+            _json_write(item, inner, out)
+        else:
+            out.append(sep + enc(item))
+        sep = "," + inner
+    out.append(nl + closer)
+
+
 def _emit(args, payload: dict, header: str, rows: Iterable[Sequence]) -> None:
-    """``payload`` as JSON, or under --format csv the header and one
+    """``payload`` as JSON (the bytes of ``json.dumps(indent=2,
+    sort_keys=True)``), or under --format csv the header and one
     comma-joined line per row."""
     if args.format == "csv":
         lines = [header, *(",".join(map(str, row)) for row in rows)]
         sys.stdout.write("\n".join(lines) + "\n")
     else:
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(_json_text(payload) + "\n")
 
 
 def _terms(series: dict, *prefix) -> list[tuple]:
@@ -354,6 +412,13 @@ def _cmd_all(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process for each suite table and
+    shared by every call; ``parse_args`` leaves it unchanged."""
+    return _parser(tuple(sorted(SUITES)))
+
+
+@functools.cache
+def _parser(suites: tuple[str, ...]) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qlab",
         description="Exact q-series identities for filtration characters.")
@@ -408,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_stable)
 
     sp = sub.add_parser("verify", help="run one verification suite")
-    sp.add_argument("suite", choices=sorted(SUITES))
+    sp.add_argument("suite", choices=suites)
     add_suite_args(sp)
     sp.set_defaults(func=_cmd_verify)
 

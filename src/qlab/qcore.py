@@ -328,12 +328,17 @@ class QSeries:
     # -- serialization ---------------------------------------------------
 
     def to_json_obj(self) -> dict:
-        terms = [
-            {"num": e.numerator, "den": e.denominator, "coeff": str(c)}
-            for e, c in self.items()
-        ]
-        cut = (None if self.cutoff is None
-               else {"num": self.cutoff.numerator, "den": self.cutoff.denominator})
+        """Terms in exponent order and the cutoff, each exponent key/den
+        written in lowest terms as {"num", "den"}."""
+        den, gcd = self._den, math.gcd
+        terms = []
+        for k, c in sorted(self._terms.items()):
+            g = gcd(k, den)
+            terms.append({"num": k // g, "den": den // g, "coeff": str(c)})
+        cut = self._cut
+        if cut is not None:
+            g = gcd(cut, den)
+            cut = {"num": cut // g, "den": den // g}
         return {"terms": terms, "cutoff": cut}
 
 

@@ -4,9 +4,11 @@ Every identity check is a ``CaseResult``; ``check`` decides one equality of
 two series, and ``first_failure`` decides a case made of several.
 
 Reports give their cases sorted by id, as a JSON object or as CSV rows, and
-embed no timing or host information; ``cli._emit`` writes either with sorted
-JSON keys, so byte-identical output across runs and ``--jobs`` values is a
-hard guarantee.
+embed no timing or host information.  ``cli._emit`` writes the JSON object as
+the bytes of ``json.dumps(obj, indent=2, sort_keys=True)``, for objects built
+only of dicts with str keys, lists, tuples, str, int, bool and None (any
+other type is a ``TypeError``), so byte-identical output across runs and
+``--jobs`` values is a hard guarantee.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, output formats, determinism, reports."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -15,7 +16,9 @@ from hypothesis import given, settings, strategies as st
 from fractions import Fraction
 
 from qlab import cli
-from qlab.cli import _SUITE_ARGS, SUITES, Suite, _run_chunks, build_parser, run
+from qlab.cli import (
+    _SUITE_ARGS, SUITES, Suite, _json_text, _run_chunks, build_parser, run,
+)
 from qlab.qcore import QSeries
 from qlab.report import CaseResult, SuiteReport, check, first_failure
 
@@ -324,20 +327,87 @@ def test_console_script_installed():
     assert json.loads(proc.stdout)["count"] == 1
 
 
-def test_module_entry_point_prints_what_run_prints(capsys):
-    argv = ["verify", "tau", "--pp", "5"]
+def _fresh_qlab(argv: list[str]) -> subprocess.CompletedProcess:
+    """``python -m qlab argv`` in a new interpreter, importing this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-m", "qlab", *argv],
+    return subprocess.run([sys.executable, "-m", "qlab", *argv],
                           capture_output=True, env=env)
+
+
+def test_module_entry_point_prints_what_run_prints(capsys):
+    argv = ["verify", "tau", "--pp", "5"]
+    proc = _fresh_qlab(argv)
     assert proc.returncode == 0
     assert run(argv) == 0
     assert proc.stdout == capsys.readouterr().out.encode()
 
 
-def test_parser_lists_all_suites():
+def _suite_choices(parser: argparse.ArgumentParser) -> list[str]:
+    """The choices of the ``suite`` argument of the ``verify`` subcommand."""
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    (suite,) = [a for a in sub.choices["verify"]._actions if a.dest == "suite"]
+    return list(suite.choices)
+
+
+def test_parser_lists_all_suites(monkeypatch):
+    # every registered suite, and only those, is a choice of `verify`
     parser = build_parser()
-    # argparse stores subparser choices; every registered suite must be reachable
-    text = parser.format_help()
-    assert "verify" in text and "all" in text
+    assert _suite_choices(parser) == sorted(SUITES)
+    # the parser is memoized on the suite table, so a new table gets its own
+    demo = Suite("demo anchor", {}, {}, lambda v: ({}, []))
+    monkeypatch.setattr(cli, "SUITES", {"zeta": demo, "alpha": demo})
+    assert _suite_choices(build_parser()) == ["alpha", "zeta"]
+    monkeypatch.undo()
+    assert build_parser() is parser
+
+
+def test_one_parser_serves_every_run_in_a_process(capsys):
+    # the memoized parser carries no state from one run to the next: each
+    # command prints what a fresh process prints, also after usage errors
+    assert build_parser() is build_parser()
+    char = ["char", "--p", "3", "--pp", "4", "--r", "1", "--s", "1", "--qmax", "8"]
+    gen = ["verify", "gen", "--p", "5", "--pp", "8", "--mmax", "3"]
+    errors = (["verify", "nosuch"], char[:-1] + ["-1"])
+    for argv in (gen, ["verify", "gen", "--mmax", "3"], char + ["--format", "csv"],
+                 char, *errors, gen):
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # argparse rejects the suite name
+            code = exc.code
+        out = capsys.readouterr().out
+        if argv in errors:
+            assert code == 2 and out == ""
+            continue
+        proc = _fresh_qlab(argv)
+        assert code == proc.returncode == 0
+        assert out.encode() == proc.stdout
+
+
+# Strings drawn from one character of each escaping class: quotes,
+# backslash, slash, the named and unnamed control characters, DEL, and
+# non-ASCII (accented, CJK, line separator, astral, lone surrogate).
+_json_strings = st.text(st.sampled_from(
+    '"\\/\b\f\n\r\t\x00\x1f\x7f a\u00e9\u4e2d\u2028\U0001f600\ud800'), max_size=8)
+_json_scalars = (st.none() | st.booleans() | st.integers()
+                 | st.integers(min_value=2**64, max_value=2**200)
+                 | st.integers(min_value=-2**200, max_value=-1) | _json_strings)
+_json_payloads = st.recursive(_json_scalars, lambda kids: (
+    st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(_json_strings, kids, max_size=4)), max_leaves=25)
+
+
+@given(obj=_json_payloads)
+@settings(max_examples=100)
+def test_json_writer_equals_json_dumps(obj):
+    assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("obj", [
+    1.5, Fraction(1, 2), {1: "a"}, {"a": [True, 0.0]}, ({"b": {2: None}},),
+], ids=["float", "fraction", "int-key", "nested-float", "nested-int-key"])
+def test_json_writer_rejects_other_types(obj):
+    with pytest.raises(TypeError):
+        _json_text(obj)
