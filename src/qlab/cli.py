@@ -15,9 +15,8 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .supernomial import S_table, verify_S_recurrences
 from .pathweights import (
@@ -65,8 +64,7 @@ def _run_chunks(chunks: Sequence[Chunk], jobs: Optional[int]) -> list[CaseResult
 # -- suite table -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Suite:
+class Suite(NamedTuple):
     """A verification suite: the identity it checks in plain words, the
     arguments it reads with the value of each the user leaves out (``None``
     for a model argument), the arguments ``all`` sets over the user's, and a

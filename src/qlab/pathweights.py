@@ -12,9 +12,8 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .qcore import QSeries
 from .report import CaseResult, check
@@ -23,20 +22,26 @@ from .supernomial import S, S_tilde
 Path = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """Coprime pair (p, p') with 3 <= p < p' < 2p, so 1 < p'/p < 2."""
-
+# A NamedTuple body cannot override __new__, so ModelParams validates in a
+# subclass of this bare pair.
+class _Pair(NamedTuple):
     p: int
     pp: int
 
-    def __post_init__(self) -> None:
-        if self.p < 3:
+
+class ModelParams(_Pair):
+    """Coprime pair (p, p') with 3 <= p < p' < 2p, so 1 < p'/p < 2."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, pp: int) -> ModelParams:
+        if p < 3:
             raise ValueError("need p >= 3")
-        if not (self.p < self.pp < 2 * self.p):
+        if not (p < pp < 2 * p):
             raise ValueError("need p < p' < 2p")
-        if math.gcd(self.p, self.pp) != 1:
+        if math.gcd(p, pp) != 1:
             raise ValueError("p and p' must be coprime")
+        return super().__new__(cls, p, pp)
 
     @property
     def t(self) -> Fraction:
@@ -62,15 +67,14 @@ def tau(params: ModelParams, b: int) -> int:
 Triple = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class TauTable:
+class TauTable(NamedTuple):
     """Site data for one model: tau values and 1A/1B/2 labels, index 1..p'-1,
     and the weight of every admissible triple in units of 1/p'."""
 
     params: ModelParams
     taus: tuple[int, ...]      # taus[s], index 0 unused
     labels: tuple[str, ...]    # labels[s], index 0 unused
-    weights: dict[Triple, int] = field(compare=False, repr=False)
+    weights: dict[Triple, int]
 
     def label(self, s: int) -> str:
         if not 1 <= s <= self.params.pp - 1:

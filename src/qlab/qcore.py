@@ -18,12 +18,11 @@ otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from operator import add, sub
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 ExpLike = Union[int, Fraction]
 CutoffLike = Union[int, Fraction, None]
@@ -342,8 +341,7 @@ class QSeries:
         return {"terms": terms, "cutoff": cut}
 
 
-@dataclass(frozen=True)
-class Comparison:
+class Comparison(NamedTuple):
     """Result of comparing two series below the joint truncation bound; a
     mismatch carries its exponent and the coefficient of each side there.
     Exponents are ``int`` when integral, else ``Fraction``."""

@@ -14,14 +14,12 @@ other type is a ``TypeError``), so byte-identical output across runs and
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .qcore import QSeries, compare
 
 
-@dataclass(frozen=True)
-class CaseResult:
+class CaseResult(NamedTuple):
     case_id: str
     ok: bool
     detail: str = ""
@@ -31,8 +29,7 @@ class CaseResult:
         return "pass" if self.ok else "fail"
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     suite: str
     anchor: str                 # plain-language statement of the identity checked
     params: dict

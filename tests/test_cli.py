@@ -19,7 +19,8 @@ from qlab import cli
 from qlab.cli import (
     _SUITE_ARGS, SUITES, Suite, _json_text, _run_chunks, build_parser, run,
 )
-from qlab.qcore import QSeries
+from qlab.pathweights import ModelParams, make_tau_table
+from qlab.qcore import Comparison, QSeries
 from qlab.report import CaseResult, SuiteReport, check, first_failure
 
 
@@ -327,13 +328,28 @@ def test_console_script_installed():
     assert json.loads(proc.stdout)["count"] == 1
 
 
-def _fresh_qlab(argv: list[str]) -> subprocess.CompletedProcess:
-    """``python -m qlab argv`` in a new interpreter, importing this checkout."""
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """``python args`` in a new interpreter, importing this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    return subprocess.run([sys.executable, "-m", "qlab", *argv],
-                          capture_output=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env)
+
+
+def _fresh_qlab(argv: list[str]) -> subprocess.CompletedProcess:
+    """``python -m qlab argv`` in a new interpreter, importing this checkout."""
+    return _fresh_python("-m", "qlab", *argv)
+
+
+def test_cli_start_up_loads_no_introspection_modules():
+    # `dataclasses` would pull in inspect, ast, dis and tokenize, about half
+    # the cost of `import qlab.cli`.  A new interpreter, as pytest loads
+    # inspect itself.
+    proc = _fresh_python("-c", (
+        "import sys, qlab.cli; qlab.cli.build_parser(); print(sorted("
+        "{'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))"))
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode() == "[]\n"
 
 
 def test_module_entry_point_prints_what_run_prints(capsys):
@@ -407,7 +423,21 @@ def test_json_writer_equals_json_dumps(obj):
 
 @pytest.mark.parametrize("obj", [
     1.5, Fraction(1, 2), {1: "a"}, {"a": [True, 0.0]}, ({"b": {2: None}},),
-], ids=["float", "fraction", "int-key", "nested-float", "nested-int-key"])
+    CaseResult("a", True), ModelParams(3, 4),
+], ids=["float", "fraction", "int-key", "nested-float", "nested-int-key",
+        "case-result", "model-params"])
 def test_json_writer_rejects_other_types(obj):
+    # the records are tuple subclasses, refused rather than written as arrays
     with pytest.raises(TypeError):
         _json_text(obj)
+
+
+@pytest.mark.parametrize("record", [
+    Comparison(True, None), CaseResult("a", True), SuiteReport("s", "x", {}, ()),
+    ModelParams(3, 4), make_tau_table(ModelParams(3, 4)),
+    Suite("demo anchor", {}, {}, lambda v: ({}, [])),
+], ids=lambda record: type(record).__name__)
+def test_records_are_immutable(record):
+    for name in (*record._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)

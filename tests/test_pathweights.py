@@ -28,6 +28,30 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(p, pp)
 
+    @pytest.mark.parametrize("p,pp,message", [
+        (2, 3, "need p >= 3"), (5, 11, "need p < p' < 2p"),
+        (6, 9, "p and p' must be coprime"),
+    ])
+    def test_error_messages(self, p, pp, message):
+        with pytest.raises(ValueError) as exc:
+            ModelParams(p, pp)
+        assert str(exc.value) == message
+
+    def test_repr_and_keywords(self):
+        # `tau` prints the repr in its error text, which `verify tau` reports
+        assert repr(ModelParams(5, 8)) == "ModelParams(p=5, pp=8)"
+        assert ModelParams(p=5, pp=8) == ModelParams(5, 8)
+        assert ModelParams(5, pp=8).pp == 8
+
+    def test_equality_and_hashing(self):
+        params = ModelParams(5, 8)
+        assert params == ModelParams(5, 8) != ModelParams(5, 7)
+        assert hash(params) == hash(ModelParams(5, 8))
+        assert {params: 1, ModelParams(5, 8): 2} == {ModelParams(5, 8): 2}
+        # a named tuple: it unpacks and equals the plain tuple of its fields
+        p, pp = params
+        assert (p, pp) == params == (5, 8)
+
 
 class TestDelta:
     def test_known_dimensions(self):
@@ -45,6 +69,11 @@ class TestDelta:
 
 
 class TestTauTable:
+    def test_tables_of_one_model_compare_equal(self):
+        one, two = (make_tau_table(ModelParams(4, 7)) for _ in range(2))
+        assert one == two
+        assert one != make_tau_table(ModelParams(5, 7))
+
     def test_known_sequences(self):
         want = {
             (3, 4): ["1A", "2", "2"],
