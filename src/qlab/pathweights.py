@@ -382,10 +382,9 @@ def config_sum_X(a: int, b: int, c: int, m: int, table: TauTable) -> QSeries:
     if m == 0:
         out = QSeries.one(None) if a == b else QSeries.zero(None)
     else:
-        out = QSeries.sum(
-            part.shift(Fraction(m * table.weights[(d, b, c)], params.pp))
-            for d in _successors(params.pp)[b]
-            if not (part := config_sum_X(a, d, b, m - 1, table)).is_zero())
+        out = QSeries.sum_shifted(
+            ((1, config_sum_X(a, d, b, m - 1, table), m * table.weights[(d, b, c)])
+             for d in _successors(params.pp)[b]), params.pp)
     _X_CACHE[key] = out
     return out
 
@@ -401,45 +400,36 @@ def brute_config_sum_X(a: int, b: int, c: int, m: int, table: TauTable) -> QSeri
 # -- closed-form side of the configuration sum -------------------------------
 
 
-def f_function(a: int, b: int, c: int, m: int, table: TauTable) -> QSeries:
-    """Single supernomial summand f_{a,b,c,m}; a may be any integer of the
-    parity of b, while b and c must lie on the strip with c in {b, b+-2}.
+def _f_term(a: int, b: int, c: int, m: int,
+            table: TauTable) -> Optional[tuple[QSeries, int]]:
+    """The summand f_{a,b,c,m} as (S_{m,l} or S~_{m,l}, exponent in units of
+    1/p') with l = (b - a)/2, or None where it is zero; a may be any integer,
+    while b and c must lie on the strip with c in {b, b+-2}.
 
-    With l = (b - a)/2 and t = p'/p the exponent is m^2 - l^2 plus
+    With t = p'/p the exponent is m^2 - l^2 plus
       c = b + 2:  l(l+1)/t + (m-l) frac((b+1)/t)
-      c = b:      l(l-1)/t + l (1 - frac((b-1)/t))
-      c = b - 2:  l(l-1)/t + (m+l) (1 - frac((b-1)/t)),
-    summed in units of 1/p' as in ``_weights``.
+      c = b:      l(l-1)/t + l (1 - frac((b-1)/t)), and m on S or l on S~
+      c = b - 2:  l(l-1)/t + (m+l) (1 - frac((b-1)/t)), and l on S~,
+    summed in integers as in ``_weights``.
     """
-    params = table.params
-    p, pp = params.p, params.pp
-    if not 1 <= b <= pp - 1:
-        raise ValueError("b off the strip")
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if not 1 <= c <= pp - 1 or c - b not in (-2, 0, 2):
-        return QSeries.zero(None)
-    if (a - b) % 2 != 0:
-        return QSeries.zero(None)
+    p, pp = table.params
+    if not 1 <= b <= pp - 1 or m < 0:
+        raise ValueError("need b on the strip and m >= 0")
+    if not 1 <= c <= pp - 1 or c - b not in (-2, 0, 2) or (a - b) % 2 != 0:
+        return None
     l = (b - a) // 2
     gap = pp - (b - 1) * p % pp    # p' (1 - frac((b-1)/t))
     exp = (m * m - l * l) * pp
     if c == b + 2:
         exp += l * (l + 1) * p + (m - l) * ((b + 1) * p % pp)
-        fac = S_tilde(m, l) if table.label(c) == "1A" else S(m, l)
-    elif c == b:
+        return S_tilde(m, l) if table.label(c) == "1A" else S(m, l), exp
+    if c == b:
         exp += l * (l - 1) * p + l * gap
-        if table.label(b) in ("1A", "1B"):
-            fac = S(m, l).shift(m)
-        else:
-            fac = S_tilde(m, l).shift(l)
-    else:  # c == b - 2
-        exp += l * (l - 1) * p + (m + l) * gap
-        if table.label(c) in ("1A", "2"):
-            fac = S(m, l)
-        else:
-            fac = S_tilde(m, l).shift(l)
-    return fac.shift(Fraction(exp, pp))
+        return ((S(m, l), exp + m * pp) if table.label(b) in ("1A", "1B")
+                else (S_tilde(m, l), exp + l * pp))
+    exp += l * (l - 1) * p + (m + l) * gap  # c == b - 2
+    return ((S(m, l), exp) if table.label(c) in ("1A", "2")
+            else (S_tilde(m, l), exp + l * pp))
 
 
 def f_sum(a: int, b: int, c: int, m: int, table: TauTable) -> QSeries:
@@ -447,10 +437,11 @@ def f_sum(a: int, b: int, c: int, m: int, table: TauTable) -> QSeries:
     sum_{eps=+-1} eps * sum_n f_{eps(a + 2 p' n), b, c, m}."""
     pp = table.params.pp
     # Only arguments within 2m of b contribute: a + 2 p' n in eps b +- 2m.
-    return QSeries.sum(eps * f_function(eps * (a + 2 * pp * n), b, c, m, table)
-                       for eps in (1, -1)
-                       for n in range(-((a - eps * b + 2 * m) // (2 * pp)),
-                                      (eps * b + 2 * m - a) // (2 * pp) + 1))
+    return QSeries.sum_shifted(
+        ((eps, *term) for eps in (1, -1)
+         for n in range(-((a - eps * b + 2 * m) // (2 * pp)),
+                        (eps * b + 2 * m - a) // (2 * pp) + 1)
+         if (term := _f_term(eps * (a + 2 * pp * n), b, c, m, table)) is not None), pp)
 
 
 def x_configs(params: ModelParams) -> list[tuple[int, int, int]]:

@@ -226,6 +226,22 @@ class QSeries:
         return _reduced({k: c for k, c in acc.items()
                          if c and (cut is None or k < cut)}, den, cut)
 
+    @staticmethod
+    def sum_shifted(terms: Iterable[tuple[int, "QSeries", int]], den: int) -> "QSeries":
+        """sum sign * s * q^{key/den} over (sign, s, key) triples, each ``s``
+        exact with a denominator dividing the positive ``den``: the terms add
+        into one int-keyed dict, reduced once; an exact zero for no terms."""
+        acc: dict[int, int] = {}
+        get = acc.get
+        for sign, s, key in terms:
+            f, r = divmod(den, s._den)
+            if r or s._cut is not None:
+                raise ValueError(f"need exact series with denominators dividing {den}")
+            for k, c in s._terms.items():
+                e = k * f + key
+                acc[e] = get(e, 0) + sign * c
+        return QSeries.from_keys(acc, den)
+
     def __add__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
             return NotImplemented
@@ -510,9 +526,8 @@ def _supernomial2(L1: int, L2: int, twice_a: int) -> QSeries:
         return q_binomial(L1, idx2 // 4)
     # Descend in the second argument; the raised first argument reduces to
     # plain Gaussian binomials at L2=0.
-    up = _supernomial2(L1 + 2, L2 - 1, twice_a)
-    down = _supernomial2(L1, L2 - 1, twice_a)
-    return up - down.shift(L1 + L2)
+    return QSeries.sum_shifted(((1, _supernomial2(L1 + 2, L2 - 1, twice_a), 0),
+                                (-1, _supernomial2(L1, L2 - 1, twice_a), L1 + L2)), 1)
 
 
 def supernomial2(L1: int, L2: int, a: ExpLike) -> QSeries:
@@ -524,10 +539,7 @@ def supernomial2(L1: int, L2: int, a: ExpLike) -> QSeries:
     """
     if L1 < 0 or L2 < 0:
         raise ValueError("supernomial2 needs L1, L2 >= 0")
-    aa = Fraction(a)
-    if (2 * aa).denominator != 1:
+    twice_a = 2 * a if isinstance(a, int) else 2 * Fraction(a)
+    if twice_a.denominator != 1 or (twice_a + L1) % 2 != 0:
         return QSeries.zero(None)
-    twice_a = int(2 * aa)
-    if (twice_a + L1) % 2 != 0:
-        return QSeries.zero(None)
-    return _supernomial2(L1, L2, twice_a)
+    return _supernomial2(L1, L2, int(twice_a))

@@ -22,12 +22,10 @@ from .pathweights import (
     ModelParams,
     TauTable,
     b_of,
-    delta,
     config_sum_X,
     energy_gf,
     enumerate_paths,
     make_tau_table,
-    weight,
 )
 
 _TABLES: dict[ModelParams, TauTable] = {}
@@ -97,8 +95,8 @@ def I_m(params: ModelParams, r: int, a: int, b: int, m: int) -> QSeries:
     Exact Laurent polynomial in q (integer exponents).  Cached: the grading,
     i1, gen and iands checks build the same pieces.
     """
-    return QSeries.sum(sign * S(m, idx).shift(e)
-                       for sign, idx, e in _I_m_terms(params, r, a, b, m))
+    return QSeries.sum_shifted(((sign, S(m, idx), e)
+                                for sign, idx, e in _I_m_terms(params, r, a, b, m)), 1)
 
 
 def I_m_floor(params: ModelParams, r: int, a: int, b: int, m: int) -> Optional[int]:
@@ -173,11 +171,12 @@ def verify_IandS(params: ModelParams, r: int, a: int, b: int,
     I_m = sum_d q^{_end_shifts(d)} X_{a,d,b,m-1}, checked exactly for
     1 <= m <= m_max."""
     table = _table(params)
-    unit = 4 * params.p * params.pp
     return [check(f"iands p={params.p} p'={params.pp} r={r} a={a} b={b} m={m}",
                   I_m(params, r, a, b, m),
-                  QSeries.sum(config_sum_X(a, d, b, m - 1, table).shift(Fraction(e, unit))
-                              for d, e in _end_shifts(params, r, a, b, m).items()))
+                  QSeries.sum_shifted(
+                      ((1, config_sum_X(a, d, b, m - 1, table), e)
+                       for d, e in _end_shifts(params, r, a, b, m).items()),
+                      4 * params.p * params.pp))
             for m in range(1, m_max + 1)]
 
 
@@ -194,25 +193,19 @@ def rigged_path_gf(params: ModelParams, r: int, a: int,
     character.  This is a brute-force oracle: no product formula is used.
 
     The enumeration runs on integers in units of 1/(4 p p'), a common
-    denominator of every weight and conformal weight of the model; each
-    scaled weight and delta-difference is checked to be integral.
+    denominator of every weight and conformal weight of the model: a weight
+    is 4p times its entry in the table (in units of 1/p'), and
+    4pp' delta(r,s) = (r p' - s p)^2 - (p' - p)^2.
     """
     cut = Fraction(cutoff)
     b = b_of(r, a, params)
     table = _table(params)
-    unit = 4 * params.p * params.pp
-
-    def units(x: Fraction) -> int:
-        y = x * unit
-        if y.denominator != 1:
-            raise ArithmeticError(f"{x} is not a multiple of 1/{unit}")
-        return y.numerator
-
+    p, pp = params
+    unit = 4 * p * pp
     cut_u = math.ceil(cut * unit)  # an integer exponent e is < cut iff e < cut_u
-    w_u = {t: units(weight(*t, table)) for t in table.weights}
+    w_u = {t: 4 * p * w for t, w in table.weights.items()}
     # d_u[s] = delta(r, s) - delta(r, b), the delta-differences of the rules.
-    d_u = [0] + [units(delta(params, r, s) - delta(params, r, b))
-                 for s in range(1, params.pp)]
+    d_u = [0] + [(r * pp - s * p) ** 2 - (r * pp - b * p) ** 2 for s in range(1, pp)]
     shift = -d_u[a]
     acc: dict[int, int] = {}
 

@@ -12,6 +12,8 @@ integer-keyed internals:
   sum, product, shift, truncation, flip and comparison rules;
 - ``sum_over_m_every_term``: the m-sum that builds every term to decide
   whether it is silent, with no floor bound;
+- ``f_sum_by_slope``: the alternating f-sum with each exponent summed in
+  ``Fraction`` from the slope t = p'/p;
 - ``monomial``, ``support`` and ``coeff_sum``: small views of a series that
   only the tests need.
 """
@@ -19,11 +21,13 @@ integer-keyed internals:
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from qlab.qcore import QSeries, poch_inv
+from qlab.supernomial import S, S_tilde
 
 
 def monomial(exp, coeff: int = 1, cutoff=None) -> QSeries:
@@ -70,6 +74,47 @@ def sum_over_m_every_term(poly_of: Callable[[int], QSeries], cut, start: int = 0
             terms.append(poly * poch_inv(m, cut - poly.floor))
         m += 1
     return QSeries.sum(terms), m, True
+
+
+def f_sum_by_slope(a: int, b: int, c: int, m: int, table) -> QSeries:
+    """sum_{eps=+-1} eps sum_n f_{eps(a + 2p'n), b, c, m} for a on the strip,
+    each exponent summed in ``Fraction`` from the slope t = p'/p.  With
+    l = (b - a')/2 for the orbit point a', the exponent is m^2 - l^2 plus
+
+      c = b + 2:  l(l+1)/t + (m-l) frac((b+1)/t)
+      c = b:      l(l-1)/t + l (1 - frac((b-1)/t))
+      c = b - 2:  l(l-1)/t + (m+l) (1 - frac((b-1)/t)),
+
+    on the factor S_{m,l} or S~_{m,l} that the site labels pick (times q^m
+    or q^l on some).  Every n with |n| <= m + 1 is summed: S_{m,l} and
+    S~_{m,l} vanish for |l| > m, and that covers every n with |l| <= m."""
+    pp, t = table.params.pp, table.params.t
+    if (a - b) % 2 or c - b not in (-2, 0, 2) or not 1 <= c <= pp - 1:
+        return QSeries.zero(None)
+
+    def frac(x: Fraction) -> Fraction:
+        return x - math.floor(x)
+
+    up = frac((b + 1) / t)
+    gap = 1 - frac((b - 1) / t)
+    terms = []
+    for eps in (1, -1):
+        for n in range(-m - 1, m + 2):
+            l = (b - eps * (a + 2 * pp * n)) // 2
+            exp = Fraction(m * m - l * l)
+            if c == b + 2:
+                exp += l * (l + 1) / t + (m - l) * up
+                fac = S_tilde(m, l) if table.label(c) == "1A" else S(m, l)
+            elif c == b:
+                exp += l * (l - 1) / t + l * gap
+                fac = (S(m, l).shift(m) if table.label(b) in ("1A", "1B")
+                       else S_tilde(m, l).shift(l))
+            else:
+                exp += l * (l - 1) / t + (m + l) * gap
+                fac = (S(m, l) if table.label(c) in ("1A", "2")
+                       else S_tilde(m, l).shift(l))
+            terms.append(eps * fac.shift(exp))
+    return QSeries.sum(terms)
 
 
 def poch(m: int, cutoff=None) -> QSeries:

@@ -8,9 +8,11 @@ import pytest
 
 from qlab.pathweights import (
     ModelParams, TauTable, b_of, brute_config_sum_X, config_sum_X,
-    count_paths, delta, enumerate_paths, energy, make_tau_table, tau,
+    count_paths, delta, enumerate_paths, energy, f_sum, make_tau_table, tau,
     verify_Xandf, weight, x_configs,
 )
+
+from oracles import f_sum_by_slope
 
 F = Fraction
 
@@ -324,6 +326,18 @@ class TestConfigSums:
                 for m in (0, 2):
                     got = config_sum_X(a, b, c, m, table)
                     assert got.is_zero() and got.is_exact, (p, pp, a, b, c, m)
+
+    def test_f_sum_matches_slope_oracle(self):
+        # The integer exponent table against the slope formulas in Fraction.
+        n = 0
+        for p, pp in _strips(9):
+            table = make_tau_table(ModelParams(p, pp))
+            for a, b, c in x_configs(table.params):
+                for m in range(5):
+                    assert f_sum(a, b, c, m, table) == f_sum_by_slope(
+                        a, b, c, m, table), (p, pp, a, b, c, m)
+                    n += 1
+        assert n == 2410
 
     def test_alternating_closed_form(self):
         for key in _strips(12):

@@ -286,6 +286,58 @@ class TestAgainstFractionOracle:
             (1, 1), (F(7, 6), 1)]
 
 
+@st.composite
+def shifted_terms(draw):
+    """(den, [(sign, s, key)]): exact series whose denominators divide den,
+    signed big coefficients, negative keys included."""
+    den = draw(st.integers(1, 12))
+    divisors = [d for d in range(1, den + 1) if den % d == 0]
+    terms = []
+    for _ in range(draw(st.integers(0, 5))):
+        d = draw(st.sampled_from(divisors))
+        s = QSeries(draw(st.dictionaries(st.builds(F, st.integers(-30, 30), st.just(d)),
+                                         st.integers(-2 ** 80, 2 ** 80), max_size=6)))
+        terms.append((draw(st.sampled_from([1, -1, 3])), s, draw(st.integers(-60, 60))))
+    return den, terms
+
+
+class TestSumShifted:
+    @given(case=shifted_terms())
+    def test_matches_shifted_sums(self, case):
+        den, terms = case
+        got = QSeries.sum_shifted(iter(terms), den)
+        assert got == QSeries.sum(sign * s.shift(F(key, den)) for sign, s, key in terms)
+        assert RefSeries.of(got) == RefSeries.make(
+            (e + F(key, den), sign * c)
+            for sign, s, key in terms for e, c in RefSeries.of(s).terms.items())
+        assert got.is_exact
+        assert_canonical(got)
+
+    def test_cancels_to_an_exact_zero(self):
+        s = QSeries({F(-1, 4): 2 ** 90, 3: -7})
+        got = QSeries.sum_shifted([(1, s, -5), (-1, s, -5), (2, s, 3), (-1, 2 * s, 3)], 8)
+        assert got == QSeries.zero(None) and got.is_exact
+        assert QSeries.sum_shifted([], 6) == QSeries.zero(None)
+
+    def test_shared_factor_reduces_the_denominator(self):
+        # Keys 4 and 8 over 12 are thirds; keys 0 and 12 over 12 are integers.
+        s = QSeries({0: 1, 1: -2})
+        got = QSeries.sum_shifted([(1, s, 4), (-1, s, 8)], 12)
+        assert got == QSeries({F(1, 3): 1, F(2, 3): -1, F(4, 3): -2, F(5, 3): 2})
+        assert list(QSeries.sum_shifted([(1, s, 0), (1, s, 12)], 12).items()) == [
+            (0, 1), (1, -1), (2, -2)]
+
+    def test_rejects_truncated_series(self):
+        with pytest.raises(ValueError, match="exact"):
+            QSeries.sum_shifted([(1, QSeries.one(None), 0), (1, QSeries.one(5), 0)], 1)
+
+    def test_rejects_denominator_not_dividing(self):
+        with pytest.raises(ValueError, match="dividing 4"):
+            QSeries.sum_shifted([(1, monomial(F(1, 3)), 0)], 4)
+        with pytest.raises(ValueError):
+            QSeries.sum_shifted([(1, QSeries.one(None), 0)], 0)
+
+
 class TestJson:
     def test_shape_is_plain_data(self):
         s = QSeries({F(1, 2): 3, F(-1): 2}, F(5))
@@ -497,6 +549,9 @@ class TestSupernomial2:
 
     def test_half_odd_weight_vanishes(self):
         assert supernomial2(2, 1, F(1, 2)).is_zero()
+        # A weight that is not even a half-integer vanishes too.
+        for a in (F(1, 3), F(-5, 4), F(7, 6)):
+            assert supernomial2(2, 1, a).is_zero(), a
 
     def test_matches_single_sum_oracle(self):
         # The kernel's descent in L2 against the Schilling--Warnaar single
@@ -507,7 +562,10 @@ class TestSupernomial2:
             for L2 in range(7):
                 top = L1 + 2 * L2
                 for twice_a in range(-top - 2, top + 3):
-                    assert supernomial2(L1, L2, F(twice_a, 2)) == supernomial2_sum(
-                        L1, L2, twice_a), (L1, L2, twice_a)
+                    got = supernomial2(L1, L2, F(twice_a, 2))
+                    assert got == supernomial2_sum(L1, L2, twice_a), (L1, L2, twice_a)
+                    if twice_a % 2 == 0:
+                        # An int weight skips Fraction and gives the same series.
+                        assert supernomial2(L1, L2, twice_a // 2) == got, (L1, L2, twice_a)
                     n += 1
         assert n == 2079

@@ -4,14 +4,16 @@ from fractions import Fraction
 
 import pytest
 
+from qlab import pathweights
 from qlab.cli import run
 from qlab.fusionchar import unitary_params
 from qlab.pathweights import (
     ModelParams, b_of, count_paths, delta, energy, enumerate_paths, make_tau_table,
+    verify_Xandf,
 )
 from qlab.qcore import QSeries, poch_inv, sum_over_m
 from qlab.vircharacters import (
-    I_m, I_m_floor, path_side_GEN, rigged_path_gf, rocha_caridi, verify_GEN,
+    I_m, I_m_floor, _table, path_side_GEN, rigged_path_gf, rocha_caridi, verify_GEN,
     verify_IandS, verify_poch_inv_expansion, verify_rigged, verify_rocha2,
 )
 
@@ -203,6 +205,28 @@ class TestDecomposition:
                     b = b_of(r, a, params)
                     for case in verify_IandS(params, r, a, b, 4):
                         assert case.ok, (p, pp, r, a, case)
+
+
+def test_strip_kernels_build_no_fraction(monkeypatch):
+    # config_sum_X, f_sum and the I-and-S rebuild sum int keys over one
+    # denominator; only the tau table (slope t = p'/p) builds a Fraction.
+    params = ModelParams(5, 8)
+    table = _table(params)
+    monkeypatch.setattr(pathweights, "_X_CACHE", {})  # so every X is built
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    cases = verify_Xandf(table, 4) + [
+        case for r in range(1, params.p) for a in range(1, params.pp)
+        for case in verify_IandS(params, r, a, b_of(r, a, params), 4)]
+    monkeypatch.undo()
+    assert len(cases) == 377 and all(case.ok for case in cases)
+    assert built == []
 
 
 def _path_side_reference(params: ModelParams, r: int, a: int, b: int, m: int) -> QSeries:
