@@ -20,8 +20,8 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .supernomial import S_table, verify_S_recurrences
 from .pathweights import (
-    ModelParams, b_of, enumerate_paths, count_paths, energy_gf, make_tau_table,
-    verify_Xandf,
+    ModelParams, b_of, count_paths, enumerate_paths, make_tau_table, path_gf,
+    site_data, verify_Xandf,
 )
 from .vircharacters import (
     I_m, rocha_caridi, verify_GEN, verify_IandS, verify_poch_inv_expansion,
@@ -109,6 +109,7 @@ def _xandf(v):
 
 
 def _tau(v):
+    """One case per strip with p' <= --pp: ``site_data`` checks; nothing is weighed."""
     def run() -> list[CaseResult]:
         out = []
         for pp in range(4, v.pp + 1):
@@ -116,7 +117,7 @@ def _tau(v):
                 if not (p < pp < 2 * p) or math.gcd(p, pp) != 1:
                     continue
                 try:
-                    make_tau_table(ModelParams(p, pp))
+                    site_data(ModelParams(p, pp))
                     out.append(CaseResult(f"tau p={p} p'={pp}", True, "valid"))
                 except ValueError as exc:
                     out.append(CaseResult(f"tau p={p} p'={pp}", False, str(exc)))
@@ -356,19 +357,18 @@ def _cmd_char(args) -> int:
 
 def _cmd_paths(args) -> int:
     params = ModelParams(args.p, args.pp)
+    head = {"p": args.p, "pp": args.pp, "a": args.a, "b": args.b, "m": args.m}
     if args.count:
         n = count_paths(args.a, args.b, args.m, params)
         _emit(args, {"kind": "path-count", "count": n}, "count", [(n,)])
-        return 0
-    paths = enumerate_paths(args.a, args.b, args.m, params)
-    head = {"p": args.p, "pp": args.pp, "a": args.a, "b": args.b, "m": args.m}
-    if args.gf:
-        gf = energy_gf(paths, make_tau_table(params)).to_json_obj()
+    elif args.gf:
+        gf = path_gf(args.a, args.b, args.m, make_tau_table(params)).to_json_obj()
         _emit(args, {"kind": "path-gf", **head, "series": gf},
               "num,den,coeff", _terms(gf))
-        return 0
-    _emit(args, {"kind": "path-list", **head, "paths": [list(p) for p in paths]},
-          "path", [(" ".join(map(str, p)),) for p in paths])
+    else:
+        paths = enumerate_paths(args.a, args.b, args.m, params)
+        _emit(args, {"kind": "path-list", **head, "paths": [list(p) for p in paths]},
+              "path", [(" ".join(map(str, p)),) for p in paths])
     return 0
 
 

@@ -124,18 +124,15 @@ def abf_finitized(N: int, k: int, j: int, l: int) -> QSeries:
     if (l - j) % 2 != 0:
         return QSeries.zero(None)
     pq = (k + 2) * (k + 3)
-    terms = []
-    for base, lin, shift, sign in (
-        ((2 * N - l + j) // 2, (k + 3) * (j + 1) - (k + 2) * (l + 1), 0, 1),
-        ((2 * N - l - j - 2) // 2, -((k + 3) * (j + 1) + (k + 2) * (l + 1)),
-         (j + 1) * (l + 1), -1),
-    ):
-        lam_lo = -(base // (k + 3))
-        lam_hi = (2 * N - base) // (k + 3)
-        terms += [sign * q_binomial(2 * N, base + (k + 3) * lam).shift(
-                      pq * lam * lam + lin * lam + shift)
-                  for lam in range(lam_lo, lam_hi + 1)]
-    return QSeries.sum(terms).shift(Fraction((l - j) ** 2, 4))
+    # Every term is shifted by (l - j)^2 / 4, so the keys are over 4.
+    return QSeries.sum_shifted(
+        ((sign, q_binomial(2 * N, base + (k + 3) * lam),
+          4 * (pq * lam * lam + lin * lam + shift) + (l - j) ** 2)
+         for base, lin, shift, sign in (
+             ((2 * N - l + j) // 2, (k + 3) * (j + 1) - (k + 2) * (l + 1), 0, 1),
+             ((2 * N - l - j - 2) // 2, -((k + 3) * (j + 1) + (k + 2) * (l + 1)),
+              (j + 1) * (l + 1), -1))
+         for lam in range(-(base // (k + 3)), (2 * N - base) // (k + 3) + 1)), 4)
 
 
 def unitary_params(k: int) -> ModelParams:

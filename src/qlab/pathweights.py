@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterator, Mapping, NamedTuple, Optional
 
 from .qcore import QSeries
 from .report import CaseResult, check
@@ -83,16 +82,16 @@ class TauTable(NamedTuple):
 
 
 def _build_labels(params: ModelParams, taus: list[int]) -> list[str]:
-    pp, t = params.pp, params.t
+    p, pp = params
     labels = ["?"] * pp
-    if t <= Fraction(5, 3):
+    if 3 * pp <= 5 * p:  # t <= 5/3
         # Low-slope regime: the strip midpoint separates the two letters.
         for s in range(1, pp):
             if taus[s] == 2:
                 labels[s] = "2"
             else:
                 labels[s] = "1A" if 2 * s < pp else "1B"
-        if t > Fraction(3, 2):
+        if 2 * pp > 3 * p:  # t > 3/2
             # Here tau(2) = tau(p'-2) = 1 and both letters are pinned: the
             # two-step weight constraint forces 1B at site 2, and the strip
             # reflection forces its mirror to 1A.
@@ -113,7 +112,7 @@ def _build_labels(params: ModelParams, taus: list[int]) -> list[str]:
 
 
 def _validate_table(params: ModelParams, taus: list[int], labels: list[str]) -> None:
-    pp, t = params.pp, params.t
+    p, pp = params
 
     def fail(msg: str) -> None:
         raise ValueError(f"tau table invalid for (p,p')=({params.p},{params.pp}): {msg}")
@@ -132,7 +131,7 @@ def _validate_table(params: ModelParams, taus: list[int], labels: list[str]) -> 
             fail(f"tau({s}) != tau({pp - s})")
     if pp % 2 == 0 and taus[pp // 2] != 2:
         fail("even p' needs tau(p'/2) = 2")
-    if t > Fraction(3, 2):
+    if 2 * pp > 3 * p:  # t > 3/2
         if pp >= 3 and labels[2] != "1B":
             fail("site 2 must be 1B when t > 3/2")
         for s in range(1, pp - 1):
@@ -150,7 +149,7 @@ def _validate_table(params: ModelParams, taus: list[int], labels: list[str]) -> 
     for s in range(1, pp - 3):
         if labels[s] == "1B" and labels[s + 2] == "1A":
             fail(f"1B at {s} followed by 1A at {s + 2}")
-    if t > Fraction(5, 3):
+    if 3 * pp > 5 * p:  # t > 5/3
         # Runs of tau=1: the first has odd length, later ones even length;
         # letters alternate, every run ends in 1A.
         runs: list[tuple[int, int]] = []
@@ -181,7 +180,11 @@ def _validate_table(params: ModelParams, taus: list[int], labels: list[str]) -> 
 
 def _weights(params: ModelParams, taus: list[int], labels: list[str]) -> dict[Triple, int]:
     """p' * w(a, b, c) for every admissible triple, by the rules of ``weight``
-    in integers: with t = p'/p, 2/t = 2p/p' and frac(n/t) = (n p mod p')/p'."""
+    in integers: with t = p'/p, 2/t = 2p/p' and frac(n/t) = (n p mod p')/p'.
+    It cannot raise on sites ``site_data`` validated: every step pair of
+    ``_successors`` has a rule (no rest is on a wall; (-2, -2) needs b > 2,
+    (2, 2) needs b < p'-2), and the reflection check leaves every label one
+    of the three letters."""
     p, pp = params.p, params.pp
     x_of = {"1A": 2, "1B": 3, "2": 2}
     y_of = {"1A": 3, "1B": 2, "2": 4}
@@ -205,13 +208,18 @@ def _weights(params: ModelParams, taus: list[int], labels: list[str]) -> dict[Tr
     return out
 
 
-def make_tau_table(params: ModelParams) -> TauTable:
-    """Construct and fully revalidate the site table, then weigh every
-    admissible triple once; hard-fails on any defect."""
-    pp = params.pp
-    taus = [0] + [tau(params, s) for s in range(1, pp)]
+def site_data(params: ModelParams) -> tuple[list[int], list[str]]:
+    """The taus and labels of the sites 1..p'-1 (index 0 unused), checked
+    against every structural fact of the labelling; no triple is weighed."""
+    taus = [0] + [tau(params, s) for s in range(1, params.pp)]
     labels = _build_labels(params, taus)
     _validate_table(params, taus, labels)
+    return taus, labels
+
+
+def make_tau_table(params: ModelParams) -> TauTable:
+    """``site_data`` with every admissible triple weighed once; hard-fails."""
+    taus, labels = site_data(params)
     return TauTable(params, tuple(taus), tuple(labels), _weights(params, taus, labels))
 
 
@@ -275,32 +283,42 @@ def _check_path_ends(a: int, b: int, m: int, params: ModelParams) -> None:
             raise ValueError(f"site {s} off the strip")
 
 
-def enumerate_paths(a: int, b: int, m: int, params: ModelParams) -> list[Path]:
-    """All admissible paths (s_0, ..., s_m) with s_0 = a and s_m = b,
-    in lexicographic order."""
-    _check_path_ends(a, b, m, params)
-    out: list[Path] = []
-    succ = _successors(params.pp)
-    # Depth-first on an explicit stack of (position, site), so long paths
-    # need no recursion; ``prefix`` holds the sites before the popped one.
-    # A site goes on the stack only if b is still within reach of it, two
-    # sites per remaining step, which drops no path and keeps the order.
-    prefix: list[int] = []
-    stack = [(0, a)]
+def _walk(a: int, b: int, m: int, pp: int,
+          weights: Optional[Mapping[Triple, int]] = None,
+          prefix: Optional[list[int]] = None) -> Iterator[tuple[int, int]]:
+    """The one path enumerator: every admissible path (s_0, ..., s_m) from a
+    to b, m >= 1, depth first in lexicographic order; yields (s_{m-1}, sum_i
+    i * weights[s_{i-1}, s_i, s_{i+1}]) per path (0 without weights), while a
+    ``prefix`` list holding a holds s_0..s_{m-1}.  The stack holds (position,
+    previous site, site, running sum), so a step costs one weight lookup and
+    no path is built.  The last step, to b, is never pushed: at m = 1 only a is."""
+    succ = _successors(pp)
+    last = m - 1
+    # Pushed in descending order, so they pop in ascending order.
+    stack = ([(1, a, s, 0) for s in reversed(succ[a]) if abs(s - b) <= 2 * last]
+             if last else [(0, 0, a, 0)])
     while stack:
-        i, s = stack.pop()
-        del prefix[i:]
-        prefix.append(s)
-        if i == m:
-            if s == b:
-                out.append(tuple(prefix))
+        i, prev, s, acc = stack.pop()
+        if prefix is not None:
+            del prefix[i:]
+            prefix.append(s)
+        if i == last:
+            if b in succ[s]:
+                yield s, acc + i * weights[prev, s, b] if i and weights else acc
             continue
-        reach = 2 * (m - i - 1)
-        # Pushed in descending order, so they pop in ascending order.
+        reach = 2 * (last - i)  # b must lie within two sites per step left
         for s2 in reversed(succ[s]):
             if abs(s2 - b) <= reach:
-                stack.append((i + 1, s2))
-    return out
+                stack.append((i + 1, s, s2, acc + i * weights[prev, s, s2] if weights else acc))
+
+
+def enumerate_paths(a: int, b: int, m: int, params: ModelParams) -> list[Path]:
+    """All admissible paths (s_0, ..., s_m) with s_0 = a and s_m = b, in
+    lexicographic order: those of ``_walk``, read off its prefix, unweighed."""
+    _check_path_ends(a, b, m, params)
+    prefix = [a]
+    return ([(a,)] if m == 0 and a == b else
+            [(*prefix, b) for _ in _walk(a, b, m, params.pp, prefix=prefix)])
 
 
 def count_paths(a: int, b: int, m: int, params: ModelParams) -> int:
@@ -321,41 +339,30 @@ def count_paths(a: int, b: int, m: int, params: ModelParams) -> int:
     return vec[b]
 
 
-def energy_units(path: Path, table: TauTable) -> int:
-    """p' times the energy of the path: sum_i i * p' w(s_{i-1}, s_i, s_{i+1})
-    over interior positions, in ints from the weight table."""
-    w = table.weights
-    total = 0
-    for i in range(1, len(path) - 1):
-        wi = w.get((path[i - 1], path[i], path[i + 1]))
-        if wi is None:
-            weight(path[i - 1], path[i], path[i + 1], table)  # raises the reason
-        total += i * wi
-    return total
-
-
 def energy(path: Path, table: TauTable) -> Fraction:
-    """sum_i i * w(s_{i-1}, s_i, s_{i+1}) over interior positions of the path."""
-    return Fraction(energy_units(path, table), table.params.pp)
+    """sum_i i * w(s_{i-1}, s_i, s_{i+1}) over interior positions of the
+    path, in ints from the weight table; raises on an inadmissible triple."""
+    w = table.weights
+    units = 0
+    for i in range(1, len(path) - 1):
+        t = (path[i - 1], path[i], path[i + 1])
+        units += i * (w[t] if t in w else weight(*t, table))  # weight raises
+    return Fraction(units, table.params.pp)
 
 
-def energy_gf(paths: Iterable[Path], table: TauTable,
-              ends: Optional[Mapping[int, int]] = None) -> QSeries:
-    """Exact generating sum over ``paths`` of q^{E + ends[d] / (4pp')}, with
-    E = energy(path) and d the next-to-last site; a path without steps, or
-    no ``ends``, adds no end term.  4pp' is a common denominator of every
-    weight and conformal weight of the model.
-
-    Each path costs one int exponent; the exponents are counted in a dict
-    and the series is built once from the distinct ones.
-    """
-    # Units of 1/p' without end terms, else of 1/(4pp'), where 4pp' E = 4p
-    # energy_units.
-    k = 1 if ends is None else 4 * table.params.p
-    return QSeries.from_keys(Counter(
-        k * energy_units(path, table)
-        + (ends[path[-2]] if ends is not None and len(path) > 1 else 0)
-        for path in paths), k * table.params.pp)
+def path_gf(a: int, b: int, m: int, table: TauTable,
+            ends: Optional[Mapping[int, int]] = None) -> QSeries:
+    """Exact sum over the paths (s_0, ..., s_m) from a to b of q^{E +
+    ends[s_{m-1}] / (4pp')}, E the energy (no end term without ``ends`` or a
+    step); each path of ``_walk`` adds one int key over 4pp'."""
+    _check_path_ends(a, b, m, table.params)
+    p, pp = table.params
+    keys = {0: 1} if m == 0 and a == b else {}
+    ends = ends or dict.fromkeys(_successors(pp)[b], 0)
+    for d, e in _walk(a, b, m, pp, table.weights):  # nothing at m = 0
+        e = 4 * p * e + ends[d]
+        keys[e] = keys.get(e, 0) + 1
+    return QSeries.from_keys(keys, 4 * p * pp)
 
 
 def _x_valid(params: ModelParams, a: int, b: int, c: int) -> bool:
@@ -390,11 +397,12 @@ def config_sum_X(a: int, b: int, c: int, m: int, table: TauTable) -> QSeries:
 
 
 def brute_config_sum_X(a: int, b: int, c: int, m: int, table: TauTable) -> QSeries:
-    """Direct enumeration oracle for config_sum_X."""
+    """Direct enumeration oracle for config_sum_X; c enters as m w(s_{m-1}, b, c)."""
     params = table.params
     if not _x_valid(params, a, b, c):
         return QSeries.zero(None)
-    return energy_gf((path + (c,) for path in enumerate_paths(a, b, m, params)), table)
+    return path_gf(a, b, m, table, {d: 4 * params.p * m * table.weights[d, b, c]
+                                    for d in _successors(params.pp)[b]})
 
 
 # -- closed-form side of the configuration sum -------------------------------

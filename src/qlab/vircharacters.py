@@ -23,9 +23,9 @@ from .pathweights import (
     TauTable,
     b_of,
     config_sum_X,
-    energy_gf,
     enumerate_paths,
     make_tau_table,
+    path_gf,
 )
 
 _TABLES: dict[ModelParams, TauTable] = {}
@@ -148,13 +148,13 @@ def _end_shifts(params: ModelParams, r: int, a: int, b: int, m: int) -> dict[int
 def path_side_GEN(params: ModelParams, r: int, a: int, b: int, m: int) -> QSeries:
     """Path-sum form of I_m: sum over paths of q^{E + m*(boundary) + shift}.
 
-    Only defined at the weight-minimizing endpoint b = b_of(r, a).
+    Only defined at the weight-minimizing endpoint b = b_of(r, a).  One walk
+    of ``path_gf`` adds each path's int key; no path is built.
     """
     if b != b_of(r, a, params):
         raise ValueError("path generating sum requires the minimizing endpoint")
     # At m = 0 the only path is (a) with a = b, whose end shift is 0.
-    return energy_gf(enumerate_paths(a, b, m, params), _table(params),
-                     _end_shifts(params, r, a, b, m))
+    return path_gf(a, b, m, _table(params), _end_shifts(params, r, a, b, m))
 
 
 def verify_GEN(params: ModelParams, r: int, a: int, m_max: int) -> list[CaseResult]:
@@ -252,12 +252,7 @@ def rigged_path_gf(params: ModelParams, r: int, a: int,
     cap = int(cut) + 2
     m = 0
     while m <= cap and quiet < 3:
-        paths = enumerate_paths(a, b, m, params)
-        min_tight: Optional[int] = None
-        for path in paths:
-            t = add_riggings(path)
-            if min_tight is None or t < min_tight:
-                min_tight = t
+        min_tight = min(map(add_riggings, enumerate_paths(a, b, m, params)), default=None)
         if min_tight is None or min_tight >= cut_u:
             if seen:
                 quiet += 1

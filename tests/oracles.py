@@ -14,6 +14,9 @@ integer-keyed internals:
   whether it is silent, with no floor bound;
 - ``f_sum_by_slope``: the alternating f-sum with each exponent summed in
   ``Fraction`` from the slope t = p'/p;
+- ``walks`` and ``path_side_reference``: every step sequence from a site
+  filtered to the strip, the paths the library's walker must visit, and the
+  end-shifted path sum over them in ``Fraction``;
 - ``monomial``, ``support`` and ``coeff_sum``: small views of a series that
   only the tests need.
 """
@@ -24,8 +27,10 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, product
 from typing import Callable, Iterable, Optional
 
+from qlab.pathweights import ModelParams, delta, energy
 from qlab.qcore import QSeries, poch_inv
 from qlab.supernomial import S, S_tilde
 
@@ -115,6 +120,34 @@ def f_sum_by_slope(a: int, b: int, c: int, m: int, table) -> QSeries:
                        else S_tilde(m, l).shift(l))
             terms.append(eps * fac.shift(exp))
     return QSeries.sum(terms)
+
+
+def walks(a: int, m: int, pp: int) -> dict[int, list[tuple[int, ...]]]:
+    """Every step sequence in (-2, 0, 2)^m from a, kept when it stays on the
+    strip 1..p'-1 and never rests on a wall, grouped by its end b (a key for
+    every site), each group in lexicographic order."""
+    out: dict[int, list[tuple[int, ...]]] = {b: [] for b in range(1, pp)}
+    for steps in product((-2, 0, 2), repeat=m):
+        path = tuple(accumulate(steps, initial=a))
+        if all(1 <= s <= pp - 1 for s in path) and not any(
+                s == s2 in (1, pp - 1) for s, s2 in zip(path, path[1:])):
+            out[path[-1]].append(path)
+    return out
+
+
+def path_side_reference(params: ModelParams, table, r: int, a: int, b: int,
+                        m: int) -> QSeries:
+    """sum over the paths of ``walks`` from a to b of q^{energy(path) +
+    shift}, the shift summed in Fraction from its delta formula, with d the
+    next-to-last site: delta(r,b) - delta(r,a) + m (delta(r,d) - delta(r,b)
+    + [d == b])."""
+    def shift(path: tuple[int, ...]) -> Fraction:
+        d = path[-2] if m else b
+        return (delta(params, r, b) - delta(params, r, a)
+                + m * (delta(params, r, d) - delta(params, r, b) + (d == b)))
+
+    return QSeries((energy(path, table) + shift(path), 1)
+                   for path in walks(a, m, params.pp)[b])
 
 
 def poch(m: int, cutoff=None) -> QSeries:

@@ -15,11 +15,13 @@ from hypothesis import given, settings, strategies as st
 
 from fractions import Fraction
 
-from qlab import cli
+from qlab import cli, pathweights, vircharacters
 from qlab.cli import (
     _SUITE_ARGS, SUITES, Suite, _json_text, _run_chunks, build_parser, run,
 )
-from qlab.pathweights import ModelParams, make_tau_table
+from qlab.pathweights import (
+    ModelParams, brute_config_sum_X, config_sum_X, make_tau_table, x_configs,
+)
 from qlab.qcore import Comparison, QSeries
 from qlab.report import CaseResult, SuiteReport, check, first_failure
 
@@ -441,3 +443,36 @@ def test_records_are_immutable(record):
     for name in (*record._fields, "extra"):
         with pytest.raises(AttributeError):
             setattr(record, name, None)
+
+
+def _raises(*args, **kwargs):
+    raise AssertionError("called")
+
+
+def test_tau_suite_weighs_no_triple(monkeypatch, capsys):
+    # The site check validates taus and labels only; patching the weighing
+    # to raise leaves every byte of its report unchanged.
+    argv = ["verify", "tau", "--pp", "40"]
+    assert run(argv) == 0
+    want = capsys.readouterr().out
+    monkeypatch.setattr(pathweights, "_weights", _raises)
+    assert run(argv) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_path_sums_build_no_path_list(monkeypatch, capsys):
+    # verify gen, the X oracle and paths --gf sum through the walker alone;
+    # enumerate_paths is patched to raise under every name bound to it.
+    argv = ["paths", "--p", "5", "--pp", "8", "--a", "1", "--b", "1", "--m", "8", "--gf"]
+    assert run(argv) == 0
+    want = capsys.readouterr().out
+    for module in (pathweights, vircharacters, cli):
+        monkeypatch.setattr(module, "enumerate_paths", _raises)
+    assert run(argv) == 0
+    assert capsys.readouterr().out == want
+    params = ModelParams(5, 8)
+    table = make_tau_table(params)
+    assert all(case.ok for r in range(1, 5) for a in range(1, 8)
+               for case in vircharacters.verify_GEN(params, r, a, 5))
+    for a, b, c in x_configs(params):
+        assert brute_config_sum_X(a, b, c, 4, table) == config_sum_X(a, b, c, 4, table)

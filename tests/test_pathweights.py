@@ -2,17 +2,20 @@
 
 import math
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import product
 
 import pytest
 
+from qlab import pathweights
 from qlab.pathweights import (
     ModelParams, TauTable, b_of, brute_config_sum_X, config_sum_X,
-    count_paths, delta, enumerate_paths, energy, f_sum, make_tau_table, tau,
-    verify_Xandf, weight, x_configs,
+    count_paths, delta, enumerate_paths, energy, f_sum, make_tau_table,
+    path_gf, site_data, tau, verify_Xandf, weight, x_configs,
 )
+from qlab.qcore import QSeries
+from qlab.vircharacters import path_side_GEN
 
-from oracles import f_sum_by_slope
+from oracles import f_sum_by_slope, path_side_reference, walks
 
 F = Fraction
 
@@ -83,9 +86,10 @@ class TestTauTable:
             (5, 7): ["1A", "2", "1A", "1B", "2", "2"],
             (4, 7): ["1A", "1B", "1A", "1B", "1A", "2"],
             (5, 8): ["1A", "1B", "1A", "2", "1B", "1A", "2"],
+            (3, 5): ["1A", "1B", "1A", "2"],  # t = 5/3, the low-slope edge
         }
         for m, labels in want.items():
-            table = TABLES[m]
+            table = make_tau_table(ModelParams(*m))
             assert [table.label(b) for b in range(1, m[1])] == labels, m
 
     def test_tau_values_match_floor_formula(self):
@@ -96,16 +100,43 @@ class TestTauTable:
                 floors = math.floor((b + 1) / t) - math.floor((b - 1) / t)
                 assert table.taus[b] == floors == tau(params, b)
 
+    def test_site_check_and_table_raise_alike(self, monkeypatch):
+        build = pathweights._build_labels
+
+        def one_letter_swapped(params, taus):
+            # 1A <-> 1B at the last tau=1 site: site 1 or a reflection pair
+            labels = build(params, taus)
+            s = max(x for x in range(1, params.pp) if taus[x] == 1)
+            labels[s] = "1B" if labels[s] == "1A" else "1A"
+            return labels
+
+        for patch in (("_build_labels", one_letter_swapped),
+                      ("tau", lambda params, b: 3)):
+            with monkeypatch.context() as mp:
+                mp.setattr(pathweights, *patch)
+                for p, pp in _strips(40):
+                    params = ModelParams(p, pp)
+                    with pytest.raises(ValueError) as site_err:
+                        site_data(params)
+                    with pytest.raises(ValueError) as table_err:
+                        make_tau_table(params)
+                    assert str(site_err.value) == str(table_err.value), (patch[0], p, pp)
+                    assert str(site_err.value).startswith("tau table invalid"), (p, pp)
+
     def test_sweep_validates(self):
-        # every admissible strip up to width 24 builds without complaint
+        # every admissible strip up to width 40 builds without complaint, and
+        # the site check (site_data, as verify tau runs it) agrees with it
         n = 0
-        for pp in range(4, 25):
+        for pp in range(4, 41):
             for p in range(3, pp):
                 if p < pp < 2 * p and math.gcd(p, pp) == 1:
-                    table = make_tau_table(ModelParams(p, pp))
+                    params = ModelParams(p, pp)
+                    table = make_tau_table(params)
                     assert isinstance(table, TauTable)
+                    taus, labels = site_data(params)
+                    assert (tuple(taus), tuple(labels)) == (table.taus, table.labels)
                     n += 1
-        assert n > 50
+        assert n == 243
 
 
 class TestWeight:
@@ -276,22 +307,30 @@ class TestPaths:
             fn(a, b, m, ModelParams(3, 4))
 
     def test_enumeration_matches_walk_oracle(self):
-        # Every step sequence in (-2, 0, 2)^m from a, kept when it stays on
-        # the strip and never rests on a wall, grouped by its end: the same
-        # paths in the same (lexicographic) order as enumerate_paths.
+        # The filtered step sequences of ``walks`` are the paths of
+        # enumerate_paths in the same (lexicographic) order, and every sum of
+        # the walker equals the sum of per-path ``energy`` in Fraction over
+        # them: plain (paths --gf), with the end shifts of path_side_GEN, and
+        # with a final site c (brute_config_sum_X).
         for p, pp in _strips(9):
             params = ModelParams(p, pp)
+            table = make_tau_table(params)
             for a in range(1, pp):
                 for m in range(7):
-                    walks: dict[int, list[tuple[int, ...]]] = {b: [] for b in range(1, pp)}
-                    for steps in product((-2, 0, 2), repeat=m):
-                        path = tuple(accumulate(steps, initial=a))
-                        if all(1 <= s <= pp - 1 for s in path) and not any(
-                                s == s2 in (1, pp - 1) for s, s2 in zip(path, path[1:])):
-                            walks[path[-1]].append(path)
-                    for b, want in walks.items():
-                        assert enumerate_paths(a, b, m, params) == want, (p, pp, a, b, m)
-                        assert count_paths(a, b, m, params) == len(want), (p, pp, a, b, m)
+                    for b, want in walks(a, m, pp).items():
+                        case = (p, pp, a, b, m)
+                        assert enumerate_paths(a, b, m, params) == want, case
+                        assert count_paths(a, b, m, params) == len(want), case
+                        assert path_gf(a, b, m, table) == QSeries(
+                            (energy(path, table), 1) for path in want), case
+                        for c in (b - 2, b, b + 2):
+                            if _step_ok(b, c, pp):
+                                assert brute_config_sum_X(a, b, c, m, table) == QSeries(
+                                    (energy(path + (c,), table), 1) for path in want), (*case, c)
+                        for r in range(1, p):
+                            if b_of(r, a, params) == b:
+                                assert path_side_GEN(params, r, a, b, m) == path_side_reference(
+                                    params, table, r, a, b, m), (*case, r)
 
     def test_energy_of_forced_path(self):
         table = TABLES[(3, 4)]

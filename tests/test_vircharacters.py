@@ -8,16 +8,15 @@ from qlab import pathweights
 from qlab.cli import run
 from qlab.fusionchar import unitary_params
 from qlab.pathweights import (
-    ModelParams, b_of, count_paths, delta, energy, enumerate_paths, make_tau_table,
-    verify_Xandf,
+    ModelParams, b_of, count_paths, make_tau_table, verify_Xandf,
 )
 from qlab.qcore import QSeries, poch_inv, sum_over_m
 from qlab.vircharacters import (
-    I_m, I_m_floor, _table, path_side_GEN, rigged_path_gf, rocha_caridi, verify_GEN,
+    I_m, I_m_floor, path_side_GEN, rigged_path_gf, rocha_caridi, verify_GEN,
     verify_IandS, verify_poch_inv_expansion, verify_rigged, verify_rocha2,
 )
 
-from oracles import coeff_sum, sum_over_m_every_term
+from oracles import coeff_sum, path_side_reference, sum_over_m_every_term
 from test_pathweights import _strips
 from test_qcore import partitions
 
@@ -190,12 +189,13 @@ class TestDecomposition:
     def test_path_sum_matches_fraction_reference(self):
         for p, pp in _strips(9):
             params = ModelParams(p, pp)
+            table = make_tau_table(params)
             for r in range(1, p):
                 for a in range(1, pp):
                     b = b_of(r, a, params)
                     for m in range(6):
-                        assert (path_side_GEN(params, r, a, b, m)
-                                == _path_side_reference(params, r, a, b, m)), (p, pp, r, a, m)
+                        assert path_side_GEN(params, r, a, b, m) == path_side_reference(
+                            params, table, r, a, b, m), (p, pp, r, a, m)
 
     def test_Im_splits_over_last_step(self):
         for p, pp in _strips(9):
@@ -208,10 +208,9 @@ class TestDecomposition:
 
 
 def test_strip_kernels_build_no_fraction(monkeypatch):
-    # config_sum_X, f_sum and the I-and-S rebuild sum int keys over one
-    # denominator; only the tau table (slope t = p'/p) builds a Fraction.
+    # The site tables compare the slope t = p'/p in ints, and config_sum_X,
+    # f_sum and the I-and-S rebuild sum int keys over one denominator.
     params = ModelParams(5, 8)
-    table = _table(params)
     monkeypatch.setattr(pathweights, "_X_CACHE", {})  # so every X is built
     built = []
     new = Fraction.__new__
@@ -221,27 +220,14 @@ def test_strip_kernels_build_no_fraction(monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
-    cases = verify_Xandf(table, 4) + [
+    tables = [make_tau_table(ModelParams(p, pp)) for p, pp in _strips(40)]
+    cases = verify_Xandf(make_tau_table(params), 4) + [
         case for r in range(1, params.p) for a in range(1, params.pp)
         for case in verify_IandS(params, r, a, b_of(r, a, params), 4)]
     monkeypatch.undo()
+    assert len(tables) == 243
     assert len(cases) == 377 and all(case.ok for case in cases)
     assert built == []
-
-
-def _path_side_reference(params: ModelParams, r: int, a: int, b: int, m: int) -> QSeries:
-    """sum over paths of q^{energy(path) + shift}, the shift summed in
-    Fraction from its delta formula, with d the next-to-last site:
-    delta(r,b) - delta(r,a) + m (delta(r,d) - delta(r,b) + [d == b])."""
-    table = make_tau_table(params)
-
-    def shift(path: tuple[int, ...]) -> Fraction:
-        d = path[-2] if m else b
-        return (delta(params, r, b) - delta(params, r, a)
-                + m * (delta(params, r, d) - delta(params, r, b) + (d == b)))
-
-    return QSeries((energy(path, table) + shift(path), 1)
-                   for path in enumerate_paths(a, b, m, params))
 
 
 class TestRiggedOracle:
