@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .qcore import QSeries, poch_inv, q_binomial, sum_over_m, supernomial2
+from .qcore import QSeries, poch_inv, poch_sum, q_binomial, sum_over_m, supernomial2
 from .report import CaseResult, check, first_failure
 from .supernomial import S, string_sum
 from .pathweights import ModelParams, delta
@@ -57,14 +57,13 @@ def level1_char(i: int, cutoff: int | Fraction) -> dict[int, QSeries]:
     at weight 2n+i is q^{n^2 + n i} / (q)_infinity."""
     if i not in (0, 1):
         raise ValueError("sector must be 0 or 1")
-    cut = Fraction(cutoff)
     comps: dict[int, QSeries] = {}
     n = 0
-    while n * n + n * i < cut or n * n - n * i < cut:
+    while n * n + n * i < cutoff or n * n - n * i < cutoff:
         for nn in {n, -n}:
             e = nn * nn + nn * i
-            if e < cut:
-                comps[2 * nn + i] = poch_inv(None, cut - e).shift(e)
+            if e < cutoff:
+                comps[2 * nn + i] = poch_inv(cutoff - e).shift(e)
         n += 1
     return comps
 
@@ -73,11 +72,10 @@ def verify_pi2pi3(cutoff: int | Fraction) -> list[CaseResult]:
     """Level-one character per weight component: the weight-2l component is
     ``string_sum(l)``, a q^{m^2}/(q)_m-weighted sum of the flipped
     three-dimensional string components S_{m,l}(q)."""
-    cut = Fraction(cutoff)
-    lhs = level1_char(0, cut)
-    return [check(f"pi2pi3 l={l}", string_sum(l, cut),
-                  lhs.get(2 * l, QSeries.zero(None)).truncate(cut))
-            for l in range(-math.isqrt(int(cut)) - 1, math.isqrt(int(cut)) + 2)]
+    lhs = level1_char(0, cutoff)
+    return [check(f"pi2pi3 l={l}", string_sum(l, cutoff),
+                  lhs.get(2 * l, QSeries.zero(None)).truncate(cutoff))
+            for l in range(-math.isqrt(int(cutoff)) - 1, math.isqrt(int(cutoff)) + 2)]
 
 
 def verify_pmn(N_max: int) -> list[CaseResult]:
@@ -147,17 +145,12 @@ def graded_13_char(k: int, r: int, s: int, m: int,
     q^{delta(r,s)} I_{r,s,r+i,m} / (q)_m with i = r - s mod 2.
 
     ``cutoff`` counts degrees above the leading exponent delta(r,s); the
-    returned series is truncated below delta(r,s) + cutoff.  The product is
+    returned series is truncated below delta(r,s) + cutoff.  The quotient is
     formed on the integer exponents of I_m and shifted by delta(r,s) once.
     """
     params = unitary_params(k)
     i = (r - s) % 2
-    d = delta(params, r, s)
-    cut = Fraction(cutoff)
-    poly = I_m(params, r, s, r + i, m)
-    if poly.is_zero():
-        return QSeries.zero(d + cut)
-    return (poly * poch_inv(m, cut - poly.floor)).shift(d)
+    return poch_sum({m: I_m(params, r, s, r + i, m)}, cutoff).shift(delta(params, r, s))
 
 
 def verify_grading(k: int, m_max: int, cutoff: int | Fraction) -> list[CaseResult]:
@@ -168,7 +161,6 @@ def verify_grading(k: int, m_max: int, cutoff: int | Fraction) -> list[CaseResul
     route otherwise) as exact polynomial identities."""
     params = unitary_params(k)
     p, pp = params.p, params.pp
-    cut = Fraction(cutoff)
     out = []
     for r in range(1, p):
         for s in range(1, pp):
@@ -177,7 +169,7 @@ def verify_grading(k: int, m_max: int, cutoff: int | Fraction) -> list[CaseResul
 
             neg = []
             for m in range(m_max + 1):
-                g = graded_13_char(k, r, s, m, cut)
+                g = graded_13_char(k, r, s, m, cutoff)
                 # Only a piece with a negative coefficient needs its exponents.
                 if min(g.coeffs(), default=0) < 0:
                     neg.extend(f"m={m} q^{e}" for e, c in g.items() if c < 0)
@@ -186,11 +178,11 @@ def verify_grading(k: int, m_max: int, cutoff: int | Fraction) -> list[CaseResul
                 "all coefficients >= 0" if not neg else "negative at " + ", ".join(neg[:4])))
 
             # The m-th term, shifted by d, is the graded piece
-            # graded_13_char(k, r, s, m, cut); the sum is shifted once.
+            # graded_13_char(k, r, s, m, cutoff); the sum is shifted once.
             total, _, _ = sum_over_m(lambda m: I_m(params, r, s, r + i, m),
-                                     lambda m: I_m_floor(params, r, s, r + i, m), cut)
+                                     lambda m: I_m_floor(params, r, s, r + i, m), cutoff)
             out.append(check(f"grading-sum k={k} r={r} s={s}", total.shift(d),
-                             rocha_caridi(params, r, s, cut).shift(d)))
+                             rocha_caridi(params, r, s, cutoff).shift(d)))
 
             def routes(m: int):
                 direct = I_m(params, r, s, r + i, m)

@@ -393,48 +393,65 @@ def compare(a: QSeries, b: QSeries) -> Comparison:
     return Comparison(True, below)
 
 
-# -- Pochhammer inverse ----------------------------------------------------
+# -- Pochhammer sums ------------------------------------------------------
+
+
+def poch_sum(terms: Mapping[int, QSeries], cutoff: CutoffLike) -> QSeries:
+    """sum_m terms[m] / (q)_m truncated below cutoff, on one dense int list.
+
+    Each term must be exact with integer exponents, and every m >= 0.  The
+    list runs from the least floor of the terms to the last integer below
+    ``cutoff``; it is folded back to front, as in the nested form
+    A_0 + (A_1 + (A_2 + ...)/(1 - q^2))/(1 - q): add terms[m], then divide
+    by 1 - q^m in place, so no factor 1/(q)_m is formed.
+    """
+    if cutoff is None:
+        raise ValueError("poch_sum requires a finite cutoff")
+    den = _den(cutoff)
+    cut = _key(cutoff, den)
+    if any(m < 0 or t._cut is not None or t._den != 1 for m, t in terms.items()):
+        raise ValueError("poch_sum needs m >= 0 and exact terms with integer exponents")
+    lo = min((min(t._terms) for t in terms.values() if t._terms), default=0)
+    size = -(-cut // den) - lo  # the exponents lo .. ceil(cutoff) - 1, if any
+    c = [0] * size
+    for m in range(max(terms, default=0), -1, -1):
+        if m in terms:
+            for k, v in terms[m]._terms.items():
+                if k - lo < size:
+                    c[k - lo] += v
+        # Divide by 1 - q^m: c[n] += c[n - m] for ascending n, as a running
+        # sum along each residue class when there are few, else one block of
+        # m entries at a time, each reading the updated block below it.
+        if 0 < m < size and m * m < size:
+            for r in range(m):
+                c[r::m] = accumulate(c[r::m])
+        elif 0 < m < size:
+            for b in range(m, size, m):
+                c[b:b + m] = map(add, c[b:b + m], c[b - m:b])
+    # cutoff is in lowest terms, so den is already least.
+    return _new({(lo + n) * den: v for n, v in enumerate(c) if v}, den, cut)
 
 
 @lru_cache(maxsize=None, typed=True)
-def poch_inv(m: Optional[int], cutoff: CutoffLike) -> QSeries:
-    """1/(q)_m truncated below cutoff; m=None gives 1/(q)_infinity.
-
-    Coefficient of q^n is the number of partitions of n into parts <= m.
-    Cached: the m-sums ask for the same factor many times.  ``typed`` keeps
-    an int and a float cutoff apart, so a float still raises ``TypeError``.
+def poch_inv(cutoff: CutoffLike) -> QSeries:
+    """1/(q)_infinity below cutoff: q^n counts the partitions of n.  Parts
+    at or above the cutoff never fit, so it is 1/(q)_m at m = ceil(cutoff).
+    Cached, as every character divides by it; ``typed`` keeps an int and a
+    float cutoff apart, so a float still raises ``TypeError``.
     """
-    if cutoff is None:
-        raise ValueError("poch_inv requires a finite cutoff")
-    if m is not None and m < 0:
-        raise ValueError("poch_inv needs m >= 0 or m=None")
-    den = _den(cutoff)
-    cut = _key(cutoff, den)
-    n_max = -(-cut // den) - 1  # largest integer n < cutoff
-    if n_max < 0:
-        return QSeries.zero(cutoff)
-    coeffs = [1] + [0] * n_max
-    top = n_max if m is None else min(m, n_max)
-    for part in range(1, top + 1):
-        # coeffs[n] += coeffs[n - part] for ascending n, one block of
-        # ``part`` entries at a time: each block reads the one below it,
-        # which is already updated.
-        for lo in range(part, n_max + 1, part):
-            coeffs[lo:lo + part] = map(add, coeffs[lo:lo + part], coeffs[lo - part:lo])
-    # Keys n * den with the key 0 present are already in least terms.
-    return _new({n * den: c for n, c in enumerate(coeffs) if c}, den, cut)
+    m = 0 if cutoff is None else max(math.ceil(cutoff), 0)
+    return poch_sum({m: QSeries.one()}, cutoff)
 
 
-def sum_over_m(poly_of: Callable[[int], QSeries],
-               floor_of: Callable[[int], Optional[ExpLike]], cut: ExpLike,
-               start: int = 0, cap: Optional[int] = None) -> tuple[QSeries, int, bool]:
-    """sum_{m >= start} poly_of(m) / (q)_m below ``cut``.
+def sum_over_m(poly_of: Callable[[int], QSeries], floor_of: Callable[[int], Optional[ExpLike]],
+               cut: ExpLike) -> tuple[QSeries, int, bool]:
+    """sum_{m >= 0} poly_of(m) / (q)_m below ``cut``, through ``poch_sum``.
 
     A term is silent when its polynomial is zero or starts at or above
     ``cut``.  Zero polynomials before the first non-silent term are skipped;
-    the sum stops after three consecutive silent terms, or once m > cap
-    (default int(cut) + 2).  Returns (total, m, capped): the m at which the
-    sum stopped, and whether the cap stopped it.
+    the sum stops after three consecutive silent terms, or once m > cap =
+    int(cut) + 2.  Returns (total, m, capped): the m at which the sum
+    stopped, and whether the cap stopped it.
 
     ``floor_of(m)`` is a lower bound on the least exponent of poly_of(m), or
     None only if poly_of(m) is zero.  After the first non-silent term, an m
@@ -444,27 +461,25 @@ def sum_over_m(poly_of: Callable[[int], QSeries],
     so the total and the stop m, are those of building every term.  A built
     polynomial that starts below its bound raises ``ArithmeticError``.
     """
-    cap = int(cut) + 2 if cap is None else cap
-    terms = [QSeries.zero(cut)]  # gives an empty sum its cutoff
+    cap = int(cut) + 2
+    live: dict[int, QSeries] = {}
     quiet = 0
-    seen = False
-    m = start
+    m = 0
     while m <= cap:
         bound = floor_of(m)
-        poly = None if bound is None or (seen and bound >= cut) else poly_of(m)
+        poly = None if bound is None or (live and bound >= cut) else poly_of(m)
         if poly and poly.floor < bound:
             raise ArithmeticError(
                 f"term m={m} starts at q^{poly.floor}, below its bound q^{bound}")
         if poly and poly.floor < cut:
-            seen = True
+            live[m] = poly
             quiet = 0
-            terms.append(poly * poch_inv(m, cut - poly.floor))
-        elif seen or poly:  # silent; a leading zero is skipped
+        elif live or poly:  # silent; a leading zero is skipped
             quiet += 1
             if quiet == 3:
-                return QSeries.sum(terms), m, False
+                return poch_sum(live, cut), m, False
         m += 1
-    return QSeries.sum(terms), m, True
+    return poch_sum(live, cut), m, True
 
 
 # -- binomial family --------------------------------------------------------

@@ -63,10 +63,10 @@ def S_floor(m: int, l: int) -> Optional[int]:
 
 def string_sum(l: int, cutoff: ExpLike) -> QSeries:
     """sum_{m >= |l|} q^{m^2} S_{m,l}(q) / (q)_m below ``cutoff``."""
-    # S_{m,l} is nonzero for every m >= |l|, so its floor is never None.
+    # S_{m,l} is zero exactly for m < |l|: leading zeros, skipped unbuilt.
     return sum_over_m(lambda m: S(m, l).shift(m * m),
-                      lambda m: S_floor(m, l) + m * m, cutoff,
-                      abs(l), int(cutoff) + abs(l) + 4)[0]
+                      lambda m: None if m < abs(l) else S_floor(m, l) + m * m,
+                      cutoff)[0]
 
 
 SImpl = Callable[[int, int], QSeries]

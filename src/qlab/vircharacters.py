@@ -51,19 +51,18 @@ def rocha_caridi(params: ModelParams, r: int, s: int, cutoff: int | Fraction) ->
     q^{lam^2 p p' + lam (p' r + p s) + r s}, divided by (q)_infinity.
     """
     _check_rs(params, r, s)
-    cut = Fraction(cutoff)
-    if cut <= 0:
-        return QSeries.zero(cut)
+    if cutoff <= 0:
+        return QSeries.zero(cutoff)
     p, pp = params.p, params.pp
     n = p * pp
-    bound = int(cut)
+    bound = int(cutoff)
     terms: list[tuple[int, int]] = []
     for beta, shift, sign in ((pp * r - p * s, 0, 1), (pp * r + p * s, r * s, -1)):
-        # lam^2 n + lam beta + shift < cut; widen the root window by 2.
+        # lam^2 n + lam beta + shift < cutoff; widen the root window by 2.
         lam_max = (abs(beta) + math.isqrt(abs(beta) ** 2 + 4 * n * max(bound, 1))) // (2 * n) + 2
         terms += [(lam * lam * n + lam * beta + shift, sign)
                   for lam in range(-lam_max, lam_max + 1)]
-    return QSeries(terms, cut) * poch_inv(None, cut)
+    return QSeries(terms, cutoff) * poch_inv(cutoff)
 
 
 def _I_m_terms(params: ModelParams, r: int, a: int, b: int,
@@ -115,17 +114,12 @@ def verify_rocha2(params: ModelParams, r: int, a: int, b: int,
                   cutoff: int | Fraction) -> CaseResult:
     """Check sum_m I_m / (q)_m against the alternating-sum character.
 
-    The m-sum follows the shared stop rule of ``sum_over_m``: I_m is silent
-    when it is zero or supported entirely at or above the cutoff, leading
-    zero terms are skipped, and the sum stops after three consecutive silent
-    terms or past the hard cap m <= cutoff + 2.  ``I_m_floor`` bounds each
-    I_m from below, so a term the bound proves silent after the first live
-    one is not built; the stop rule and the m it stops at are unchanged.
+    The m-sum is ``sum_over_m`` with ``I_m_floor`` as the bound; the detail
+    names the m at which its stop rule stopped.
     """
-    cut = Fraction(cutoff)
-    target = rocha_caridi(params, r, a, cut)
+    target = rocha_caridi(params, r, a, cutoff)
     total, m, capped = sum_over_m(lambda m: I_m(params, r, a, b, m),
-                                  lambda m: I_m_floor(params, r, a, b, m), cut)
+                                  lambda m: I_m_floor(params, r, a, b, m), cutoff)
     cmp = compare(total, target)
     case_id = f"rocha2 p={params.p} p'={params.pp} r={r} a={a} b={b}"
     detail = cmp.detail() + (f"; hard cap m<={m - 1} hit" if capped else f"; m summed to {m}")
@@ -197,12 +191,11 @@ def rigged_path_gf(params: ModelParams, r: int, a: int,
     is 4p times its entry in the table (in units of 1/p'), and
     4pp' delta(r,s) = (r p' - s p)^2 - (p' - p)^2.
     """
-    cut = Fraction(cutoff)
     b = b_of(r, a, params)
     table = _table(params)
     p, pp = params
     unit = 4 * p * pp
-    cut_u = math.ceil(cut * unit)  # an integer exponent e is < cut iff e < cut_u
+    cut_u = math.ceil(cutoff * unit)  # an integer exponent e is < cutoff iff e < cut_u
     w_u = {t: 4 * p * w for t, w in table.weights.items()}
     # d_u[s] = delta(r, s) - delta(r, b), the delta-differences of the rules.
     d_u = [0] + [(r * pp - s * p) ** 2 - (r * pp - b * p) ** 2 for s in range(1, pp)]
@@ -249,7 +242,7 @@ def rigged_path_gf(params: ModelParams, r: int, a: int,
 
     quiet = 0
     seen = False
-    cap = int(cut) + 2
+    cap = int(cutoff) + 2
     m = 0
     while m <= cap and quiet < 3:
         min_tight = min(map(add_riggings, enumerate_paths(a, b, m, params)), default=None)
@@ -260,7 +253,7 @@ def rigged_path_gf(params: ModelParams, r: int, a: int,
             seen = True
             quiet = 0
         m += 1
-    return QSeries(((Fraction(e, unit), c) for e, c in acc.items()), cut)
+    return QSeries.from_keys(acc, unit).truncate(cutoff)
 
 
 def verify_rigged(params: ModelParams, r: int, a: int,
@@ -272,7 +265,6 @@ def verify_rigged(params: ModelParams, r: int, a: int,
 def verify_poch_inv_expansion(l_max: int, cutoff: int | Fraction) -> list[CaseResult]:
     """For each |l| <= l_max: 1/(q)_infinity = sum_m q^{m^2 - l^2} S_{m,l} / (q)_m,
     the pi2pi3 identity divided by q^{l^2}."""
-    cut = Fraction(cutoff)
-    target = poch_inv(None, cut)
-    return [check(f"pochsum l={l}", string_sum(l, cut + l * l).shift(-l * l), target)
+    target = poch_inv(cutoff)
+    return [check(f"pochsum l={l}", string_sum(l, cutoff + l * l).shift(-l * l), target)
             for l in range(-l_max, l_max + 1)]

@@ -10,8 +10,11 @@ integer-keyed internals:
   Gaussian binomials, themselves built by the q-Pascal rule;
 - ``RefSeries``: a ``Fraction``-keyed sparse series with the straightforward
   sum, product, shift, truncation, flip and comparison rules;
+- ``poch_inv_parts``: 1/(q)_m built one part size at a time, uncached,
+  the reference for the library's back-to-front ``poch_sum`` fold;
 - ``sum_over_m_every_term``: the m-sum that builds every term to decide
-  whether it is silent, with no floor bound;
+  whether it is silent, with no floor bound, each term times its own
+  ``poch_inv_parts`` factor;
 - ``f_sum_by_slope``: the alternating f-sum with each exponent summed in
   ``Fraction`` from the slope t = p'/p;
 - ``walks`` and ``path_side_reference``: every step sequence from a site
@@ -28,10 +31,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
+from operator import add
 from typing import Callable, Iterable, Optional
 
 from qlab.pathweights import ModelParams, delta, energy
-from qlab.qcore import QSeries, poch_inv
+from qlab.qcore import QSeries
 from qlab.supernomial import S, S_tilde
 
 
@@ -50,6 +54,22 @@ def coeff_sum(s: QSeries) -> int:
     if not s.is_exact:
         raise ValueError("coeff_sum requires an exact series")
     return sum(s.coeffs())
+
+
+def poch_inv_parts(m: int, cutoff) -> QSeries:
+    """1/(q)_m truncated below cutoff: the coefficient of q^n is the number
+    of partitions of n into parts <= m, added one part size at a time."""
+    n_max = math.ceil(Fraction(cutoff)) - 1  # the largest integer below cutoff
+    if n_max < 0:
+        return QSeries.zero(cutoff)
+    coeffs = [1] + [0] * n_max
+    for part in range(1, min(m, n_max) + 1):
+        # coeffs[n] += coeffs[n - part] for ascending n, one block of
+        # ``part`` entries at a time: each block reads the one below it,
+        # which is already updated.
+        for lo in range(part, n_max + 1, part):
+            coeffs[lo:lo + part] = map(add, coeffs[lo:lo + part], coeffs[lo - part:lo])
+    return QSeries(dict(enumerate(coeffs)), cutoff)
 
 
 def sum_over_m_every_term(poly_of: Callable[[int], QSeries], cut, start: int = 0,
@@ -76,7 +96,7 @@ def sum_over_m_every_term(poly_of: Callable[[int], QSeries], cut, start: int = 0
         else:
             seen = True
             quiet = 0
-            terms.append(poly * poch_inv(m, cut - poly.floor))
+            terms.append(poly * poch_inv_parts(m, cut - poly.floor))
         m += 1
     return QSeries.sum(terms), m, True
 

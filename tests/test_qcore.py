@@ -10,12 +10,12 @@ from hypothesis import given, settings, strategies as st
 from qlab.cli import run
 from qlab.pathweights import ModelParams, delta
 from qlab.qcore import (
-    QSeries, compare, poch_inv, q_binomial, sum_over_m, supernomial2,
+    QSeries, compare, poch_inv, poch_sum, q_binomial, sum_over_m, supernomial2,
 )
 
 from oracles import (
-    RefSeries, coeff_sum, exact_div, monomial, poch, sum_over_m_every_term, support,
-    supernomial2_sum,
+    RefSeries, coeff_sum, exact_div, monomial, poch, poch_inv_parts,
+    sum_over_m_every_term, support, supernomial2_sum,
 )
 from test_pathweights import _strips
 
@@ -362,45 +362,48 @@ class TestCompare:
 
 class TestPochhammer:
     def test_inverse_matches_partition_recurrence(self):
-        series = poch_inv(None, F(41))
-        expect = partitions(40)
-        for n in range(41):
-            assert series.coeff(F(n)) == expect[n], n
+        expect = partitions(2000)
+        for cut in (F(41), 2001):
+            series, n = poch_inv(cut), int(cut)
+            assert [series.coeff(k) for k in range(n)] == expect[:n], cut
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5])
     def test_bounded_parts(self, m):
-        series = poch_inv(m, F(26))
+        # 1/(q)_m is the Pochhammer sum of the single term 1 at m.
+        series = poch_sum({m: QSeries.one()}, F(26))
         expect = restricted_partitions(m, 25)
         for n in range(26):
             assert series.coeff(F(n)) == expect[n], (m, n)
+        assert series == poch_inv_parts(m, F(26))
 
     @pytest.mark.parametrize("m", [0, 1, 4])
     def test_product_with_poch_is_one(self, m):
-        prod = poch(m) * poch_inv(m, F(20))
+        prod = poch(m) * poch_sum({m: QSeries.one()}, F(20))
         assert compare(prod, QSeries.one(F(20))).ok
 
     def test_cached_factors_match_a_fresh_build_after_use(self, capsys):
-        # ``verify grading`` multiplies cached factors into its pieces; none
-        # of them may change under that use.
+        # ``verify grading`` multiplies cached factors into its characters;
+        # none of them may change under that use.
         assert run(["verify", "grading"]) == 0
         capsys.readouterr()
         cuts = [c for n in range(-1, 62) for c in (n, F(n))]
         cuts += sorted({delta(ModelParams(p, pp), r, s) + 41 for p, pp in _strips(9)
                         for r in range(1, p) for s in range(1, pp)})
-        for m in (None, *range(9)):
-            for cut in cuts:
-                assert poch_inv(m, cut) == poch_inv.__wrapped__(m, cut), (m, cut)
+        for cut in cuts:
+            assert poch_inv(cut) == poch_inv.__wrapped__(cut), cut
 
     def test_float_cutoff_raises_after_int_is_cached(self):
-        poch_inv(3, 4)
+        poch_inv(4)
         with pytest.raises(TypeError):
-            poch_inv(3, 4.0)
+            poch_inv(4.0)
 
     @pytest.mark.parametrize("m,cut", [(-1, 5), (3, None), (None, None)])
     def test_bad_arguments_raise_on_every_call(self, m, cut):
+        # m=None is 1/(q)_infinity, the cached poch_inv; a finite m is the
+        # single-term Pochhammer sum.
         for _ in range(2):
             with pytest.raises(ValueError):
-                poch_inv(m, cut)
+                poch_inv(cut) if m is None else poch_sum({m: QSeries.one()}, cut)
 
     def test_exact_div_rejects_remainder(self):
         with pytest.raises(ArithmeticError):
@@ -410,6 +413,32 @@ class TestPochhammer:
         got = exact_div(poch(4), poch(2))
         want = QSeries({0: 1, 3: -1}, None) * QSeries({0: 1, 4: -1}, None)
         assert got == want
+
+
+big_coeffs = st.one_of(st.integers(-9, 9), st.sampled_from([10**30, -10**30]),
+                       st.integers(-10**30, 10**30))
+int_polys = st.dictionaries(st.integers(-6, 12), big_coeffs, max_size=5).map(QSeries)
+
+
+class TestPochSum:
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(st.integers(0, 8), int_polys, max_size=4), st.data())
+    def test_fold_matches_a_factor_per_term(self, terms, data):
+        # Cutoffs: ints, fractions, a term's own exponent, and below them all.
+        exps = [e for t in terms.values() for e in support(t)]
+        choices = [st.integers(-8, 16), st.builds(F, st.integers(-24, 48), st.integers(1, 4))]
+        if exps:
+            choices += [st.sampled_from(exps), st.just(min(exps) - 1)]
+        cut = data.draw(st.one_of(*choices))
+        want = QSeries.sum([QSeries.zero(cut)] + [
+            a * poch_inv_parts(m, cut - a.floor) for m, a in terms.items() if a])
+        assert poch_sum(terms, cut) == want
+
+    @pytest.mark.parametrize("terms", [
+        {1: QSeries.one(5)}, {2: monomial(F(1, 2))}, {-1: QSeries.one()}])
+    def test_bad_terms_raise(self, terms):
+        with pytest.raises(ValueError):
+            poch_sum(terms, 10)
 
 
 def floor_or_none(s: QSeries):
@@ -424,7 +453,7 @@ class TestSumOverM:
             return QSeries.one(None) if m == 5 else QSeries.zero(None)
 
         total, m, capped = sum_over_m(poly_of, lambda m: floor_or_none(poly_of(m)), 10)
-        assert total == poch_inv(5, 10)
+        assert total == poch_inv_parts(5, 10)
         assert (m, capped) == (8, False)
 
     def test_stops_after_three_silent_terms(self):
@@ -438,17 +467,17 @@ class TestSumOverM:
         total, m, capped = sum_over_m(poly_of, lambda m: 0, 10)
         assert seen == [0, 1, 2, 3, 4, 5]
         assert (m, capped) == (5, False)
-        assert total == poch_inv(0, 10) + poch_inv(2, 10)
+        assert total == poch_inv_parts(0, 10) + poch_inv_parts(2, 10)
 
     def test_leading_terms_above_the_cut_count(self):
         total, m, capped = sum_over_m(lambda m: monomial(50), lambda m: 50, 10)
         assert (m, capped, total) == (2, False, QSeries.zero(10))
 
     def test_cap_sets_capped(self):
-        total, m, capped = sum_over_m(lambda m: QSeries.one(None), lambda m: 0, 10,
-                                      start=2, cap=4)
-        assert (m, capped) == (5, True)
-        assert total == poch_inv(2, 10) + poch_inv(3, 10) + poch_inv(4, 10)
+        # Every term is live, so only the cap int(cut) + 2 = 12 stops the sum.
+        total, m, capped = sum_over_m(lambda m: QSeries.one(None), lambda m: 0, 10)
+        assert (m, capped) == (13, True)
+        assert total == QSeries.sum(poch_inv_parts(m, 10) for m in range(13))
 
     def test_provably_silent_terms_are_not_built(self):
         # A leading zero, live at m = 1, then a zero and two terms at or above
@@ -465,7 +494,7 @@ class TestSumOverM:
         got = sum_over_m(poly_of, lambda m: floor_or_none(polys[m]), 10)
         assert built == [1]
         assert got == sum_over_m_every_term(polys.__getitem__, 10) == (
-            poch_inv(1, 10), 4, False)
+            poch_inv_parts(1, 10), 4, False)
 
     def test_term_below_its_bound_raises(self):
         with pytest.raises(ArithmeticError, match="below its bound"):

@@ -6,17 +6,18 @@ import pytest
 
 from qlab import pathweights
 from qlab.cli import run
-from qlab.fusionchar import unitary_params
+from qlab.fusionchar import graded_13_char, unitary_params, verify_pi2pi3
 from qlab.pathweights import (
     ModelParams, b_of, count_paths, make_tau_table, verify_Xandf,
 )
-from qlab.qcore import QSeries, poch_inv, sum_over_m
+from qlab.qcore import poch_sum, sum_over_m
+from qlab.supernomial import string_sum
 from qlab.vircharacters import (
     I_m, I_m_floor, path_side_GEN, rigged_path_gf, rocha_caridi, verify_GEN,
     verify_IandS, verify_poch_inv_expansion, verify_rigged, verify_rocha2,
 )
 
-from oracles import coeff_sum, path_side_reference, sum_over_m_every_term
+from oracles import coeff_sum, sum_over_m_every_term
 from test_pathweights import _strips
 from test_qcore import partitions
 
@@ -163,10 +164,7 @@ class TestDecomposition:
     def test_witness_holds_when_every_m_is_summed(self, p, pp, r, a, b, qmax):
         # With every m <= cut + 2 summed and no quiet stop, the identity holds.
         params, cut = ModelParams(p, pp), F(qmax + 1)
-        polys = (I_m(params, r, a, b, m) for m in range(int(cut) + 3))
-        total = QSeries.sum([QSeries.zero(cut)] + [
-            poly * poch_inv(m, cut - poly.floor)
-            for m, poly in enumerate(polys) if poly and poly.floor < cut])
+        total = poch_sum({m: I_m(params, r, a, b, m) for m in range(int(cut) + 3)}, cut)
         assert total == rocha_caridi(params, r, a, cut)
 
     def test_detail_names_where_the_sum_stopped(self):
@@ -185,17 +183,6 @@ class TestDecomposition:
                 for a in range(1, pp):
                     for case in verify_GEN(params, r, a, 4):
                         assert case.ok, (p, pp, r, a, case)
-
-    def test_path_sum_matches_fraction_reference(self):
-        for p, pp in _strips(9):
-            params = ModelParams(p, pp)
-            table = make_tau_table(params)
-            for r in range(1, p):
-                for a in range(1, pp):
-                    b = b_of(r, a, params)
-                    for m in range(6):
-                        assert path_side_GEN(params, r, a, b, m) == path_side_reference(
-                            params, table, r, a, b, m), (p, pp, r, a, m)
 
     def test_Im_splits_over_last_step(self):
         for p, pp in _strips(9):
@@ -224,10 +211,23 @@ def test_strip_kernels_build_no_fraction(monkeypatch):
     cases = verify_Xandf(make_tau_table(params), 4) + [
         case for r in range(1, params.p) for a in range(1, params.pp)
         for case in verify_IandS(params, r, a, b_of(r, a, params), 4)]
+    # The m-sums and the rigged oracle keep an int cutoff an int.
+    sums = [verify_rocha2(params, 2, 3, 5, 21), *verify_poch_inv_expansion(3, 26),
+            *verify_pi2pi3(26), verify_rigged(ISING, 1, 1, 13)]
     monkeypatch.undo()
     assert len(tables) == 243
     assert len(cases) == 377 and all(case.ok for case in cases)
+    assert len(sums) == 22 and all(case.ok for case in sums)
     assert built == []
+
+
+def test_float_cutoff_raises_type_error():
+    for call in (lambda: rocha_caridi(ISING, 1, 1, 41.0),
+                 lambda: graded_13_char(1, 1, 1, 2, 41.0),
+                 lambda: string_sum(0, 41.0),
+                 lambda: verify_rocha2(ISING, 1, 1, 1, 41.0)):
+        with pytest.raises(TypeError):
+            call()
 
 
 class TestRiggedOracle:
