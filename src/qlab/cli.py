@@ -35,6 +35,9 @@ from .report import CaseResult, SuiteReport
 
 FIVE_MODELS = ((3, 4), (4, 5), (5, 7), (4, 7), (5, 8))
 
+# The most paths ``paths --list`` and ``--gf`` walk; ``--count`` walks none.
+PATH_WALK_LIMIT = 10 ** 6
+
 # (p, p', r, a, b); the b != b_of rows exercise the free endpoint choice.
 ROCHA2_INSTANCES = (
     (3, 4, 1, 1, 1), (3, 4, 1, 1, 3), (3, 4, 1, 2, 2),
@@ -358,9 +361,11 @@ def _cmd_char(args) -> int:
 def _cmd_paths(args) -> int:
     params = ModelParams(args.p, args.pp)
     head = {"p": args.p, "pp": args.pp, "a": args.a, "b": args.b, "m": args.m}
+    n = count_paths(args.a, args.b, args.m, params)
     if args.count:
-        n = count_paths(args.a, args.b, args.m, params)
         _emit(args, {"kind": "path-count", "count": n}, "count", [(n,)])
+    elif n > PATH_WALK_LIMIT:
+        raise ValueError(f"{n} paths is over the walk limit {PATH_WALK_LIMIT}; use --count")
     elif args.gf:
         gf = path_gf(args.a, args.b, args.m, make_tau_table(params)).to_json_obj()
         _emit(args, {"kind": "path-gf", **head, "series": gf},

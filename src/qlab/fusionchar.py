@@ -43,9 +43,9 @@ def verify_exact_sequence_chars(k1_max: int, k2_max: int) -> list[CaseResult]:
     strings: [2k1, k2; a] = [2k1-2, k2+1; a] + q^{2k1+k2-1} [2k1-2, k2; a]."""
     def weights(k1: int, k2: int):
         for a in range(-(k1 + k2), k1 + k2 + 1):
-            yield (f"a={a}", supernomial2(2 * k1, k2, a),
-                   supernomial2(2 * k1 - 2, k2 + 1, a)
-                   + supernomial2(2 * k1 - 2, k2, a).shift(2 * k1 + k2 - 1))
+            yield (f"a={a}", supernomial2(2 * k1, k2, a), QSeries.sum_shifted(
+                ((1, supernomial2(2 * k1 - 2, k2 + 1, a), 0),
+                 (1, supernomial2(2 * k1 - 2, k2, a), 2 * k1 + k2 - 1)), 1))
 
     return [first_failure(f"exactseq k1={k1} k2={k2}", weights(k1, k2),
                           "exact for all weights")
@@ -85,28 +85,28 @@ def verify_pmn(N_max: int) -> list[CaseResult]:
     for N in range(N_max + 1):
         for l in range(-N, N + 1):
             lhs = q_binomial(2 * N, N + l).flip().shift(N * N)
-            rhs = QSeries.sum((q_binomial(N, m) * S(m, l)).shift(m * m)
-                              for m in range(abs(l), N + 1))
+            rhs = QSeries.sum_shifted(((1, q_binomial(N, m) * S(m, l), m * m)
+                                       for m in range(abs(l), N + 1)), 1)
             out.append(check(f"pmn N={N} l={l}", lhs, rhs))
     return out
 
 
 def euler_multiplicity(V: dict[int, QSeries], k: int, l: int) -> QSeries:
     """Alternating Weyl sum extracting the level-k sector-l multiplicity:
-    sum_lam q^{-(k+2) lam^2 + (l+1) lam} (V^{2(k+2)lam - l} - V^{2(k+2)lam - l - 2}).
+    sum_lam q^{-(k+2) lam^2 + (l+1) lam} (V^{2(k+2)lam - l} - V^{2(k+2)lam - l - 2}),
+    read off the entries of ``V``; those must be exact with integer exponents
+    (``QSeries.sum_shifted`` over denominator 1 raises ``ValueError`` otherwise).
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    if not V:
-        return QSeries.zero(None)
     step = 2 * (k + 2)
-    lam_lo = -(-(min(V) + l) // step)
-    lam_hi = (max(V) + l + 2) // step
-    zero = QSeries.zero(None)
-    return QSeries.sum(
-        (V.get(step * lam - l, zero) - V.get(step * lam - l - 2, zero))
-        .shift(-(k + 2) * lam * lam + (l + 1) * lam)
-        for lam in range(lam_lo, lam_hi + 1))
+    # An entry at weight w is the + term of lam = (w + l) / step or the -
+    # term of lam = (w + l + 2) / step, whichever is an integer (never both).
+    return QSeries.sum_shifted(
+        ((sign, series, -(k + 2) * lam * lam + (l + 1) * lam)
+         for w, series in V.items()
+         for sign, (lam, r) in ((1, divmod(w + l, step)), (-1, divmod(w + l + 2, step)))
+         if r == 0), 1)
 
 
 def abf_finitized(N: int, k: int, j: int, l: int) -> QSeries:
@@ -122,15 +122,16 @@ def abf_finitized(N: int, k: int, j: int, l: int) -> QSeries:
     if (l - j) % 2 != 0:
         return QSeries.zero(None)
     pq = (k + 2) * (k + 3)
-    # Every term is shifted by (l - j)^2 / 4, so the keys are over 4.
+    # Every term is shifted by (l - j)^2 / 4, an integer as l = j (mod 2).
+    off = ((l - j) // 2) ** 2
     return QSeries.sum_shifted(
         ((sign, q_binomial(2 * N, base + (k + 3) * lam),
-          4 * (pq * lam * lam + lin * lam + shift) + (l - j) ** 2)
+          pq * lam * lam + lin * lam + shift + off)
          for base, lin, shift, sign in (
              ((2 * N - l + j) // 2, (k + 3) * (j + 1) - (k + 2) * (l + 1), 0, 1),
              ((2 * N - l - j - 2) // 2, -((k + 3) * (j + 1) + (k + 2) * (l + 1)),
               (j + 1) * (l + 1), -1))
-         for lam in range(-(base // (k + 3)), (2 * N - base) // (k + 3) + 1)), 4)
+         for lam in range(-(base // (k + 3)), (2 * N - base) // (k + 3) + 1)), 1)
 
 
 def unitary_params(k: int) -> ModelParams:
@@ -190,7 +191,8 @@ def verify_grading(k: int, m_max: int, cutoff: int | Fraction) -> list[CaseResul
                     V = convolve({2 * l: S(m, l) for l in range(-m, m + 1)},
                                  weight_string(r - 1))
                     alt = euler_multiplicity(V, k + 1, s - 1)
-                    return alt.shift(m * m), direct.shift(Fraction((s - r) ** 2, 4))
+                    # i = 0 means s = r (mod 2), so (s - r)^2 / 4 is an int.
+                    return alt.shift(m * m), direct.shift(((s - r) // 2) ** 2)
                 return I_m(params, p - r, pp - s, p - r, m), direct
 
             out.append(first_failure(
@@ -224,7 +226,7 @@ def verify_abf(k: int, N: int, deg: int) -> list[CaseResult]:
                 out.append(CaseResult(case_id, True, "vanishes identically")
                            if fin.is_zero() else check(case_id, fin, QSeries.zero(None)))
                 continue
-            off = Fraction((l - j) ** 2, 4)
+            off = ((l - j) // 2) ** 2
             out.append(check(case_id, fin, rocha_caridi(
-                params, j + 1, l + 1, Fraction(deg + 1) - off).shift(off)))
+                params, j + 1, l + 1, deg + 1 - off).shift(off)))
     return out

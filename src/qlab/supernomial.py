@@ -21,10 +21,10 @@ def _s_family(m: int, l: int, e: int) -> QSeries:
     S~ at e = 1."""
     if m < 0:
         raise ValueError("S needs m >= 0")
-    return QSeries.sum(
-        (q_binomial(m, nu) * inner).shift((nu + l - m) * (nu + l - e) + nu * (nu - m))
-        for nu in range(m + 1)
-        if not (inner := q_binomial(nu, m - l - nu)).is_zero())
+    return QSeries.sum_shifted(
+        ((1, q_binomial(m, nu) * inner, (nu + l - m) * (nu + l - e) + nu * (nu - m))
+         for nu in range(m + 1)
+         if not (inner := q_binomial(nu, m - l - nu)).is_zero()), 1)
 
 
 def S(m: int, l: int) -> QSeries:
@@ -73,35 +73,23 @@ SImpl = Callable[[int, int], QSeries]
 
 
 def _identity_table(s: SImpl, st: SImpl):
-    # Each entry: name -> (lhs, rhs) as callables of (m, l); identities hold
-    # for all integers l, stepping m -> m+1.
+    # Each entry: name -> (lhs, rhs (series, int shift) terms) as callables
+    # of (m, l); identities hold for all integers l, stepping m -> m+1.
     return {
-        "sym": lambda m, l: (s(m, -l), s(m, l)),
-        "sym~": lambda m, l: (st(m, -l), st(m, l).shift(l)),
-        "rec1": lambda m, l: (
-            s(m + 1, l),
-            s(m, l + 1).shift(-m - l - 1) + s(m, l) + st(m, l - 1).shift(-m + l - 1),
-        ),
-        "rec2": lambda m, l: (
-            s(m + 1, l),
-            s(m, l + 1).shift(-m - l - 1) + st(m, l).shift(-m) + s(m, l - 1),
-        ),
-        "rec3": lambda m, l: (
-            s(m + 1, l),
-            st(m, l + 1).shift(-m) + s(m, l) + s(m, l - 1).shift(-m + l - 1),
-        ),
-        "rec4": lambda m, l: (
-            st(m + 1, l),
-            s(m, l + 1).shift(-l) + s(m, l) + st(m, l - 1).shift(-m + l - 1),
-        ),
-        "rec5": lambda m, l: (
-            st(m + 1, l),
-            s(m, l + 1).shift(-l) + st(m, l).shift(-m) + s(m, l - 1),
-        ),
-        "rec6": lambda m, l: (
-            st(m + 1, l),
-            st(m, l + 1).shift(-m - l) + s(m, l).shift(-l) + s(m, l - 1),
-        ),
+        "sym": lambda m, l: (s(m, -l), ((s(m, l), 0),)),
+        "sym~": lambda m, l: (st(m, -l), ((st(m, l), l),)),
+        "rec1": lambda m, l: (s(m + 1, l), (
+            (s(m, l + 1), -m - l - 1), (s(m, l), 0), (st(m, l - 1), -m + l - 1))),
+        "rec2": lambda m, l: (s(m + 1, l), (
+            (s(m, l + 1), -m - l - 1), (st(m, l), -m), (s(m, l - 1), 0))),
+        "rec3": lambda m, l: (s(m + 1, l), (
+            (st(m, l + 1), -m), (s(m, l), 0), (s(m, l - 1), -m + l - 1))),
+        "rec4": lambda m, l: (st(m + 1, l), (
+            (s(m, l + 1), -l), (s(m, l), 0), (st(m, l - 1), -m + l - 1))),
+        "rec5": lambda m, l: (st(m + 1, l), (
+            (s(m, l + 1), -l), (st(m, l), -m), (s(m, l - 1), 0))),
+        "rec6": lambda m, l: (st(m + 1, l), (
+            (st(m, l + 1), -m - l), (s(m, l), -l), (s(m, l - 1), 0))),
     }
 
 
@@ -110,12 +98,16 @@ def verify_S_recurrences(m_max: int,
                          s_tilde_impl: SImpl = S_tilde) -> list[CaseResult]:
     """Check the symmetry and all six step recurrences for 0 <= m < m_max,
     |l| <= m + 1.  Failures are collected, not raised, so a deliberately
-    perturbed implementation shows up as failing cases.
+    perturbed implementation shows up as failing cases.  Both implementations
+    must give exact series with integer exponents, or ``sum_shifted`` raises
+    ``ValueError``.
     """
     table = _identity_table(s_impl, s_tilde_impl)
-    return [check(f"relS {name} m={m} l={l}", *pair(m, l))
+    return [check(f"relS {name} m={m} l={l}", lhs,
+                  QSeries.sum_shifted(((1, t, k) for t, k in terms), 1))
             for name, pair in table.items()
-            for m in range(m_max) for l in range(-(m + 1), m + 2)]
+            for m in range(m_max) for l in range(-(m + 1), m + 2)
+            for lhs, terms in (pair(m, l),)]
 
 
 def S_table(m_max: int, l_max: Optional[int] = None) -> dict:

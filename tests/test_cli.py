@@ -460,6 +460,21 @@ def test_tau_suite_weighs_no_triple(monkeypatch, capsys):
     assert capsys.readouterr().out == want
 
 
+@pytest.mark.parametrize("mode", ["--gf", "--list"])
+def test_paths_over_the_walk_limit_are_refused_unwalked(mode, monkeypatch, capsys):
+    # m = 20 on (5,8) has 3,312,555 paths: refused on their count, before a
+    # single step is walked, as a one-line usage error; --count still answers.
+    argv = ["paths", "--p", "5", "--pp", "8", "--a", "1", "--b", "1", "--m", "20"]
+    monkeypatch.setattr(pathweights, "_walk", _raises)
+    assert run(argv + [mode]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"qlab: error: 3312555 paths is over the walk limit "
+                            f"{cli.PATH_WALK_LIMIT}; use --count\n")
+    assert run(argv + ["--count"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 3312555
+
+
 def test_path_sums_build_no_path_list(monkeypatch, capsys):
     # verify gen, the X oracle and paths --gf sum through the walker alone;
     # enumerate_paths is patched to raise under every name bound to it.

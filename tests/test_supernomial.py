@@ -88,18 +88,29 @@ def test_recurrences_all_pass():
     assert not bad, bad[:5]
 
 
-def test_recurrences_catch_perturbation():
-    # corrupt one value; the suite must notice
-    def s_bad(m, l):
-        poly = S(m, l)
-        if (m, l) == (3, 0):
-            return poly + monomial(F(-1))
-        return poly
+def _bumped(family, at):
+    """``family`` with q^-1 added to its value at (m, l) = ``at``."""
+    def impl(m, l):
+        poly = family(m, l)
+        return poly + monomial(F(-1)) if (m, l) == at else poly
+    return impl
 
-    checks = verify_S_recurrences(5, s_impl=s_bad, s_tilde_impl=S_tilde)
+
+@pytest.mark.parametrize("s_tilde_impl,rec1_m3_l1", [
+    (S_tilde, None),
+    # S~(3,0) enters rec1 at m=3, l=1 only as a right-hand term times q^-3
+    (_bumped(S_tilde, (3, 0)), "first mismatch at q^-4: 3 != 4"),
+], ids=["S-only", "S-and-S_tilde"])
+def test_recurrences_catch_perturbation(s_tilde_impl, rec1_m3_l1):
+    # corrupt one value of S, and in the second input one of S~ too; the
+    # suite must notice each
+    checks = verify_S_recurrences(5, s_impl=_bumped(S, (3, 0)),
+                                  s_tilde_impl=s_tilde_impl)
     first = next(c for c in checks if not c.ok)
     assert first.case_id == "relS rec1 m=2 l=0"
     assert first.detail == "first mismatch at q^-1: 2 != 1"
+    (case,) = [c for c in checks if c.case_id == "relS rec1 m=3 l=1"]
+    assert (None if case.ok else case.detail) == rec1_m3_l1
 
 
 def test_table_export():

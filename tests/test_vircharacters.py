@@ -6,12 +6,15 @@ import pytest
 
 from qlab import pathweights
 from qlab.cli import run
-from qlab.fusionchar import graded_13_char, unitary_params, verify_pi2pi3
+from qlab.fusionchar import (
+    graded_13_char, unitary_params, verify_abf, verify_exact_sequence_chars,
+    verify_pi2pi3, verify_pmn,
+)
 from qlab.pathweights import (
     ModelParams, b_of, count_paths, make_tau_table, verify_Xandf,
 )
 from qlab.qcore import poch_sum, sum_over_m
-from qlab.supernomial import string_sum
+from qlab.supernomial import string_sum, verify_S_recurrences
 from qlab.vircharacters import (
     I_m, I_m_floor, path_side_GEN, rigged_path_gf, rocha_caridi, verify_GEN,
     verify_IandS, verify_poch_inv_expansion, verify_rigged, verify_rocha2,
@@ -214,10 +217,14 @@ def test_strip_kernels_build_no_fraction(monkeypatch):
     # The m-sums and the rigged oracle keep an int cutoff an int.
     sums = [verify_rocha2(params, 2, 3, 5, 21), *verify_poch_inv_expansion(3, 26),
             *verify_pi2pi3(26), verify_rigged(ISING, 1, 1, 13)]
+    # Sums of integer-shifted exact series run in int keys over 1.
+    shifted = [*verify_abf(2, 8, 7), *verify_S_recurrences(7), *verify_pmn(6),
+               *verify_exact_sequence_chars(4, 4)]
     monkeypatch.undo()
     assert len(tables) == 243
     assert len(cases) == 377 and all(case.ok for case in cases)
     assert len(sums) == 22 and all(case.ok for case in sums)
+    assert len(shifted) == 585 and all(case.ok for case in shifted)
     assert built == []
 
 
