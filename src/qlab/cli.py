@@ -236,7 +236,7 @@ SUITES: dict[str, Suite] = {
     "grading": Suite(
         "graded filtration pieces: nonnegative, sum to the character, "
         "and match the alternating fused-string route",
-        {"k": None, "mmax": 6, "qmax": 40}, {"mmax": 4, "qmax": 30, "k": None},
+        {"k": None, "mmax": 6, "qmax": 40}, {"mmax": 4, "qmax": 30},
         _grading),
     "i1": Suite(
         "odd sectors equal their reflected partners piece by piece",

@@ -6,36 +6,22 @@ with an alternating Weyl sum (the Euler-characteristic route) reproduces the
 finite polynomials I_m from the path decomposition; summing over m recovers
 full minimal-model characters.  All checks are exact.
 
-A character graded by energy (q) and a diagonal weight (z) is a plain dict
-weight -> q-series of that weight subspace; a weight it lacks is zero.
+A character graded by energy (q) and a diagonal weight (z) enters the Weyl
+sum as (weight, q-series) pairs, one per product of factor components;
+pairs at the same weight add, so no per-weight sum is formed first.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Iterable
 
 from .qcore import QSeries, poch_inv, poch_sum, q_binomial, sum_over_m, supernomial2
 from .report import CaseResult, check, first_failure
 from .supernomial import S, string_sum
 from .pathweights import ModelParams, delta
 from .vircharacters import I_m, I_m_floor, rocha_caridi
-
-
-def weight_string(j: int) -> dict[int, QSeries]:
-    """z-character of a single (j+1)-dimensional factor at q-degree zero."""
-    if j < 0:
-        raise ValueError("j must be >= 0")
-    return {w: QSeries.one(None) for w in range(-j, j + 1, 2)}
-
-
-def convolve(x: dict[int, QSeries], y: dict[int, QSeries]) -> dict[int, QSeries]:
-    """Product of characters: weights add, q-series multiply."""
-    terms: dict[int, list[QSeries]] = {}
-    for w1, s1 in x.items():
-        for w2, s2 in y.items():
-            terms.setdefault(w1 + w2, []).append(s1 * s2)
-    return {w: QSeries.sum(t) for w, t in terms.items()}
 
 
 def verify_exact_sequence_chars(k1_max: int, k2_max: int) -> list[CaseResult]:
@@ -52,29 +38,12 @@ def verify_exact_sequence_chars(k1_max: int, k2_max: int) -> list[CaseResult]:
             for k1 in range(1, k1_max + 1) for k2 in range(k2_max + 1)]
 
 
-def level1_char(i: int, cutoff: int | Fraction) -> dict[int, QSeries]:
-    """Basic-module character at level one, sector i in {0, 1}: the component
-    at weight 2n+i is q^{n^2 + n i} / (q)_infinity."""
-    if i not in (0, 1):
-        raise ValueError("sector must be 0 or 1")
-    comps: dict[int, QSeries] = {}
-    n = 0
-    while n * n + n * i < cutoff or n * n - n * i < cutoff:
-        for nn in {n, -n}:
-            e = nn * nn + nn * i
-            if e < cutoff:
-                comps[2 * nn + i] = poch_inv(cutoff - e).shift(e)
-        n += 1
-    return comps
-
-
 def verify_pi2pi3(cutoff: int | Fraction) -> list[CaseResult]:
-    """Level-one character per weight component: the weight-2l component is
-    ``string_sum(l)``, a q^{m^2}/(q)_m-weighted sum of the flipped
-    three-dimensional string components S_{m,l}(q)."""
-    lhs = level1_char(0, cutoff)
+    """Level-one character per weight component: the weight-2l component,
+    q^{l^2} / (q)_infinity, is ``string_sum(l)``, a q^{m^2}/(q)_m-weighted sum
+    of the flipped three-dimensional string components S_{m,l}(q)."""
     return [check(f"pi2pi3 l={l}", string_sum(l, cutoff),
-                  lhs.get(2 * l, QSeries.zero(None)).truncate(cutoff))
+                  poch_inv(cutoff - l * l).shift(l * l))
             for l in range(-math.isqrt(int(cutoff)) - 1, math.isqrt(int(cutoff)) + 2)]
 
 
@@ -91,20 +60,22 @@ def verify_pmn(N_max: int) -> list[CaseResult]:
     return out
 
 
-def euler_multiplicity(V: dict[int, QSeries], k: int, l: int) -> QSeries:
+def euler_multiplicity(V: Iterable[tuple[int, QSeries]], k: int, l: int) -> QSeries:
     """Alternating Weyl sum extracting the level-k sector-l multiplicity:
     sum_lam q^{-(k+2) lam^2 + (l+1) lam} (V^{2(k+2)lam - l} - V^{2(k+2)lam - l - 2}),
-    read off the entries of ``V``; those must be exact with integer exponents
+    where V^w is the sum of the series of the (weight, series) pairs ``V``
+    at weight w.  A weight may repeat; the sum is linear, so each pair
+    enters on its own.  The series must be exact with integer exponents
     (``QSeries.sum_shifted`` over denominator 1 raises ``ValueError`` otherwise).
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     step = 2 * (k + 2)
-    # An entry at weight w is the + term of lam = (w + l) / step or the -
+    # A pair at weight w is the + term of lam = (w + l) / step or the -
     # term of lam = (w + l + 2) / step, whichever is an integer (never both).
     return QSeries.sum_shifted(
         ((sign, series, -(k + 2) * lam * lam + (l + 1) * lam)
-         for w, series in V.items()
+         for w, series in V
          for sign, (lam, r) in ((1, divmod(w + l, step)), (-1, divmod(w + l + 2, step)))
          if r == 0), 1)
 
@@ -188,9 +159,11 @@ def verify_grading(k: int, m_max: int, cutoff: int | Fraction) -> list[CaseResul
             def routes(m: int):
                 direct = I_m(params, r, s, r + i, m)
                 if i == 0:
-                    V = convolve({2 * l: S(m, l) for l in range(-m, m + 1)},
-                                 weight_string(r - 1))
-                    alt = euler_multiplicity(V, k + 1, s - 1)
+                    # The string of m three-dimensional factors times one
+                    # r-dimensional factor, one pair per weight product.
+                    alt = euler_multiplicity(
+                        ((2 * l + j, S(m, l)) for l in range(-m, m + 1)
+                         for j in range(1 - r, r, 2)), k + 1, s - 1)
                     # i = 0 means s = r (mod 2), so (s - r)^2 / 4 is an int.
                     return alt.shift(m * m), direct.shift(((s - r) // 2) ** 2)
                 return I_m(params, p - r, pp - s, p - r, m), direct

@@ -550,11 +550,14 @@ def supernomial2(L1: int, L2: int, a: ExpLike) -> QSeries:
     and L2 three-dimensional factors.
 
     Vanishes unless a + L1/2 is an integer with |2a| <= L1 + 2*L2.  At L2=0 it
-    is the Gaussian binomial [L1, L1/2 + a]_q.
+    is the Gaussian binomial [L1, L1/2 + a]_q.  ``a`` must be an int or a
+    ``Fraction``; anything else raises ``TypeError``.
     """
     if L1 < 0 or L2 < 0:
         raise ValueError("supernomial2 needs L1, L2 >= 0")
-    twice_a = 2 * a if isinstance(a, int) else 2 * Fraction(a)
+    if not isinstance(a, (int, Fraction)):
+        raise TypeError(f"weight must be int or Fraction, got {type(a).__name__}")
+    twice_a = 2 * a
     if twice_a.denominator != 1 or (twice_a + L1) % 2 != 0:
         return QSeries.zero(None)
     return _supernomial2(L1, L2, int(twice_a))

@@ -21,7 +21,10 @@ integer-keyed internals:
   filtered to the strip, the paths the library's walker must visit, and the
   end-shifted path sum over them in ``Fraction``;
 - ``monomial``, ``support`` and ``coeff_sum``: small views of a series that
-  only the tests need.
+  only the tests need;
+- ``weight_string`` and ``convolve``: z-graded characters as dicts weight ->
+  q-series, multiplied weight by weight with one sum per weight, the route
+  the Euler sum's (weight, series) pair input replaced.
 """
 
 from __future__ import annotations
@@ -54,6 +57,22 @@ def coeff_sum(s: QSeries) -> int:
     if not s.is_exact:
         raise ValueError("coeff_sum requires an exact series")
     return sum(s.coeffs())
+
+
+def weight_string(j: int) -> dict[int, QSeries]:
+    """z-character of a single (j+1)-dimensional factor at q-degree zero."""
+    if j < 0:
+        raise ValueError("j must be >= 0")
+    return {w: QSeries.one(None) for w in range(-j, j + 1, 2)}
+
+
+def convolve(x: dict[int, QSeries], y: dict[int, QSeries]) -> dict[int, QSeries]:
+    """Product of characters: weights add, q-series multiply."""
+    terms: dict[int, list[QSeries]] = {}
+    for w1, s1 in x.items():
+        for w2, s2 in y.items():
+            terms.setdefault(w1 + w2, []).append(s1 * s2)
+    return {w: QSeries.sum(t) for w, t in terms.items()}
 
 
 def poch_inv_parts(m: int, cutoff) -> QSeries:

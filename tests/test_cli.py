@@ -307,6 +307,14 @@ def test_all_stdout_is_pinned(fmt, digest, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+def test_all_applies_k_to_every_suite_that_reads_it(capsys):
+    assert run(["all", "--k", "2"]) == 0
+    params = {rep["suite"]: rep["params"]
+              for rep in json.loads(capsys.readouterr().out)["suites"]}
+    assert params["grading"]["k"] == params["i1"]["k"] == [2]
+    assert params["abf"]["k"] == 2
+
+
 # SHA-256 of the stdout of every benchmark op, recorded by
 # perfbench/record_digests.py; read here, never written.
 with open(Path(__file__).resolve().parents[1] / "perfbench" / "digests.json") as fh:

@@ -4,17 +4,17 @@ from fractions import Fraction
 
 import pytest
 
+from qlab import pathweights, qcore, supernomial, vircharacters
 from qlab.qcore import QSeries, compare, poch_inv, poch_sum, q_binomial
-from qlab.supernomial import S
+from qlab.supernomial import S, string_sum
 from qlab.fusionchar import (
-    abf_finitized, convolve, euler_multiplicity,
-    graded_13_char, level1_char, unitary_params, verify_abf,
-    verify_exact_sequence_chars, verify_grading, verify_i1_sector,
-    verify_pi2pi3, verify_pmn, weight_string,
+    abf_finitized, euler_multiplicity, graded_13_char, unitary_params,
+    verify_abf, verify_exact_sequence_chars, verify_grading, verify_i1_sector,
+    verify_pi2pi3, verify_pmn,
 )
 from qlab.vircharacters import rocha_caridi
 
-from oracles import coeff_sum, support
+from oracles import coeff_sum, convolve, poch_inv_parts, support, weight_string
 
 F = Fraction
 
@@ -54,18 +54,14 @@ class TestFusedStrings:
 
 class TestLevelOne:
     def test_vacuum_component_is_partition_series(self):
-        ch = level1_char(0, F(15))
-        assert compare(ch[0], poch_inv(F(15))).ok
-
-    def test_weight_parity(self):
-        for i in (0, 1):
-            ch = level1_char(i, F(12))
-            for w in ch:
-                assert w % 2 == i
+        # the weight-0 component, counted one part size at a time
+        assert compare(string_sum(0, F(15)), poch_inv_parts(15, F(15))).ok
 
     def test_string_sum_identity(self):
-        for case in verify_pi2pi3(F(21)):
-            assert case.ok, case
+        # 16 and 41/4 put some l^2 at and just past the cut
+        for cut in (F(21), 16, F(41, 4)):
+            for case in verify_pi2pi3(cut):
+                assert case.ok, case
 
     def test_finite_refinement(self):
         for case in verify_pmn(5):
@@ -78,20 +74,69 @@ class TestExactSequence:
             assert case.ok, case
 
 
+def string_pairs(j: int) -> list[tuple[int, QSeries]]:
+    """(weight, series) pairs of a single (j+1)-dimensional factor."""
+    return [(w, QSeries.one(None)) for w in range(-j, j + 1, 2)]
+
+
 class TestEulerMultiplicity:
     def test_m_zero_reduces_to_kronecker(self):
         # on the integrable range 0 <= l, j <= k the alternation collapses
         for k in (1, 2):
             for j in range(0, k + 1):
-                ch = weight_string(j)
                 for l in range(0, k + 1):
-                    got = euler_multiplicity(ch, k, l)
+                    got = euler_multiplicity(string_pairs(j), k, l)
                     want = QSeries.one(None) if l == j else QSeries.zero(None)
                     assert got == want, (k, j, l)
 
     def test_boundary_label_cancels(self):
         # just past the integrable range the two families annihilate
-        assert euler_multiplicity(weight_string(2), 1, 2).is_zero()
+        assert euler_multiplicity(iter(string_pairs(2)), 1, 2).is_zero()
+
+    def test_repeated_weights_add(self):
+        # k = l = 1: weight -1 is the + term of lam = 0, weight 3 the - term
+        # of lam = 1 at q^{-3 + 2}; weight 1 is neither.
+        pairs = [(-1, QSeries({0: 1})), (1, QSeries({5: 7})), (-1, QSeries({2: 3})),
+                 (3, QSeries({0: 1}))]
+        assert euler_multiplicity(pairs, 1, 1) == QSeries({-1: -1, 0: 1, 2: 3})
+        assert euler_multiplicity([(0, QSeries({0: 1})), (0, QSeries({0: -1}))], 1, 0).is_zero()
+
+    def test_non_integer_exponent_raises(self):
+        with pytest.raises(ValueError):
+            euler_multiplicity([(0, QSeries({F(1, 2): 1}))], 1, 0)
+
+    def test_pairs_match_convolved_character(self):
+        # the grading route's pairs against the whole convolved character
+        for k in (1, 2, 3):
+            for r in range(1, k + 2):
+                for s in range(1, k + 3):
+                    if (r - s) % 2:
+                        continue
+                    for m in range(7):
+                        pairs = ((2 * l + j, S(m, l)) for l in range(-m, m + 1)
+                                 for j in range(1 - r, r, 2))
+                        V = convolve({2 * l: S(m, l) for l in range(-m, m + 1)},
+                                     weight_string(r - 1))
+                        assert euler_multiplicity(pairs, k + 1, s - 1) == \
+                            euler_multiplicity(V.items(), k + 1, s - 1), (k, r, s, m)
+
+
+def test_euler_and_string_routes_sum_nothing_through_qseries_sum(monkeypatch):
+    # The i = 0 grading route and pi2pi3 pass their terms to one signed sum;
+    # QSeries.sum, the per-weight sum of a whole character, stays unused.
+    want = [verify_grading(3, 6, 41), verify_pi2pi3(31)]
+
+    def raises(*args, **kwargs):
+        raise AssertionError("QSeries.sum called")
+
+    # Cold caches, so every cached factor under the two checks is rebuilt.
+    for cached in (qcore.q_binomial, qcore.poch_inv, supernomial._s_family,
+                   vircharacters.I_m):
+        cached.cache_clear()
+    monkeypatch.setattr(pathweights, "_X_CACHE", {})
+    monkeypatch.setattr(qcore.QSeries, "sum", staticmethod(raises))
+    assert [verify_grading(3, 6, 41), verify_pi2pi3(31)] == want
+    assert all(case.ok for cases in want for case in cases)
 
 
 class TestFinitizedSums:

@@ -13,7 +13,7 @@ from qlab.fusionchar import (
 from qlab.pathweights import (
     ModelParams, b_of, count_paths, make_tau_table, verify_Xandf,
 )
-from qlab.qcore import poch_sum, sum_over_m
+from qlab.qcore import poch_sum, sum_over_m, supernomial2
 from qlab.supernomial import string_sum, verify_S_recurrences
 from qlab.vircharacters import (
     I_m, I_m_floor, path_side_GEN, rigged_path_gf, rocha_caridi, verify_GEN,
@@ -232,7 +232,10 @@ def test_float_cutoff_raises_type_error():
     for call in (lambda: rocha_caridi(ISING, 1, 1, 41.0),
                  lambda: graded_13_char(1, 1, 1, 2, 41.0),
                  lambda: string_sum(0, 41.0),
-                 lambda: verify_rocha2(ISING, 1, 1, 1, 41.0)):
+                 lambda: verify_rocha2(ISING, 1, 1, 1, 41.0),
+                 # a weight that is neither int nor Fraction
+                 lambda: supernomial2(2, 0, 0.0),
+                 lambda: supernomial2(2, 1, "1/2")):
         with pytest.raises(TypeError):
             call()
 
