@@ -15,8 +15,12 @@ import argparse
 import functools
 import math
 import sys
-from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+
+try:  # the C encoder, without loading the json package and its decoder
+    from _json import encode_basestring_ascii
+except ImportError:
+    from json.encoder import encode_basestring_ascii
 
 from .supernomial import S_table, verify_S_recurrences
 from .pathweights import (
@@ -31,6 +35,7 @@ from .fusionchar import (
     graded_13_char, unitary_params, verify_abf, verify_exact_sequence_chars,
     verify_grading, verify_i1_sector, verify_pi2pi3, verify_pmn,
 )
+from .qcore import QSeries
 from .report import CaseResult, SuiteReport
 
 FIVE_MODELS = ((3, 4), (4, 5), (5, 7), (4, 7), (5, 8))
@@ -282,10 +287,59 @@ _SCALARS: dict[type, Callable[[object], str]] = {
 }
 
 
+# The row tables: the keys of their objects, sorted, each with the ``%``
+# format of its value in a row.  A term's coefficient is a JSON string; a
+# case's detail and id come encoded, quotes included.
+_TERM_FIELDS = (("coeff", '"%d"'), ("den", "%d"), ("num", "%d"))
+_CASE_FIELDS = (("detail", "%s"), ("id", "%s"), ("status", '"%s"'))
+
+
+class _Rows:
+    """A JSON list of objects with the keys of ``fields``, given as one row
+    of values per object."""
+
+    __slots__ = ("fields", "rows")
+
+    def __init__(self, fields: tuple[tuple[str, str], ...], rows: list[tuple]) -> None:
+        self.fields, self.rows = fields, rows
+
+    def text(self, nl: str) -> str:
+        """The list as ``_json_write`` writes it after ``nl``: one template
+        for every object, filled in row by row."""
+        if not self.rows:
+            return "[]"
+        inner = nl + "  "
+        fmt = (inner + "{" + ",".join(inner + "  " + encode_basestring_ascii(k) + ": " + f
+                                      for k, f in self.fields) + inner + "}")
+        return "[" + ",".join(map(fmt.__mod__, self.rows)) + nl + "]"
+
+
+def _series_obj(s: QSeries) -> dict:
+    cut = s.cutoff  # an int or a Fraction, both in lowest terms
+    return {"cutoff": None if cut is None else {"den": cut.denominator, "num": cut.numerator},
+            "terms": _Rows(_TERM_FIELDS, s.json_rows())}
+
+
+def _report_obj(rep: SuiteReport) -> dict:
+    enc = encode_basestring_ascii
+    return {"anchor": rep.anchor, "ok": rep.ok, "params": rep.params, "suite": rep.suite,
+            "cases": _Rows(_CASE_FIELDS, [(enc(c.detail), enc(c.case_id), c.status)
+                                          for c in rep.sorted_cases()])}
+
+
+# The records _json_text writes, each as its JSON object with a row table.
+_RECORDS: dict[type, Callable[[object], dict]] = {
+    QSeries: _series_obj, SuiteReport: _report_obj,
+}
+
+
 def _json_text(obj) -> str:
     """The text of ``json.dumps(obj, indent=2, sort_keys=True)`` for a
     payload built of dicts with str keys, lists, tuples, str, int, bool and
-    None; any other type raises ``TypeError``."""
+    None, where a ``QSeries`` stands for ``{"cutoff", "terms"}`` (one
+    ``{"coeff", "den", "num"}`` per term, the coefficient as a decimal
+    string) and a ``SuiteReport`` for its object with one ``{"detail", "id",
+    "status"}`` per case; any other type raises ``TypeError``."""
     out: list[str] = []
     _json_write(obj, "\n", out)
     return "".join(out)
@@ -296,12 +350,18 @@ def _json_write(obj, nl: str, out: list[str]) -> None:
     line ``obj`` starts on.  A scalar item goes out with its key as one
     piece."""
     t = type(obj)
+    record = _RECORDS.get(t)
+    if record is not None:
+        obj, t = record(obj), dict
     if t is dict:
         keys = sorted(obj)
         opener, closer = "{", "}"
     elif t is list or t is tuple:
         keys = None
         opener, closer = "[", "]"
+    elif t is _Rows:
+        out.append(obj.text(nl))
+        return
     else:
         enc = _SCALARS.get(t)
         if enc is None:
@@ -329,10 +389,11 @@ def _json_write(obj, nl: str, out: list[str]) -> None:
     out.append(nl + closer)
 
 
-def _emit(args, payload: dict, header: str, rows: Iterable[Sequence]) -> None:
+def _emit(args, payload, header: str, rows: Iterable[Sequence]) -> None:
     """``payload`` as JSON (the bytes of ``json.dumps(indent=2,
-    sort_keys=True)``), or under --format csv the header and one
-    comma-joined line per row."""
+    sort_keys=True)``, see ``_json_text``), or under --format csv the header
+    and one comma-joined line per row.  Records become JSON here, so their
+    conversion is part of the output step; the rows are read only for CSV."""
     if args.format == "csv":
         lines = [header, *(",".join(map(str, row)) for row in rows)]
         sys.stdout.write("\n".join(lines) + "\n")
@@ -340,14 +401,14 @@ def _emit(args, payload: dict, header: str, rows: Iterable[Sequence]) -> None:
         sys.stdout.write(_json_text(payload) + "\n")
 
 
-def _terms(series: dict, *prefix) -> list[tuple]:
-    """CSV rows (*prefix, num, den, coeff) of a series' JSON object."""
-    return [(*prefix, t["num"], t["den"], t["coeff"]) for t in series["terms"]]
+def _terms(series: QSeries, *prefix) -> Iterator[tuple]:
+    """CSV rows (*prefix, num, den, coeff) of a series, from its JSON rows."""
+    return ((*prefix, num, den, coeff) for coeff, den, num in series.json_rows())
 
 
 def _cmd_char(args) -> int:
     params = ModelParams(args.p, args.pp)
-    series = rocha_caridi(params, args.r, args.s, args.qmax + 1).to_json_obj()
+    series = rocha_caridi(params, args.r, args.s, args.qmax + 1)
     payload = {
         "kind": "character",
         "p": args.p, "pp": args.pp, "r": args.r, "s": args.s,
@@ -367,38 +428,37 @@ def _cmd_paths(args) -> int:
     elif n > PATH_WALK_LIMIT:
         raise ValueError(f"{n} paths is over the walk limit {PATH_WALK_LIMIT}; use --count")
     elif args.gf:
-        gf = path_gf(args.a, args.b, args.m, make_tau_table(params)).to_json_obj()
+        gf = path_gf(args.a, args.b, args.m, make_tau_table(params))
         _emit(args, {"kind": "path-gf", **head, "series": gf},
               "num,den,coeff", _terms(gf))
     else:
         paths = enumerate_paths(args.a, args.b, args.m, params)
-        _emit(args, {"kind": "path-list", **head, "paths": [list(p) for p in paths]},
-              "path", [(" ".join(map(str, p)),) for p in paths])
+        _emit(args, {"kind": "path-list", **head, "paths": paths},
+              "path", ((" ".join(map(str, p)),) for p in paths))
     return 0
 
 
 def _cmd_grading(args) -> int:
-    pieces = [{"m": m, "series": graded_13_char(args.k, args.r, args.s, m,
-                                                args.qmax + 1).to_json_obj()}
+    pieces = [{"m": m, "series": graded_13_char(args.k, args.r, args.s, m, args.qmax + 1)}
               for m in range(args.mmax + 1)]
     payload = {"kind": "grading", "k": args.k, "r": args.r, "s": args.s,
                "mmax": args.mmax, "qmax": args.qmax, "pieces": pieces}
     _emit(args, payload, "m,num,den,coeff",
-          [row for piece in pieces for row in _terms(piece["series"], piece["m"])])
+          (row for piece in pieces for row in _terms(piece["series"], piece["m"])))
     return 0
 
 
 def _cmd_stable(args) -> int:
     table = S_table(args.mmax, args.lmax)
     _emit(args, {"kind": "stable", **table}, "m,l,family,num,den,coeff",
-          [row for cell in table["cells"] for family in ("S", "S_tilde")
-           for row in _terms(cell[family], cell["m"], cell["l"], family)])
+          (row for cell in table["cells"] for family in ("S", "S_tilde")
+           for row in _terms(cell[family], cell["m"], cell["l"], family)))
     return 0
 
 
 def _cmd_verify(args) -> int:
     rep = _run_suite(args.suite, *_build(args.suite, args), args.jobs)
-    _emit(args, rep.to_json_obj(), "id,status,detail", rep.csv_rows())
+    _emit(args, rep, "id,status,detail", rep.csv_rows())
     return 0 if rep.ok else 1
 
 
@@ -407,8 +467,7 @@ def _cmd_all(args) -> int:
     reports = [_run_suite(name, params, chunks, args.jobs)
                for name, params, chunks in built]
     ok = all(rep.ok for rep in reports)
-    payload = {"kind": "all-suites", "ok": ok,
-               "suites": [rep.to_json_obj() for rep in reports]}
+    payload = {"kind": "all-suites", "ok": ok, "suites": reports}
     _emit(args, payload, "suite,id,status,detail",
           ((rep.suite, *row) for rep in reports for row in rep.csv_rows()))
     return 0 if ok else 1

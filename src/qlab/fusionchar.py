@@ -26,7 +26,13 @@ from .vircharacters import I_m, I_m_floor, rocha_caridi
 
 def verify_exact_sequence_chars(k1_max: int, k2_max: int) -> list[CaseResult]:
     """Character identity of the fusion short exact sequence, specialized to
-    strings: [2k1, k2; a] = [2k1-2, k2+1; a] + q^{2k1+k2-1} [2k1-2, k2; a]."""
+    strings: [2k1, k2; a] = [2k1-2, k2+1; a] + q^{2k1+k2-1} [2k1-2, k2; a].
+
+    ``supernomial2`` is computed by the descent T(L1, L2) = T(L1+2, L2-1) -
+    q^{L1+L2} T(L1, L2-1), and this identity is that descent at
+    (L1, L2) = (2k1-2, k2+1), rearranged: the suite cannot fail while the
+    descent is the kernel.  The tests check the identity on an independent
+    route, the Schilling--Warnaar single sum."""
     def weights(k1: int, k2: int):
         for a in range(-(k1 + k2), k1 + k2 + 1):
             yield (f"a={a}", supernomial2(2 * k1, k2, a), QSeries.sum_shifted(

@@ -11,8 +11,8 @@ denominator ``den`` (exponent = key / den), and the cutoff is stored scaled
 by the same ``den``.  ``den`` is always the least such value, so equal series
 have equal keys, denominators and cutoffs.  Arithmetic runs on the int keys
 and rescales to the lcm of the denominators only when two differ.  Exponents
-cross the API and JSON boundary as ``int`` when integral and as ``Fraction``
-otherwise.
+cross the API as ``int`` when integral and as ``Fraction`` otherwise, and
+into JSON as (num, den) in lowest terms (``json_rows``).
 """
 
 from __future__ import annotations
@@ -342,19 +342,14 @@ class QSeries:
 
     # -- serialization ---------------------------------------------------
 
-    def to_json_obj(self) -> dict:
-        """Terms in exponent order and the cutoff, each exponent key/den
-        written in lowest terms as {"num", "den"}."""
-        den, gcd = self._den, math.gcd
-        terms = []
-        for k, c in sorted(self._terms.items()):
-            g = gcd(k, den)
-            terms.append({"num": k // g, "den": den // g, "coeff": str(c)})
-        cut = self._cut
-        if cut is not None:
-            g = gcd(cut, den)
-            cut = {"num": cut // g, "den": den // g}
-        return {"terms": terms, "cutoff": cut}
+    def json_rows(self) -> list[tuple[int, int, int]]:
+        """(coeff, den, num) per term in exponent order, the exponent num/den
+        in lowest terms: the rows of the series' JSON term table."""
+        den, items = self._den, sorted(self._terms.items())
+        if den == 1:
+            return [(c, 1, k) for k, c in items]
+        gcd = math.gcd
+        return [(c, den // g, k // g) for k, c in items for g in (gcd(k, den),)]
 
 
 class Comparison(NamedTuple):

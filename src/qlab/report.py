@@ -4,11 +4,12 @@ Every identity check is a ``CaseResult``; ``check`` decides one equality of
 two series, and ``first_failure`` decides a case made of several.
 
 Reports give their cases sorted by id, as a JSON object or as CSV rows, and
-embed no timing or host information.  ``cli._emit`` writes the JSON object as
-the bytes of ``json.dumps(obj, indent=2, sort_keys=True)``, for objects built
-only of dicts with str keys, lists, tuples, str, int, bool and None (any
-other type is a ``TypeError``), so byte-identical output across runs and
-``--jobs`` values is a hard guarantee.
+embed no timing or host information.  ``cli._emit`` writes a report itself,
+as the bytes of ``json.dumps(obj, indent=2, sort_keys=True)`` of its object
+``{"anchor", "cases", "ok", "params", "suite"}``: the cases go out as one
+``{"detail", "id", "status"}`` template filled from a row per case, with no
+dict built per case.  Byte-identical output across runs and ``--jobs``
+values is a hard guarantee.
 """
 
 from __future__ import annotations
@@ -41,18 +42,6 @@ class SuiteReport(NamedTuple):
 
     def sorted_cases(self) -> list[CaseResult]:
         return sorted(self.cases, key=lambda c: c.case_id)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "suite": self.suite,
-            "anchor": self.anchor,
-            "params": self.params,
-            "ok": self.ok,
-            "cases": [
-                {"id": c.case_id, "status": c.status, "detail": c.detail}
-                for c in self.sorted_cases()
-            ],
-        }
 
     def csv_rows(self) -> Iterator[tuple[str, str, str]]:
         """(id, status, detail) per case in id order, the detail wrapped in

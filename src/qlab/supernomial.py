@@ -111,15 +111,9 @@ def verify_S_recurrences(m_max: int,
 
 
 def S_table(m_max: int, l_max: Optional[int] = None) -> dict:
-    """JSON-ready rectangle of S and S~ values for 0 <= m <= m_max, |l| <= l_max."""
+    """Rectangle of S and S~ series for 0 <= m <= m_max, |l| <= l_max, as a
+    payload for ``cli._emit``."""
     lm = m_max if l_max is None else l_max
-    cells = []
-    for m in range(m_max + 1):
-        for l in range(-lm, lm + 1):
-            cells.append({
-                "m": m,
-                "l": l,
-                "S": S(m, l).to_json_obj(),
-                "S_tilde": S_tilde(m, l).to_json_obj(),
-            })
+    cells = [{"m": m, "l": l, "S": S(m, l), "S_tilde": S_tilde(m, l)}
+             for m in range(m_max + 1) for l in range(-lm, lm + 1)]
     return {"m_max": m_max, "l_max": lm, "cells": cells}

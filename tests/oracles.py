@@ -24,7 +24,9 @@ integer-keyed internals:
   only the tests need;
 - ``weight_string`` and ``convolve``: z-graded characters as dicts weight ->
   q-series, multiplied weight by weight with one sum per weight, the route
-  the Euler sum's (weight, series) pair input replaced.
+  the Euler sum's (weight, series) pair input replaced;
+- ``to_json_obj``: the JSON object of a payload, one dict per series term
+  and per report case, which the CLI's row-table writer must reproduce.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from typing import Callable, Iterable, Optional
 
 from qlab.pathweights import ModelParams, delta, energy
 from qlab.qcore import QSeries
+from qlab.report import SuiteReport
 from qlab.supernomial import S, S_tilde
 
 
@@ -57,6 +60,35 @@ def coeff_sum(s: QSeries) -> int:
     if not s.is_exact:
         raise ValueError("coeff_sum requires an exact series")
     return sum(s.coeffs())
+
+
+def _exp_obj(e) -> dict:
+    e = Fraction(e)
+    return {"num": e.numerator, "den": e.denominator}
+
+
+def to_json_obj(obj):
+    """The plain JSON object of a CLI payload: a series is ``{"terms",
+    "cutoff"}`` with one ``{"num", "den", "coeff"}`` per term in exponent
+    order (exponents in lowest terms, the coefficient a decimal string), a
+    suite report is its object with one ``{"id", "status", "detail"}`` per
+    case in id order, and dicts, lists and tuples are converted item by
+    item."""
+    if isinstance(obj, QSeries):
+        cut = obj.cutoff
+        return {"terms": [{**_exp_obj(e), "coeff": str(c)} for e, c in obj.items()],
+                "cutoff": None if cut is None else _exp_obj(cut)}
+    if isinstance(obj, SuiteReport):
+        return {"suite": obj.suite, "anchor": obj.anchor,
+                "params": to_json_obj(obj.params), "ok": obj.ok,
+                "cases": [{"id": c.case_id, "status": "pass" if c.ok else "fail",
+                           "detail": c.detail}
+                          for c in sorted(obj.cases, key=lambda c: c.case_id)]}
+    if type(obj) is dict:
+        return {k: to_json_obj(v) for k, v in obj.items()}
+    if type(obj) in (list, tuple):
+        return type(obj)(map(to_json_obj, obj))
+    return obj
 
 
 def weight_string(j: int) -> dict[int, QSeries]:

@@ -25,6 +25,8 @@ from qlab.pathweights import (
 from qlab.qcore import Comparison, QSeries
 from qlab.report import CaseResult, SuiteReport, check, first_failure
 
+from oracles import to_json_obj
+
 
 class TestReport:
     def test_ok_flag(self):
@@ -36,7 +38,7 @@ class TestReport:
     def test_cases_sorted_by_id(self):
         rep = SuiteReport("demo", "x", {}, (
             CaseResult("b", True), CaseResult("a", True)))
-        obj = rep.to_json_obj()
+        obj = json.loads(_json_text(rep))
         assert [c["id"] for c in obj["cases"]] == ["a", "b"]
         assert obj["anchor"] == "x"
 
@@ -307,6 +309,46 @@ def test_all_stdout_is_pinned(fmt, digest, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+# SHA-256 of the stdout of the series commands at desk sizes, recorded before
+# their term lists became row tables: the JSON term objects and the CSV term
+# rows of `char`, `paths --gf` (fractional exponents; an empty series),
+# `grading` (fractional exponents) and `stable` (negative exponents), and the
+# path lists of `paths --list`.
+SERIES_PINS = [
+    ("char --p 5 --pp 8 --r 2 --s 3 --qmax 40", "json",
+     "fdf6a7a32fbf7c866d428f6a2d1127986b0a1ef82cf7bfaa05e4d5297c4a24e5"),
+    ("char --p 5 --pp 8 --r 2 --s 3 --qmax 40", "csv",
+     "7fd6a754a0c183edb5c86f03ba5232746b8e94208174298adfde46bd843a8233"),
+    ("paths --p 5 --pp 8 --a 2 --b 4 --m 8 --gf", "json",
+     "631f402c752147f1f93a300c4a383f2c6439b7a7587eec34eb4e6bdcc5b7845e"),
+    ("paths --p 5 --pp 8 --a 2 --b 4 --m 8 --gf", "csv",
+     "68de8a5bd5bc90474e6ac33d59f481f52df1043111b85a805e8e893d0b65b799"),
+    ("paths --p 5 --pp 7 --a 1 --b 2 --m 5 --gf", "json",
+     "647f6ebb9df926dfb7c76ce8d45b98af31ed173c63f9652e0c7ee41d9fc449a0"),
+    ("paths --p 5 --pp 7 --a 1 --b 2 --m 5 --gf", "csv",
+     "84a519db2a177bfee4f5f07ea2211be5dd7673728f2aa9b4c58b29c5c3244cfa"),
+    ("paths --p 5 --pp 8 --a 1 --b 1 --m 6 --list", "json",
+     "d565e591c76d28c512df8f466d8fea012a4cab41205a4a9ff1bfd8eda5754a58"),
+    ("paths --p 5 --pp 8 --a 1 --b 1 --m 6 --list", "csv",
+     "15ad16367110d9eab48731256843b5c39a87e246e0583bbb3a5e20c62e43c243"),
+    ("grading --k 2 --r 2 --s 1 --mmax 4 --qmax 20", "json",
+     "8892c96e588ad4ca056a07fd82e7cad3e3665884ba3b1fd1c025c3adb959afd4"),
+    ("grading --k 2 --r 2 --s 1 --mmax 4 --qmax 20", "csv",
+     "62f0a6795c3a99ddcc6b435c1847416a0406a829bd59ea9e8637dfc661af562e"),
+    ("stable --mmax 4", "json",
+     "61c7b95980d8f43985261e3b84c3bea930ad79b5b19d5b40dffec57c844c4d5f"),
+    ("stable --mmax 4", "csv",
+     "9da075767eaba5ccc7b6fb6ed79c09b4ffcdba68c663b807fd0eb071c4153200"),
+]
+
+
+@pytest.mark.parametrize("op,fmt,digest", SERIES_PINS,
+                         ids=[f"{op} {fmt}" for op, fmt, _ in SERIES_PINS])
+def test_series_command_stdout_is_pinned(op, fmt, digest, capsys):
+    assert run(op.split() + ["--format", fmt]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_all_applies_k_to_every_suite_that_reads_it(capsys):
     assert run(["all", "--k", "2"]) == 0
     params = {rep["suite"]: rep["params"]
@@ -353,11 +395,13 @@ def _fresh_qlab(argv: list[str]) -> subprocess.CompletedProcess:
 
 def test_cli_start_up_loads_no_introspection_modules():
     # `dataclasses` would pull in inspect, ast, dis and tokenize, about half
-    # the cost of `import qlab.cli`.  A new interpreter, as pytest loads
-    # inspect itself.
+    # the cost of `import qlab.cli`; the JSON writer takes its string encoder
+    # from `_json`, as the `json` package would load its decoder and scanner
+    # too.  A new interpreter, as pytest loads inspect and json itself.
     proc = _fresh_python("-c", (
         "import sys, qlab.cli; qlab.cli.build_parser(); print(sorted("
-        "{'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))"))
+        "{'dataclasses', 'inspect', 'ast', 'dis', 'tokenize', 'json',"
+        " 'json.decoder', 'json.scanner'} & set(sys.modules)))"))
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.decode() == "[]\n"
 
@@ -429,6 +473,39 @@ _json_payloads = st.recursive(_json_scalars, lambda kids: (
 @settings(max_examples=100)
 def test_json_writer_equals_json_dumps(obj):
     assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+# Series with signed coefficients past 64 bits, rational exponents and
+# cutoffs, including empty exact and truncated ones.
+_wide_coeffs = st.integers(-2**200, 2**200)
+_fractions = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+_series = (st.builds(QSeries, st.dictionaries(st.integers(-30, 30) | _fractions,
+                                              _wide_coeffs, max_size=8),
+                     st.none() | st.integers(-30, 30) | _fractions)
+           | st.builds(QSeries.zero, st.none() | st.integers(-5, 5) | _fractions))
+
+
+@given(s=_series)
+@settings(max_examples=100)
+def test_json_writer_writes_a_series_as_its_object(s):
+    for payload in (s, {"kind": "x", "pieces": [{"m": 0, "series": s}, s]}):
+        assert _json_text(payload) == json.dumps(to_json_obj(payload), indent=2,
+                                                 sort_keys=True)
+
+
+_reports = st.builds(
+    SuiteReport, _json_strings, _json_strings,
+    st.dictionaries(_json_strings, _json_payloads, max_size=3),
+    st.lists(st.builds(CaseResult, _json_strings, st.booleans(), _json_strings),
+             max_size=5).map(tuple))
+
+
+@given(rep=_reports)
+@settings(max_examples=100)
+def test_json_writer_writes_a_report_as_its_object(rep):
+    for payload in (rep, {"kind": "all-suites", "ok": rep.ok, "suites": [rep, rep]}):
+        assert _json_text(payload) == json.dumps(to_json_obj(payload), indent=2,
+                                                 sort_keys=True)
 
 
 @pytest.mark.parametrize("obj", [

@@ -14,7 +14,9 @@ from qlab.fusionchar import (
 )
 from qlab.vircharacters import rocha_caridi
 
-from oracles import coeff_sum, convolve, poch_inv_parts, support, weight_string
+from oracles import (
+    coeff_sum, convolve, poch_inv_parts, support, supernomial2_sum, weight_string,
+)
 
 F = Fraction
 
@@ -72,6 +74,22 @@ class TestExactSequence:
     def test_character_identity(self):
         for case in verify_exact_sequence_chars(3, 3):
             assert case.ok, case
+
+    def test_identity_holds_on_the_single_sum(self):
+        # The suite's identity is the kernel's own descent in L2 at
+        # (L1, L2) = (2k1 - 2, k2 + 1), rearranged, so the suite cannot fail
+        # while that descent computes supernomial2.  Here the same identity
+        # on the Schilling--Warnaar single sum, which shares no code with it.
+        n = 0
+        for k1 in range(1, 5):
+            for k2 in range(5):
+                for a in range(-(k1 + k2), k1 + k2 + 1):
+                    lhs = supernomial2_sum(2 * k1, k2, 2 * a)
+                    rhs = (supernomial2_sum(2 * k1 - 2, k2 + 1, 2 * a)
+                           + supernomial2_sum(2 * k1 - 2, k2, 2 * a).shift(2 * k1 + k2 - 1))
+                    assert lhs == rhs, (k1, k2, a)
+                    n += 1
+        assert n == 200
 
 
 def string_pairs(j: int) -> list[tuple[int, QSeries]]:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlab.cli import run
+from qlab.cli import _json_text, run
 from qlab.pathweights import ModelParams, delta
 from qlab.qcore import (
     QSeries, compare, poch_inv, poch_sum, q_binomial, sum_over_m, supernomial2,
@@ -201,7 +201,7 @@ class TestAgainstFractionOracle:
         assert s.cutoff == ref.cutoff and s.floor == ref.floor
         for e in [probe, *terms]:
             assert s.coeff(e) == ref.terms.get(e, 0)
-        assert s.to_json_obj() == json.loads(ref_json(ref))
+        assert json.loads(_json_text(s)) == json.loads(ref_json(ref))
         assert_canonical(s)
 
     @given(a=wide_series(), b=wide_series())
@@ -341,9 +341,14 @@ class TestSumShifted:
 class TestJson:
     def test_shape_is_plain_data(self):
         s = QSeries({F(1, 2): 3, F(-1): 2}, F(5))
-        obj = s.to_json_obj()
+        obj = json.loads(_json_text(s))
         assert obj["cutoff"] == {"num": 5, "den": 1}
         assert {"num": 1, "den": 2, "coeff": "3"} in obj["terms"]
+
+    def test_rows_are_lowest_terms_in_exponent_order(self):
+        s = QSeries({F(1, 2): 3, F(-1): 2, F(4, 3): -5, 0: 7})
+        assert s.json_rows() == [(2, 1, -1), (7, 1, 0), (3, 2, 1), (-5, 3, 4)]
+        assert QSeries.zero(F(1, 2)).json_rows() == []
 
 
 class TestCompare:

@@ -119,7 +119,8 @@ def test_table_export():
     seen = {(cell["m"], cell["l"]) for cell in table["cells"]}
     assert seen == {(m, l) for m in range(4) for l in range(-3, 4)}
     for cell in table["cells"]:
-        assert cell["S"] == S(cell["m"], cell["l"]).to_json_obj()
+        assert cell["S"] == S(cell["m"], cell["l"])
+        assert cell["S_tilde"] == S_tilde(cell["m"], cell["l"])
 
 
 def test_rejects_negative_m():
