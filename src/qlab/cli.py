@@ -86,14 +86,15 @@ class Suite(NamedTuple):
     build: Callable[[argparse.Namespace], tuple[dict, list[Chunk]]]
 
 
-def _chosen(default: Sequence[tuple], **given: Optional[int]) -> list[tuple]:
+def _chosen(default: Sequence[tuple], optional: tuple = (), **given: Optional[int]) -> list[tuple]:
     """The one instance the user named, or all of ``default`` when no part of
-    it is given; naming only part of it is a usage error."""
+    it is given; naming only part of it is a usage error (whose message marks
+    the ``optional`` names, which the caller fills in when left out)."""
     if all(x is None for x in given.values()):
         return list(default)
     if None in given.values():
-        raise ValueError("give all of " + " ".join(f"--{k}" for k in given)
-                         + " or none of them")
+        raise ValueError("give all of " + " ".join(f"--{k}" for k in given if k not in optional)
+                         + "".join(f", optionally --{k}," for k in optional) + " or none of them")
     return [tuple(given.values())]
 
 
@@ -134,7 +135,7 @@ def _tau(v):
 
 
 def _rocha2(v):
-    instances = _chosen(ROCHA2_INSTANCES, p=v.p, pp=v.pp, r=v.r, a=v.a,
+    instances = _chosen(ROCHA2_INSTANCES, ("b",), p=v.p, pp=v.pp, r=v.r, a=v.a,
                         b=v.a if v.b is None else v.b)
     chunks: list[Chunk] = []
     for inst in instances:

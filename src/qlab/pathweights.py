@@ -285,13 +285,16 @@ def _check_path_ends(a: int, b: int, m: int, params: ModelParams) -> None:
 
 def _walk(a: int, b: int, m: int, pp: int,
           weights: Optional[Mapping[Triple, int]] = None,
-          prefix: Optional[list[int]] = None) -> Iterator[tuple[int, int]]:
+          prefix: Optional[list[int]] = None,
+          below: Optional[int] = None) -> Iterator[tuple[int, int]]:
     """The one path enumerator: every admissible path (s_0, ..., s_m) from a
     to b, m >= 1, depth first in lexicographic order; yields (s_{m-1}, sum_i
     i * weights[s_{i-1}, s_i, s_{i+1}]) per path (0 without weights), while a
     ``prefix`` list holding a holds s_0..s_{m-1}.  The stack holds (position,
     previous site, site, running sum), so a step costs one weight lookup and
-    no path is built.  The last step, to b, is never pushed: at m = 1 only a is."""
+    no path is built.  The last step, to b, is never pushed: at m = 1 only a is.
+    An int ``below`` drops each popped prefix whose running sum is not below
+    it, which skips only such paths if no weight is negative."""
     succ = _successors(pp)
     last = m - 1
     # Pushed in descending order, so they pop in ascending order.
@@ -299,6 +302,8 @@ def _walk(a: int, b: int, m: int, pp: int,
              if last else [(0, 0, a, 0)])
     while stack:
         i, prev, s, acc = stack.pop()
+        if below is not None and acc >= below:
+            continue
         if prefix is not None:
             del prefix[i:]
             prefix.append(s)

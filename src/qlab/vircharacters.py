@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Optional
 
 from .qcore import QSeries, compare, poch_inv, sum_over_m
@@ -21,9 +22,9 @@ from .supernomial import S, S_floor, string_sum
 from .pathweights import (
     ModelParams,
     TauTable,
+    _walk,
     b_of,
     config_sum_X,
-    enumerate_paths,
     make_tau_table,
     path_gf,
 )
@@ -186,72 +187,64 @@ def rigged_path_gf(params: ModelParams, r: int, a: int,
     q^{sum_i n_i + delta(r,b) - delta(r,a)}; the result equals the normalized
     character.  This is a brute-force oracle: no product formula is used.
 
+    What it checks on its own is the rigging rules and a brute-force count of
+    partitions into at most m parts: the riggings of a path are its tight
+    chain (every rule an equality) plus such a partition, and the tight chain
+    sums to the path's energy plus its end shift, so the series equals
+    sum_m path_side_GEN(m) / (q)_m.
+
     The enumeration runs on integers in units of 1/(4 p p'), a common
     denominator of every weight and conformal weight of the model: a weight
     is 4p times its entry in the table (in units of 1/p'), and
-    4pp' delta(r,s) = (r p' - s p)^2 - (p' - p)^2.
+    4pp' delta(r,s) = (r p' - s p)^2 - (p' - p)^2.  A walked path of energy
+    key has the tight chain 4p key + m bdr[s_{m-1}] + shift, so one at or over
+    the cut is skipped unrigged.  Every weight is at least w_min >= 0 (else
+    ArithmeticError) and every bdr is positive, so no m-step path starts
+    below shift + m min(bdr) + 4p w_min m(m-1)/2, which grows with m: the
+    m-range ends where that reaches the cut.
     """
     b = b_of(r, a, params)
     table = _table(params)
     p, pp = params
     unit = 4 * p * pp
     cut_u = math.ceil(cutoff * unit)  # an integer exponent e is < cutoff iff e < cut_u
-    w_u = {t: 4 * p * w for t, w in table.weights.items()}
+    w_min = min(table.weights.values())
+    if w_min < 0:
+        raise ArithmeticError(f"weight {w_min}/{pp} < 0 on {params}: no m-bound")
     # d_u[s] = delta(r, s) - delta(r, b), the delta-differences of the rules.
     d_u = [0] + [(r * pp - s * p) ** 2 - (r * pp - b * p) ** 2 for s in range(1, pp)]
     shift = -d_u[a]
-    acc: dict[int, int] = {}
+    # bdr[d] = least n_m after s_{m-1} = d; > 0, as b has the least delta of its parity.
+    bdr = {d: d_u[d] + (unit if d == b else 0) for d in (b - 2, b, b + 2) if 1 <= d < pp}
+    least_bdr = min(bdr.values())
+    acc: dict[int, int] = {0: 1} if a == b else {}  # m = 0: the path (a), shift 0
 
-    def add_riggings(path: tuple[int, ...]) -> int:
-        m = len(path) - 1
-        if m == 0:
-            if shift < cut_u:
-                acc[shift] = acc.get(shift, 0) + 1
-            return shift
-        w = [0] * m  # w[i] = weight at interior position i, 1 <= i <= m-1
-        for i in range(1, m):
-            w[i] = w_u[(path[i - 1], path[i], path[i + 1])]
-        # cmin[i] = sum_{k=1}^{i-1} k * w[k]: minimal extra mass below position i
-        cmin = [0] * (m + 1)
-        for i in range(2, m + 1):
-            cmin[i] = cmin[i - 1] + (i - 1) * w[i - 1]
-        bdr = d_u[path[m - 1]] + (unit if path[m - 1] == b else 0)
+    def descend(i: int, lower: int, partial: int) -> None:
+        # choose n_i = lower + k, k >= 0
+        n_i = lower
+        while True:
+            rest = partial + n_i + (i - 1) * n_i + cmin[i] + shift
+            if rest >= cut_u:
+                return
+            if i == 1:
+                e = partial + n_i + shift
+                acc[e] = acc.get(e, 0) + 1
+            else:
+                descend(i - 1, n_i + w[i - 1], partial + n_i)
+            n_i += unit
 
-        def descend(i: int, lower: int, partial: int) -> None:
-            # choose n_i = lower + k, k >= 0
-            n_i = lower
-            while True:
-                rest = partial + n_i + (i - 1) * n_i + cmin[i] + shift
-                if rest >= cut_u:
-                    return
-                if i == 1:
-                    e = partial + n_i + shift
-                    acc[e] = acc.get(e, 0) + 1
-                else:
-                    descend(i - 1, n_i + w[i - 1], partial + n_i)
-                n_i += unit
-
-        # tight chain gives the minimal exponent for this path
-        chain = bdr
-        tight = bdr
-        for i in range(m - 1, 0, -1):
-            chain = chain + w[i]
-            tight += chain
-        descend(m, bdr, 0)
-        return tight + shift
-
-    quiet = 0
-    seen = False
-    cap = int(cutoff) + 2
-    m = 0
-    while m <= cap and quiet < 3:
-        min_tight = min(map(add_riggings, enumerate_paths(a, b, m, params)), default=None)
-        if min_tight is None or min_tight >= cut_u:
-            if seen:
-                quiet += 1
-        else:
-            seen = True
-            quiet = 0
+    prefix, m = [a], 1
+    while shift + m * least_bdr + 4 * p * w_min * (m * (m - 1) // 2) < cut_u:
+        # key < below exactly when 4p key < cut_u - shift - m least_bdr.
+        below = -((shift + m * least_bdr - cut_u) // (4 * p))
+        for d, key in _walk(a, b, m, pp, table.weights, prefix, below):
+            if 4 * p * key + m * bdr[d] + shift < cut_u:  # else skipped unrigged
+                path = (*prefix, b)
+                # w[i] = weight at interior position i, 1 <= i <= m-1, and
+                # cmin[i] = sum_{k=1}^{i-1} k * w[k]: least extra mass below i.
+                w = [0] + [4 * p * table.weights[path[i - 1:i + 2]] for i in range(1, m)]
+                cmin = [0, *accumulate(i * w[i] for i in range(m))]
+                descend(m, bdr[d], 0)
         m += 1
     return QSeries.from_keys(acc, unit).truncate(cutoff)
 

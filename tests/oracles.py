@@ -20,6 +20,9 @@ integer-keyed internals:
 - ``walks`` and ``path_side_reference``: every step sequence from a site
   filtered to the strip, the paths the library's walker must visit, and the
   end-shifted path sum over them in ``Fraction``;
+- ``tight_chain``: the least rigging exponent of one path, every rigging
+  rule met with equality and summed position by position, the per-path loop
+  that the rigged oracle's walker key replaced;
 - ``monomial``, ``support`` and ``coeff_sum``: small views of a series that
   only the tests need;
 - ``weight_string`` and ``convolve``: z-graded characters as dicts weight ->
@@ -219,6 +222,24 @@ def path_side_reference(params: ModelParams, table, r: int, a: int, b: int,
 
     return QSeries((energy(path, table) + shift(path), 1)
                    for path in walks(a, m, params.pp)[b])
+
+
+def tight_chain(params: ModelParams, table, r: int, path: tuple[int, ...]) -> int:
+    """The least exponent of the riggings of ``path`` (m >= 1 steps from
+    a = path[0] to b = path[-1]) in units of 1/(4pp'): n_m = bdr, the least
+    n_m of the rules, then n_i = n_{i+1} + w_i down to i = 1, their sum plus
+    the shift delta(r,b) - delta(r,a)."""
+    p, pp = params
+    a, d, b = path[0], path[-2], path[-1]
+
+    def d_u(s: int) -> int:  # 4pp' (delta(r, s) - delta(r, b))
+        return (r * pp - s * p) ** 2 - (r * pp - b * p) ** 2
+
+    chain = tight = d_u(d) + (4 * p * pp if d == b else 0)
+    for i in range(len(path) - 2, 0, -1):
+        chain += 4 * p * table.weights[path[i - 1], path[i], path[i + 1]]
+        tight += chain
+    return tight - d_u(a)
 
 
 def poch(m: int, cutoff=None) -> QSeries:

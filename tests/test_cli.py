@@ -172,6 +172,12 @@ class TestExitCodes:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("qlab: error: ")
 
+    def test_partial_rocha2_instance_names_b_as_optional(self, capsys):
+        # --b defaults to --a, so the message does not ask for it.
+        assert run(["verify", "rocha2", "--p", "3", "--pp", "4", "--r", "1"]) == 2
+        assert capsys.readouterr().err == ("qlab: error: give all of --p --pp --r --a, "
+                                           "optionally --b, or none of them\n")
+
     def test_s_is_not_a_suite_argument(self):
         with pytest.raises(SystemExit) as exc:
             run(["verify", "gen", "--s", "7", "--mmax", "1"])
@@ -561,12 +567,13 @@ def test_paths_over_the_walk_limit_are_refused_unwalked(mode, monkeypatch, capsy
 
 
 def test_path_sums_build_no_path_list(monkeypatch, capsys):
-    # verify gen, the X oracle and paths --gf sum through the walker alone;
-    # enumerate_paths is patched to raise under every name bound to it.
+    # verify gen, the X oracle, the rigged oracle and paths --gf sum through
+    # the walker alone; enumerate_paths is patched to raise under every name
+    # bound to it.
     argv = ["paths", "--p", "5", "--pp", "8", "--a", "1", "--b", "1", "--m", "8", "--gf"]
     assert run(argv) == 0
     want = capsys.readouterr().out
-    for module in (pathweights, vircharacters, cli):
+    for module in (pathweights, cli):
         monkeypatch.setattr(module, "enumerate_paths", _raises)
     assert run(argv) == 0
     assert capsys.readouterr().out == want
@@ -576,3 +583,6 @@ def test_path_sums_build_no_path_list(monkeypatch, capsys):
                for case in vircharacters.verify_GEN(params, r, a, 5))
     for a, b, c in x_configs(params):
         assert brute_config_sum_X(a, b, c, 4, table) == config_sum_X(a, b, c, 4, table)
+    params = ModelParams(4, 5)
+    assert all(vircharacters.verify_rigged(params, r, a, 11).ok
+               for r in range(1, 4) for a in range(1, 5))

@@ -244,6 +244,15 @@ class TestWeightTable:
                             n += 1
             assert n == len(table.weights), (p, pp)
 
+    def test_weights_are_at_least_two(self):
+        # Lemma: every weight is at least 2/p', so no weight is negative and
+        # the rigged oracle's m-bound and walker bound hold, on all 243 strips
+        # with p' <= 40.
+        strips = _strips(40)
+        assert len(strips) == 243
+        for p, pp in strips:
+            assert min(make_tau_table(ModelParams(p, pp)).weights.values()) >= 2, (p, pp)
+
     def test_non_admissible_triples_raise(self):
         for p, pp in _strips(12):
             table = make_tau_table(ModelParams(p, pp))

@@ -4,23 +4,23 @@ from fractions import Fraction
 
 import pytest
 
-from qlab import pathweights
+from qlab import pathweights, vircharacters
 from qlab.cli import run
 from qlab.fusionchar import (
     graded_13_char, unitary_params, verify_abf, verify_exact_sequence_chars,
     verify_pi2pi3, verify_pmn,
 )
 from qlab.pathweights import (
-    ModelParams, b_of, count_paths, make_tau_table, verify_Xandf,
+    ModelParams, _walk, b_of, count_paths, make_tau_table, verify_Xandf,
 )
 from qlab.qcore import poch_sum, sum_over_m, supernomial2
 from qlab.supernomial import string_sum, verify_S_recurrences
 from qlab.vircharacters import (
-    I_m, I_m_floor, path_side_GEN, rigged_path_gf, rocha_caridi, verify_GEN,
-    verify_IandS, verify_poch_inv_expansion, verify_rigged, verify_rocha2,
+    I_m, I_m_floor, _end_shifts, path_side_GEN, rigged_path_gf, rocha_caridi,
+    verify_GEN, verify_IandS, verify_poch_inv_expansion, verify_rigged, verify_rocha2,
 )
 
-from oracles import coeff_sum, sum_over_m_every_term
+from oracles import coeff_sum, sum_over_m_every_term, tight_chain
 from test_pathweights import _strips
 from test_qcore import partitions
 
@@ -252,6 +252,44 @@ class TestRiggedOracle:
         ch = rocha_caridi(ISING, 1, 1, F(10))
         assert [gf.coeff(F(n)) for n in range(10)] == \
                [ch.coeff(F(n)) for n in range(10)]
+
+    def test_every_strip_matches_character(self):
+        # Every coprime strip with p' <= 9, all (r, a), at cuts 6 and 11:
+        # the m-range and the path skip rest on proven bounds, no silent-m run.
+        cases = [verify_rigged(ModelParams(p, pp), r, a, cut)
+                 for p, pp in _strips(9) for r in range(1, p) for a in range(1, pp)
+                 for cut in (6, 11)]
+        assert len(cases) == 648
+        assert [case for case in cases if not case.ok] == []
+
+    def test_tight_chain_is_path_key(self):
+        # Lemma: a path's least rigging exponent is 4p times its walker key
+        # plus the end shift of path_side_GEN, at b = b_of(r, a), m <= 6.
+        paths = 0
+        for p, pp in _strips(9):
+            params = ModelParams(p, pp)
+            table = make_tau_table(params)
+            for r in range(1, p):
+                for a in range(1, pp):
+                    b = b_of(r, a, params)
+                    for m in range(1, 7):
+                        ends = _end_shifts(params, r, a, b, m)
+                        prefix = [a]
+                        keys = [(tight_chain(params, table, r, (*prefix, b)),
+                                 4 * p * key + ends[d])
+                                for d, key in _walk(a, b, m, pp, table.weights, prefix)]
+                        assert len(keys) == count_paths(a, b, m, params)
+                        assert all(x == y for x, y in keys), (p, pp, r, a, m)
+                        paths += len(keys)
+        assert paths == 26856
+
+    def test_negative_weight_raises(self, monkeypatch):
+        # The m-bound needs every weight >= 0; a table breaking that is refused.
+        table = make_tau_table(ISING)
+        bad = table._replace(weights={**table.weights, next(iter(table.weights)): -1})
+        monkeypatch.setitem(vircharacters._TABLES, ISING, bad)
+        with pytest.raises(ArithmeticError):
+            rigged_path_gf(ISING, 1, 1, 10)
 
 
 def test_poch_inv_expansion_identity():
