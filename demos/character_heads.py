@@ -21,7 +21,7 @@ def show(params, r, s, qmax=12):
 def main():
     for p, pp in ((3, 4), (4, 5), (5, 7)):
         params = ModelParams(p, pp)
-        print(f"strip (p,p') = ({p},{pp}), t = {params.t}")
+        print(f"strip (p,p') = ({p},{pp}), t = {Fraction(pp, p)}")
         for r in range(1, p):
             for s in range(1, pp):
                 show(params, r, s)

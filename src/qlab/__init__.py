@@ -13,11 +13,9 @@ from .pathweights import (
     config_sum_X,
     count_paths,
     delta,
-    energy,
     enumerate_paths,
     make_tau_table,
     verify_Xandf,
-    weight,
 )
 from .vircharacters import rocha_caridi, verify_rocha2
 from .fusionchar import (
@@ -32,8 +30,7 @@ __version__ = "0.1.0"
 __all__ = [
     "verify_S_recurrences",
     "ModelParams", "brute_config_sum_X", "config_sum_X", "count_paths",
-    "delta", "energy", "enumerate_paths", "make_tau_table", "verify_Xandf",
-    "weight",
+    "delta", "enumerate_paths", "make_tau_table", "verify_Xandf",
     "rocha_caridi", "verify_rocha2",
     "graded_13_char", "unitary_params", "verify_pi2pi3", "verify_pmn",
 ]

@@ -2,9 +2,10 @@
 
 The strip has sites 1..p'-1 for coprime integers p < p' < 2p.  Paths move by
 steps of -2, 0, +2 with the two corner repeats (1,1) and (p'-1,p'-1)
-forbidden.  Each interior triple carries a rational weight built from the
-slope t = p'/p and a three-letter site labelling (1A / 1B / 2); the labelled
-table is validated against every structural fact it must satisfy before use.
+forbidden.  Each interior triple carries a weight, an integer in units of
+1/p', built from the slope t = p'/p and a three-letter site labelling
+(1A / 1B / 2); the labelled table is validated against every structural fact
+it must satisfy before use.
 """
 
 from __future__ import annotations
@@ -41,10 +42,6 @@ class ModelParams(_Pair):
         if math.gcd(p, pp) != 1:
             raise ValueError("p and p' must be coprime")
         return super().__new__(cls, p, pp)
-
-    @property
-    def t(self) -> Fraction:
-        return Fraction(self.pp, self.p)
 
 
 def delta(params: ModelParams, r: int, s: int) -> Fraction:
@@ -179,9 +176,18 @@ def _validate_table(params: ModelParams, taus: list[int], labels: list[str]) -> 
 
 
 def _weights(params: ModelParams, taus: list[int], labels: list[str]) -> dict[Triple, int]:
-    """p' * w(a, b, c) for every admissible triple, by the rules of ``weight``
-    in integers: with t = p'/p, 2/t = 2p/p' and frac(n/t) = (n p mod p')/p'.
-    It cannot raise on sites ``site_data`` validated: every step pair of
+    """p' * w(a, b, c) for every admissible triple (a, b, c).
+
+    With t = p'/p and the site letters x(1A, 1B, 2) = (2, 3, 2),
+    y(1A, 1B, 2) = (3, 2, 4), the weight by the steps (a - b, c - b) is
+      (2, -2), (-2, 2):  2/t
+      (-2, 0), (0, -2):  2 - frac((b-1)/t)
+      (0, 2), (2, 0):    1 + frac((b+1)/t)
+      (0, 0):            3 - tau(b)
+      (-2, -2):          -2 frac((b-1)/t) + x(b-2)
+      (2, 2):            2 frac((b+3)/t) - 4/t + y(b+2)
+    summed in integers: 2/t = 2p/p' and frac(n/t) = (n p mod p')/p'.  It
+    cannot raise on sites ``site_data`` validated: every step pair of
     ``_successors`` has a rule (no rest is on a wall; (-2, -2) needs b > 2,
     (2, 2) needs b < p'-2), and the reflection check leaves every label one
     of the three letters."""
@@ -217,8 +223,10 @@ def site_data(params: ModelParams) -> tuple[list[int], list[str]]:
     return taus, labels
 
 
+@functools.lru_cache(maxsize=None)
 def make_tau_table(params: ModelParams) -> TauTable:
-    """``site_data`` with every admissible triple weighed once; hard-fails."""
+    """``site_data`` with every admissible triple weighed once; hard-fails.
+    Cached: one table per model."""
     taus, labels = site_data(params)
     return TauTable(params, tuple(taus), tuple(labels), _weights(params, taus, labels))
 
@@ -231,28 +239,6 @@ def _successors(pp: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(s2 for s2 in (s - 2, s, s + 2)
                        if 1 <= s2 <= pp - 1 and not s == s2 in (1, pp - 1))
                  for s in range(pp))
-
-
-def weight(a: int, b: int, c: int, table: TauTable) -> Fraction:
-    """Weight of the admissible triple (a, b, c), read from the table;
-    raises on invalid triples.
-
-    With t = p'/p and the site letters x(1A, 1B, 2) = (2, 3, 2),
-    y(1A, 1B, 2) = (3, 2, 4), the weight by the steps (a - b, c - b) is
-      (2, -2), (-2, 2):  2/t
-      (-2, 0), (0, -2):  2 - frac((b-1)/t)
-      (0, 2), (2, 0):    1 + frac((b+1)/t)
-      (0, 0):            3 - tau(b)
-      (-2, -2):          -2 frac((b-1)/t) + x(b-2)
-      (2, 2):            2 frac((b+3)/t) - 4/t + y(b+2)
-    """
-    w = table.weights.get((a, b, c))
-    if w is not None:
-        return Fraction(w, table.params.pp)
-    for s in (a, b, c):
-        if not 1 <= s <= table.params.pp - 1:
-            raise ValueError(f"site {s} off the strip")
-    raise ValueError(f"triple ({a},{b},{c}) is not admissible")
 
 
 def b_of(r: int, a: int, params: ModelParams) -> int:
@@ -344,17 +330,6 @@ def count_paths(a: int, b: int, m: int, params: ModelParams) -> int:
     return vec[b]
 
 
-def energy(path: Path, table: TauTable) -> Fraction:
-    """sum_i i * w(s_{i-1}, s_i, s_{i+1}) over interior positions of the
-    path, in ints from the weight table; raises on an inadmissible triple."""
-    w = table.weights
-    units = 0
-    for i in range(1, len(path) - 1):
-        t = (path[i - 1], path[i], path[i + 1])
-        units += i * (w[t] if t in w else weight(*t, table))  # weight raises
-    return Fraction(units, table.params.pp)
-
-
 def path_gf(a: int, b: int, m: int, table: TauTable,
             ends: Optional[Mapping[int, int]] = None) -> QSeries:
     """Exact sum over the paths (s_0, ..., s_m) from a to b of q^{E +
@@ -376,29 +351,26 @@ def _x_valid(params: ModelParams, a: int, b: int, c: int) -> bool:
             and c in _successors(pp)[b])
 
 
-_X_CACHE: dict[tuple, QSeries] = {}
-
-
 def config_sum_X(a: int, b: int, c: int, m: int, table: TauTable) -> QSeries:
     """Energy generating sum over paths (s_0..s_{m+1}) with s_0 = a, s_m = b,
     s_{m+1} = c.  Computed by the endpoint recurrence; zero off the domain."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    params = table.params
-    if not _x_valid(params, a, b, c):
+    if not _x_valid(table.params, a, b, c):
         return QSeries.zero(None)
-    key = (params.p, params.pp, a, b, c, m)
-    hit = _X_CACHE.get(key)
-    if hit is not None:
-        return hit
+    return _config_sum(table.params, a, b, c, m)
+
+
+@functools.lru_cache(maxsize=None)
+def _config_sum(params: ModelParams, a: int, b: int, c: int, m: int) -> QSeries:
+    """``config_sum_X`` on its domain, by the last step d -> b -> c; cached
+    per model, as every (a, d, b) it reads is on the domain too."""
     if m == 0:
-        out = QSeries.one(None) if a == b else QSeries.zero(None)
-    else:
-        out = QSeries.sum_shifted(
-            ((1, config_sum_X(a, d, b, m - 1, table), m * table.weights[(d, b, c)])
-             for d in _successors(params.pp)[b]), params.pp)
-    _X_CACHE[key] = out
-    return out
+        return QSeries.one(None) if a == b else QSeries.zero(None)
+    weights = make_tau_table(params).weights
+    return QSeries.sum_shifted(
+        ((1, _config_sum(params, a, d, b, m - 1), m * weights[d, b, c])
+         for d in _successors(params.pp)[b]), params.pp)
 
 
 def brute_config_sum_X(a: int, b: int, c: int, m: int, table: TauTable) -> QSeries:

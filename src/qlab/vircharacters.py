@@ -21,22 +21,12 @@ from .report import CaseResult, check
 from .supernomial import S, S_floor, string_sum
 from .pathweights import (
     ModelParams,
-    TauTable,
     _walk,
     b_of,
     config_sum_X,
     make_tau_table,
     path_gf,
 )
-
-_TABLES: dict[ModelParams, TauTable] = {}
-
-
-def _table(params: ModelParams) -> TauTable:
-    if params not in _TABLES:
-        _TABLES[params] = make_tau_table(params)
-    return _TABLES[params]
-
 
 def _check_rs(params: ModelParams, r: int, s: int) -> None:
     if not 1 <= r <= params.p - 1:
@@ -50,6 +40,15 @@ def rocha_caridi(params: ModelParams, r: int, s: int, cutoff: int | Fraction) ->
 
     Alternating sum over lam of q^{lam^2 p p' + lam (p' r - p s)} minus
     q^{lam^2 p p' + lam (p' r + p s) + r s}, divided by (q)_infinity.
+
+    The lam window is exact.  With n = p p', an exponent lam^2 n + lam beta
+    + shift (shift = 0 or r s) is an integer, so it lies below the cutoff
+    only if it is at most bound = floor(cutoff) >= 0; then n lam^2 - |beta|
+    |lam| <= bound, so |lam| is at most the positive root (|beta| +
+    sqrt(beta^2 + 4 n bound)) / (2n) of n x^2 - |beta| x - bound.  For ints k
+    and N > 0 and real y >= 0, floor((k + y) / N) = floor((k + floor(y)) / N),
+    so with k = |beta| the floor of that root is (|beta| + isqrt(beta^2 +
+    4 n bound)) // (2n), and every lam with |lam| <= it is summed.
     """
     _check_rs(params, r, s)
     if cutoff <= 0:
@@ -59,8 +58,7 @@ def rocha_caridi(params: ModelParams, r: int, s: int, cutoff: int | Fraction) ->
     bound = int(cutoff)
     terms: list[tuple[int, int]] = []
     for beta, shift, sign in ((pp * r - p * s, 0, 1), (pp * r + p * s, r * s, -1)):
-        # lam^2 n + lam beta + shift < cutoff; widen the root window by 2.
-        lam_max = (abs(beta) + math.isqrt(abs(beta) ** 2 + 4 * n * max(bound, 1))) // (2 * n) + 2
+        lam_max = (abs(beta) + math.isqrt(beta * beta + 4 * n * bound)) // (2 * n)
         terms += [(lam * lam * n + lam * beta + shift, sign)
                   for lam in range(-lam_max, lam_max + 1)]
     return QSeries(terms, cutoff) * poch_inv(cutoff)
@@ -127,17 +125,23 @@ def verify_rocha2(params: ModelParams, r: int, a: int, b: int,
     return CaseResult(case_id, cmp.ok, detail)
 
 
-def _end_shifts(params: ModelParams, r: int, a: int, b: int, m: int) -> dict[int, int]:
-    """The exponent shift of an m-step path from a to b, by its next-to-last
-    site d, in units of 1/(4pp'):
-    delta(r,b) - delta(r,a) + m (delta(r,d) - delta(r,b) + [d == b]),
-    from 4pp' delta(r,s) = (r p' - s p)^2 - (p' - p)^2, whose constant
-    cancels in every difference."""
+def _end_shift_parts(params: ModelParams, r: int, a: int,
+                     b: int) -> tuple[int, dict[int, int]]:
+    """(shift, bdr) of the paths from a to b, in units of 1/(4pp'): shift =
+    delta(r,b) - delta(r,a), and bdr[d] = delta(r,d) - delta(r,b) + [d == b]
+    for each next-to-last site d on the strip, from 4pp' delta(r,s) =
+    (r p' - s p)^2 - (p' - p)^2, whose constant cancels in every difference."""
     p, pp = params.p, params.pp
     sq = {s: (r * pp - s * p) ** 2 for s in (a, b - 2, b, b + 2)}
-    base = sq[b] - sq[a]
-    return {d: base + m * (sq[d] - sq[b] + (4 * p * pp if d == b else 0))
-            for d in (b - 2, b, b + 2) if 1 <= d <= pp - 1}
+    return sq[b] - sq[a], {d: sq[d] - sq[b] + (4 * p * pp if d == b else 0)
+                           for d in (b - 2, b, b + 2) if 1 <= d <= pp - 1}
+
+
+def _end_shifts(params: ModelParams, r: int, a: int, b: int, m: int) -> dict[int, int]:
+    """The exponent shift of an m-step path from a to b, by its next-to-last
+    site d, in units of 1/(4pp'): shift + m bdr[d] of ``_end_shift_parts``."""
+    shift, bdr = _end_shift_parts(params, r, a, b)
+    return {d: shift + m * e for d, e in bdr.items()}
 
 
 def path_side_GEN(params: ModelParams, r: int, a: int, b: int, m: int) -> QSeries:
@@ -149,7 +153,7 @@ def path_side_GEN(params: ModelParams, r: int, a: int, b: int, m: int) -> QSerie
     if b != b_of(r, a, params):
         raise ValueError("path generating sum requires the minimizing endpoint")
     # At m = 0 the only path is (a) with a = b, whose end shift is 0.
-    return path_gf(a, b, m, _table(params), _end_shifts(params, r, a, b, m))
+    return path_gf(a, b, m, make_tau_table(params), _end_shifts(params, r, a, b, m))
 
 
 def verify_GEN(params: ModelParams, r: int, a: int, m_max: int) -> list[CaseResult]:
@@ -165,7 +169,7 @@ def verify_IandS(params: ModelParams, r: int, a: int, b: int,
     """I_m rebuilt from configuration sums over the next-to-last site d,
     I_m = sum_d q^{_end_shifts(d)} X_{a,d,b,m-1}, checked exactly for
     1 <= m <= m_max."""
-    table = _table(params)
+    table = make_tau_table(params)
     return [check(f"iands p={params.p} p'={params.pp} r={r} a={a} b={b} m={m}",
                   I_m(params, r, a, b, m),
                   QSeries.sum_shifted(
@@ -204,18 +208,15 @@ def rigged_path_gf(params: ModelParams, r: int, a: int,
     m-range ends where that reaches the cut.
     """
     b = b_of(r, a, params)
-    table = _table(params)
+    table = make_tau_table(params)
     p, pp = params
     unit = 4 * p * pp
     cut_u = math.ceil(cutoff * unit)  # an integer exponent e is < cutoff iff e < cut_u
     w_min = min(table.weights.values())
     if w_min < 0:
         raise ArithmeticError(f"weight {w_min}/{pp} < 0 on {params}: no m-bound")
-    # d_u[s] = delta(r, s) - delta(r, b), the delta-differences of the rules.
-    d_u = [0] + [(r * pp - s * p) ** 2 - (r * pp - b * p) ** 2 for s in range(1, pp)]
-    shift = -d_u[a]
     # bdr[d] = least n_m after s_{m-1} = d; > 0, as b has the least delta of its parity.
-    bdr = {d: d_u[d] + (unit if d == b else 0) for d in (b - 2, b, b + 2) if 1 <= d < pp}
+    shift, bdr = _end_shift_parts(params, r, a, b)
     least_bdr = min(bdr.values())
     acc: dict[int, int] = {0: 1} if a == b else {}  # m = 0: the path (a), shift 0
 

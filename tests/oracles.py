@@ -17,9 +17,12 @@ integer-keyed internals:
   ``poch_inv_parts`` factor;
 - ``f_sum_by_slope``: the alternating f-sum with each exponent summed in
   ``Fraction`` from the slope t = p'/p;
+- ``slope_weight`` and ``slope_energy``: the weight rules written with the
+  slope t = p'/p and fractional parts in ``Fraction``, the reference for the
+  library's integer weight table, and a path's energy summed from them;
 - ``walks`` and ``path_side_reference``: every step sequence from a site
   filtered to the strip, the paths the library's walker must visit, and the
-  end-shifted path sum over them in ``Fraction``;
+  end-shifted path sum over them in ``Fraction``, weighed by ``slope_weight``;
 - ``tight_chain``: the least rigging exponent of one path, every rigging
   rule met with equality and summed position by position, the per-path loop
   that the rigged oracle's walker key replaced;
@@ -42,7 +45,7 @@ from itertools import accumulate, product
 from operator import add
 from typing import Callable, Iterable, Optional
 
-from qlab.pathweights import ModelParams, delta, energy
+from qlab.pathweights import ModelParams, delta
 from qlab.qcore import QSeries
 from qlab.report import SuiteReport
 from qlab.supernomial import S, S_tilde
@@ -155,6 +158,10 @@ def sum_over_m_every_term(poly_of: Callable[[int], QSeries], cut, start: int = 0
     return QSeries.sum(terms), m, True
 
 
+def _frac(x: Fraction) -> Fraction:
+    return x - math.floor(x)
+
+
 def f_sum_by_slope(a: int, b: int, c: int, m: int, table) -> QSeries:
     """sum_{eps=+-1} eps sum_n f_{eps(a + 2p'n), b, c, m} for a on the strip,
     each exponent summed in ``Fraction`` from the slope t = p'/p.  With
@@ -167,15 +174,13 @@ def f_sum_by_slope(a: int, b: int, c: int, m: int, table) -> QSeries:
     on the factor S_{m,l} or S~_{m,l} that the site labels pick (times q^m
     or q^l on some).  Every n with |n| <= m + 1 is summed: S_{m,l} and
     S~_{m,l} vanish for |l| > m, and that covers every n with |l| <= m."""
-    pp, t = table.params.pp, table.params.t
+    p, pp = table.params
+    t = Fraction(pp, p)
     if (a - b) % 2 or c - b not in (-2, 0, 2) or not 1 <= c <= pp - 1:
         return QSeries.zero(None)
 
-    def frac(x: Fraction) -> Fraction:
-        return x - math.floor(x)
-
-    up = frac((b + 1) / t)
-    gap = 1 - frac((b - 1) / t)
+    up = _frac((b + 1) / t)
+    gap = 1 - _frac((b - 1) / t)
     terms = []
     for eps in (1, -1):
         for n in range(-m - 1, m + 2):
@@ -196,6 +201,36 @@ def f_sum_by_slope(a: int, b: int, c: int, m: int, table) -> QSeries:
     return QSeries.sum(terms)
 
 
+def slope_weight(a: int, b: int, c: int, table) -> Fraction:
+    """The weight of the admissible triple (a, b, c) by the rules on the
+    steps (a - b, c - b), written with the slope t = p'/p, fractional parts
+    and the site letters x(1A, 1B, 2) = (2, 3, 2), y(1A, 1B, 2) = (3, 2, 4)."""
+    p, pp = table.params
+    t = Fraction(pp, p)
+    x_of = {"1A": 2, "1B": 3, "2": 2}
+    y_of = {"1A": 3, "1B": 2, "2": 4}
+    da, dc = a - b, c - b
+    if (da, dc) in ((2, -2), (-2, 2)):
+        return 2 / t
+    if (da, dc) in ((-2, 0), (0, -2)):
+        return 2 - _frac((b - 1) / t)
+    if (da, dc) in ((0, 2), (2, 0)):
+        return 1 + _frac((b + 1) / t)
+    if (da, dc) == (0, 0):
+        return Fraction(3 - table.taus[b])
+    if (da, dc) == (-2, -2):
+        return -2 * _frac((b - 1) / t) + x_of[table.label(b - 2)]
+    assert (da, dc) == (2, 2)
+    return 2 * _frac((b + 3) / t) - 4 / t + y_of[table.label(b + 2)]
+
+
+def slope_energy(path: tuple[int, ...], table) -> Fraction:
+    """sum_i i * w(s_{i-1}, s_i, s_{i+1}) over the interior positions of the
+    path, each weight from ``slope_weight``."""
+    return sum((i * slope_weight(*path[i - 1:i + 2], table)
+                for i in range(1, len(path) - 1)), Fraction(0))
+
+
 def walks(a: int, m: int, pp: int) -> dict[int, list[tuple[int, ...]]]:
     """Every step sequence in (-2, 0, 2)^m from a, kept when it stays on the
     strip 1..p'-1 and never rests on a wall, grouped by its end b (a key for
@@ -211,8 +246,8 @@ def walks(a: int, m: int, pp: int) -> dict[int, list[tuple[int, ...]]]:
 
 def path_side_reference(params: ModelParams, table, r: int, a: int, b: int,
                         m: int) -> QSeries:
-    """sum over the paths of ``walks`` from a to b of q^{energy(path) +
-    shift}, the shift summed in Fraction from its delta formula, with d the
+    """sum over the paths of ``walks`` from a to b of q^{slope_energy(path)
+    + shift}, the shift summed in Fraction from its delta formula, with d the
     next-to-last site: delta(r,b) - delta(r,a) + m (delta(r,d) - delta(r,b)
     + [d == b])."""
     def shift(path: tuple[int, ...]) -> Fraction:
@@ -220,7 +255,7 @@ def path_side_reference(params: ModelParams, table, r: int, a: int, b: int,
         return (delta(params, r, b) - delta(params, r, a)
                 + m * (delta(params, r, d) - delta(params, r, b) + (d == b)))
 
-    return QSeries((energy(path, table) + shift(path), 1)
+    return QSeries((slope_energy(path, table) + shift(path), 1)
                    for path in walks(a, m, params.pp)[b])
 
 

@@ -377,11 +377,8 @@ def test_benchmark_op_stdout_is_pinned(op, capsys):
 
 
 def test_console_script_installed():
-    proc = subprocess.run(
-        [sys.executable, "-m", "qlab.cli", "paths", "--p", "3", "--pp", "4",
-         "--a", "1", "--b", "1", "--m", "2", "--count"],
-        capture_output=True, text=True,
-    )
+    proc = _fresh_python("-m", "qlab.cli", "paths", "--p", "3", "--pp", "4",
+                         "--a", "1", "--b", "1", "--m", "2", "--count")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 1
 

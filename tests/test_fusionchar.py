@@ -149,9 +149,8 @@ def test_euler_and_string_routes_sum_nothing_through_qseries_sum(monkeypatch):
 
     # Cold caches, so every cached factor under the two checks is rebuilt.
     for cached in (qcore.q_binomial, qcore.poch_inv, supernomial._s_family,
-                   vircharacters.I_m):
+                   vircharacters.I_m, pathweights._config_sum):
         cached.cache_clear()
-    monkeypatch.setattr(pathweights, "_X_CACHE", {})
     monkeypatch.setattr(qcore.QSeries, "sum", staticmethod(raises))
     assert [verify_grading(3, 6, 41), verify_pi2pi3(31)] == want
     assert all(case.ok for cases in want for case in cases)

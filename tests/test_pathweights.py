@@ -1,4 +1,4 @@
-"""Strip geometry: site tables, weight function, paths, configuration sums."""
+"""Strip geometry: site tables, weight tables, paths, configuration sums."""
 
 import math
 from fractions import Fraction
@@ -9,13 +9,15 @@ import pytest
 from qlab import pathweights
 from qlab.pathweights import (
     ModelParams, TauTable, b_of, brute_config_sum_X, config_sum_X,
-    count_paths, delta, enumerate_paths, energy, f_sum, make_tau_table,
-    path_gf, site_data, tau, verify_Xandf, weight, x_configs,
+    count_paths, delta, enumerate_paths, f_sum, make_tau_table,
+    path_gf, site_data, tau, verify_Xandf, x_configs,
 )
 from qlab.qcore import QSeries
 from qlab.vircharacters import path_side_GEN
 
-from oracles import f_sum_by_slope, path_side_reference, walks
+from oracles import (
+    f_sum_by_slope, monomial, path_side_reference, slope_energy, slope_weight, walks,
+)
 
 F = Fraction
 
@@ -23,10 +25,15 @@ MODELS = [(3, 4), (4, 5), (5, 7), (4, 7), (5, 8)]
 TABLES = {m: make_tau_table(ModelParams(*m)) for m in MODELS}
 
 
+def tabled_weight(a: int, b: int, c: int, table: TauTable) -> Fraction:
+    """The weight of the admissible triple (a, b, c): its table entry over p'."""
+    return F(table.weights[a, b, c], table.params.pp)
+
+
 class TestModelParams:
     def test_accepts_valid_strip(self):
         params = ModelParams(5, 7)
-        assert params.t == F(7, 5)
+        assert (params.p, params.pp) == (5, 7)
 
     @pytest.mark.parametrize("p,pp", [(3, 3), (3, 6), (4, 6), (3, 7), (2, 3), (5, 4)])
     def test_rejects_bad_strip(self, p, pp):
@@ -75,8 +82,9 @@ class TestDelta:
 
 class TestTauTable:
     def test_tables_of_one_model_compare_equal(self):
+        # one cached table per model
         one, two = (make_tau_table(ModelParams(4, 7)) for _ in range(2))
-        assert one == two
+        assert one is two
         assert one != make_tau_table(ModelParams(5, 7))
 
     def test_known_sequences(self):
@@ -95,13 +103,14 @@ class TestTauTable:
     def test_tau_values_match_floor_formula(self):
         for (p, pp), table in TABLES.items():
             params = ModelParams(p, pp)
-            t = params.t
+            t = F(pp, p)
             for b in range(1, pp):
                 floors = math.floor((b + 1) / t) - math.floor((b - 1) / t)
                 assert table.taus[b] == floors == tau(params, b)
 
     def test_site_check_and_table_raise_alike(self, monkeypatch):
         build = pathweights._build_labels
+        make_tau_table.cache_clear()  # so every table is built under the patch
 
         def one_letter_swapped(params, taus):
             # 1A <-> 1B at the last tau=1 site: site 1 or a reflection pair
@@ -142,12 +151,12 @@ class TestTauTable:
 class TestWeight:
     def test_hand_values(self):
         t34, t45 = TABLES[(3, 4)], TABLES[(4, 5)]
-        assert weight(1, 3, 1, t34) == 1
-        assert weight(3, 1, 3, t34) == 1
-        assert weight(3, 3, 3, t45) == 1
+        assert tabled_weight(1, 3, 1, t34) == 1
+        assert tabled_weight(3, 1, 3, t34) == 1
+        assert tabled_weight(3, 3, 3, t45) == 1
         # stay-stay weight is 3 - tau(s)
-        assert weight(2, 2, 2, t45) == 1
-        assert weight(2, 2, 2, TABLES[(4, 7)]) == 2
+        assert tabled_weight(2, 2, 2, t45) == 1
+        assert tabled_weight(2, 2, 2, TABLES[(4, 7)]) == 2
 
     def _valid_triples(self, table):
         pp = table.params.pp
@@ -166,54 +175,25 @@ class TestWeight:
         for table in TABLES.values():
             pp = table.params.pp
             for a, b, c in self._valid_triples(table):
-                w = weight(a, b, c, table)
-                assert w == weight(pp - a, pp - b, pp - c, table), (pp, a, b, c)
-                assert w == weight(c, b, a, table), (pp, a, b, c)
+                w = tabled_weight(a, b, c, table)
+                assert w == tabled_weight(pp - a, pp - b, pp - c, table), (pp, a, b, c)
+                assert w == tabled_weight(c, b, a, table), (pp, a, b, c)
 
     def test_integrality_against_conformal_weights(self):
         # w(a,b,c) - (d(a) - 2 d(b) + d(c)) must be an integer for every r
         for table in TABLES.values():
             params = table.params
             for a, b, c in self._valid_triples(table):
-                w = weight(a, b, c, table)
+                w = tabled_weight(a, b, c, table)
                 for r in range(1, params.p):
                     v = w - (delta(params, r, a) - 2 * delta(params, r, b)
                              + delta(params, r, c))
                     assert v.denominator == 1, (params.pp, r, a, b, c)
 
-    def test_rejects_forbidden_step(self):
-        with pytest.raises(ValueError):
-            weight(1, 1, 3, TABLES[(3, 4)])
-
 
 def _strips(pp_max: int) -> list[tuple[int, int]]:
     return [(p, pp) for pp in range(4, pp_max + 1) for p in range(3, pp)
             if pp < 2 * p and math.gcd(p, pp) == 1]
-
-
-def _slope_weight(a: int, b: int, c: int, table: TauTable) -> Fraction:
-    """The weight rules written with the slope t = p'/p and fractional parts,
-    kept here as the reference for the tabled integer weights."""
-    t = table.params.t
-
-    def frac(x: Fraction) -> Fraction:
-        return x - math.floor(x)
-
-    x_of = {"1A": 2, "1B": 3, "2": 2}
-    y_of = {"1A": 3, "1B": 2, "2": 4}
-    da, dc = a - b, c - b
-    if (da, dc) in ((2, -2), (-2, 2)):
-        return 2 / t
-    if (da, dc) in ((-2, 0), (0, -2)):
-        return 2 - frac(Fraction(b - 1) / t)
-    if (da, dc) in ((0, 2), (2, 0)):
-        return 1 + frac(Fraction(b + 1) / t)
-    if (da, dc) == (0, 0):
-        return Fraction(3 - table.taus[b])
-    if (da, dc) == (-2, -2):
-        return -2 * frac(Fraction(b - 1) / t) + x_of[table.label(b - 2)]
-    assert (da, dc) == (2, 2)
-    return 2 * frac(Fraction(b + 3) / t) - 4 / t + y_of[table.label(b + 2)]
 
 
 def _step_ok(s: int, s2: int, pp: int) -> bool:
@@ -231,6 +211,7 @@ class TestWeightTable:
     every strip with p' <= 12."""
 
     def test_every_admissible_triple(self):
+        # the table holds exactly the admissible triples, each at its slope weight
         for p, pp in _strips(12):
             table = make_tau_table(ModelParams(p, pp))
             n = 0
@@ -238,9 +219,8 @@ class TestWeightTable:
                 for b in range(1, pp):
                     for c in range(1, pp):
                         if _admissible(a, b, c, pp):
-                            w = weight(a, b, c, table)
-                            assert w == _slope_weight(a, b, c, table), (p, pp, a, b, c)
-                            assert isinstance(w, Fraction)
+                            assert tabled_weight(a, b, c, table) == slope_weight(
+                                a, b, c, table), (p, pp, a, b, c)
                             n += 1
             assert n == len(table.weights), (p, pp)
 
@@ -253,22 +233,6 @@ class TestWeightTable:
         for p, pp in strips:
             assert min(make_tau_table(ModelParams(p, pp)).weights.values()) >= 2, (p, pp)
 
-    def test_non_admissible_triples_raise(self):
-        for p, pp in _strips(12):
-            table = make_tau_table(ModelParams(p, pp))
-            sites = range(-1, pp + 2)
-            for a in sites:
-                for b in sites:
-                    for c in sites:
-                        if _admissible(a, b, c, pp):
-                            continue
-                        off = [s for s in (a, b, c) if not 1 <= s <= pp - 1]
-                        want = (f"site {off[0]} off the strip" if off
-                                else f"triple ({a},{b},{c}) is not admissible")
-                        with pytest.raises(ValueError) as exc:
-                            weight(a, b, c, table)
-                        assert str(exc.value) == want, (p, pp, a, b, c)
-
     def test_delta_closed_form(self):
         for p, pp in _strips(12):
             params = ModelParams(p, pp)
@@ -277,11 +241,6 @@ class TestWeightTable:
                 for s in range(1, pp):
                     want = ((r * t - s) ** 2 - (t - 1) ** 2) / (4 * t)
                     assert delta(params, r, s) == want, (p, pp, r, s)
-
-    def test_energy_rejects_forbidden_step(self):
-        params = ModelParams(3, 4)
-        with pytest.raises(ValueError, match="not admissible"):
-            energy((1, 1, 3), make_tau_table(params))
 
 
 class TestPaths:
@@ -318,8 +277,8 @@ class TestPaths:
     def test_enumeration_matches_walk_oracle(self):
         # The filtered step sequences of ``walks`` are the paths of
         # enumerate_paths in the same (lexicographic) order, and every sum of
-        # the walker equals the sum of per-path ``energy`` in Fraction over
-        # them: plain (paths --gf), with the end shifts of path_side_GEN, and
+        # the walker equals the sum of per-path ``slope_energy`` in Fraction
+        # over them: plain (paths --gf), with the end shifts of path_side_GEN, and
         # with a final site c (brute_config_sum_X).
         for p, pp in _strips(9):
             params = ModelParams(p, pp)
@@ -331,20 +290,23 @@ class TestPaths:
                         assert enumerate_paths(a, b, m, params) == want, case
                         assert count_paths(a, b, m, params) == len(want), case
                         assert path_gf(a, b, m, table) == QSeries(
-                            (energy(path, table), 1) for path in want), case
+                            (slope_energy(path, table), 1) for path in want), case
                         for c in (b - 2, b, b + 2):
                             if _step_ok(b, c, pp):
                                 assert brute_config_sum_X(a, b, c, m, table) == QSeries(
-                                    (energy(path + (c,), table), 1) for path in want), (*case, c)
+                                    (slope_energy(path + (c,), table), 1)
+                                    for path in want), (*case, c)
                         for r in range(1, p):
                             if b_of(r, a, params) == b:
                                 assert path_side_GEN(params, r, a, b, m) == path_side_reference(
                                     params, table, r, a, b, m), (*case, r)
 
     def test_energy_of_forced_path(self):
+        # (1, 3, 1) is the only path from 1 to 1 in two steps, (1, 3) the only
+        # one from 1 to 3 in one step, which has no interior site
         table = TABLES[(3, 4)]
-        assert energy((1, 3, 1), table) == weight(1, 3, 1, table)
-        assert energy((1, 3), table) == 0
+        assert path_gf(1, 1, 2, table) == monomial(tabled_weight(1, 3, 1, table))
+        assert path_gf(1, 3, 1, table) == monomial(0)
 
 
 class TestConfigSums:
@@ -355,6 +317,16 @@ class TestConfigSums:
             for m in range(5):
                 got = config_sum_X(a, b, c, m, table)
                 assert got == brute_config_sum_X(a, b, c, m, table), (a, b, c, m)
+
+    def test_second_check_is_served_from_cache(self):
+        # the recurrence is cached per model: a repeated check builds no X
+        table = make_tau_table(ModelParams(5, 8))
+        first = verify_Xandf(table, 4)
+        before = pathweights._config_sum.cache_info()
+        assert verify_Xandf(table, 4) == first
+        after = pathweights._config_sum.cache_info()
+        assert after.hits - before.hits == len(first)
+        assert after.misses == before.misses
 
     def test_x_configs_is_the_domain(self):
         # a and b on the strip of one parity, b -> c one admissible step

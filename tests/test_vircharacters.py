@@ -13,7 +13,7 @@ from qlab.fusionchar import (
 from qlab.pathweights import (
     ModelParams, _walk, b_of, count_paths, make_tau_table, verify_Xandf,
 )
-from qlab.qcore import poch_sum, sum_over_m, supernomial2
+from qlab.qcore import QSeries, poch_inv, poch_sum, sum_over_m, supernomial2
 from qlab.supernomial import string_sum, verify_S_recurrences
 from qlab.vircharacters import (
     I_m, I_m_floor, _end_shifts, path_side_GEN, rigged_path_gf, rocha_caridi,
@@ -42,6 +42,27 @@ class TestCharacterSeries:
                     ch = rocha_caridi(params, r, s, F(6))
                     assert ch.coeff(F(0)) == 1, (p, pp, r, s)
                     assert ch.floor == 0
+
+    def test_lam_window_is_exact(self):
+        # Against a window of |lam| <= floor(cutoff) + 2, which holds every
+        # lam with an exponent below the cutoff (|beta| < 2n, so |lam| >= 2
+        # gives an exponent >= |lam|), on every strip p' <= 16, all (r, s).
+        cases = 0
+        for p, pp in _strips(16):
+            params = ModelParams(p, pp)
+            n = p * pp
+            for r in range(1, p):
+                for s in range(1, pp):
+                    for cut in (F(1, 2), 1, 2, 7, F(15, 2), 31, 100):
+                        wide = int(cut) + 2
+                        num = QSeries([(lam * lam * n + lam * beta + shift, sign)
+                                       for beta, shift, sign in ((pp * r - p * s, 0, 1),
+                                                                 (pp * r + p * s, r * s, -1))
+                                       for lam in range(-wide, wide + 1)], cut)
+                        assert rocha_caridi(params, r, s, cut) == num * poch_inv(cut), (
+                            p, pp, r, s, cut)
+                        cases += 1
+        assert cases == 22582
 
     def test_head_is_partition_like(self):
         # below every correction exponent the coefficients are p(n) - p(n-rs)
@@ -201,7 +222,9 @@ def test_strip_kernels_build_no_fraction(monkeypatch):
     # The site tables compare the slope t = p'/p in ints, and config_sum_X,
     # f_sum and the I-and-S rebuild sum int keys over one denominator.
     params = ModelParams(5, 8)
-    monkeypatch.setattr(pathweights, "_X_CACHE", {})  # so every X is built
+    # cold caches, so every table and every X is built
+    make_tau_table.cache_clear()
+    pathweights._config_sum.cache_clear()
     built = []
     new = Fraction.__new__
 
@@ -287,7 +310,7 @@ class TestRiggedOracle:
         # The m-bound needs every weight >= 0; a table breaking that is refused.
         table = make_tau_table(ISING)
         bad = table._replace(weights={**table.weights, next(iter(table.weights)): -1})
-        monkeypatch.setitem(vircharacters._TABLES, ISING, bad)
+        monkeypatch.setattr(vircharacters, "make_tau_table", lambda params: bad)
         with pytest.raises(ArithmeticError):
             rigged_path_gf(ISING, 1, 1, 10)
 
