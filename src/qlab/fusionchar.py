@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .qcore import QSeries, poch_inv, poch_sum, q_binomial, sum_over_m, supernomial2
+from .qcore import QSeries, lattice_range, poch_inv, poch_sum, q_binomial, sum_over_m, supernomial2
 from .report import CaseResult, check, first_failure
 from .supernomial import S, string_sum
 from .pathweights import ModelParams, delta
@@ -71,7 +71,7 @@ def euler_multiplicity(V: Iterable[tuple[int, QSeries]], k: int, l: int) -> QSer
     sum_lam q^{-(k+2) lam^2 + (l+1) lam} (V^{2(k+2)lam - l} - V^{2(k+2)lam - l - 2}),
     where V^w is the sum of the series of the (weight, series) pairs ``V``
     at weight w.  A weight may repeat; the sum is linear, so each pair
-    enters on its own.  The series must be exact with integer exponents
+    enters on its own.  The series must have integer exponents
     (``QSeries.sum_shifted`` over denominator 1 raises ``ValueError`` otherwise).
     """
     if k < 0:
@@ -89,7 +89,9 @@ def euler_multiplicity(V: Iterable[tuple[int, QSeries]], k: int, l: int) -> QSer
 def abf_finitized(N: int, k: int, j: int, l: int) -> QSeries:
     """Finitized character: alternating sum of Gaussian binomials on a lattice
     strip of width 2N.  Identically zero when l and j have opposite parity
-    (all binomial indices would be half-integers)."""
+    (all binomial indices would be half-integers).  The lam window is exact:
+    the term at lam carries [2N, x]_q, x = base + (k+3) lam, which is zero
+    unless 0 <= x <= 2N, that is -base <= (k+3) lam <= 2N - base."""
     if N < 0:
         raise ValueError("N must be >= 0")
     if not 0 <= j <= k:
@@ -108,7 +110,7 @@ def abf_finitized(N: int, k: int, j: int, l: int) -> QSeries:
              ((2 * N - l + j) // 2, (k + 3) * (j + 1) - (k + 2) * (l + 1), 0, 1),
              ((2 * N - l - j - 2) // 2, -((k + 3) * (j + 1) + (k + 2) * (l + 1)),
               (j + 1) * (l + 1), -1))
-         for lam in range(-(base // (k + 3)), (2 * N - base) // (k + 3) + 1)), 1)
+         for lam in lattice_range(-base, 2 * N - base, k + 3)), 1)
 
 
 def unitary_params(k: int) -> ModelParams:

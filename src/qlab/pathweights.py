@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple, Optional
 
-from .qcore import QSeries
+from .qcore import QSeries, lattice_range
 from .report import CaseResult, check
 from .supernomial import S, S_tilde
 
@@ -44,11 +44,17 @@ class ModelParams(_Pair):
         return super().__new__(cls, p, pp)
 
 
+def delta_key(params: ModelParams, r: int, s: int) -> int:
+    """4pp' delta(r, s) = (r p' - s p)^2 - (p' - p)^2, the conformal weight
+    as an int key over 4pp'; it rises with |r p' - s p|."""
+    p, pp = params
+    return (r * pp - s * p) ** 2 - (pp - p) ** 2
+
+
 def delta(params: ModelParams, r: int, s: int) -> Fraction:
-    """Conformal weight ((r t - s)^2 - (t - 1)^2) / (4 t), computed as
-    ((r p' - s p)^2 - (p' - p)^2) / (4 p p')."""
-    p, pp = params.p, params.pp
-    return Fraction((r * pp - s * p) ** 2 - (pp - p) ** 2, 4 * p * pp)
+    """Conformal weight ((r t - s)^2 - (t - 1)^2) / (4 t), t = p'/p:
+    ``delta_key`` over 4pp'."""
+    return Fraction(delta_key(params, r, s), 4 * params.p * params.pp)
 
 
 def tau(params: ModelParams, b: int) -> int:
@@ -251,11 +257,9 @@ def b_of(r: int, a: int, params: ModelParams) -> int:
         raise ValueError("r out of range")
     if not 1 <= a <= params.pp - 1:
         raise ValueError("a out of range")
-    p, pp = params.p, params.pp
-    # delta(r, b) grows with |r p' - b p|; candidates share the parity of a.
-    dist = {b: abs(r * pp - b * p) for b in range(2 - a % 2, pp, 2)}
-    best = min(dist.values())
-    winners = [b for b, d in dist.items() if d == best]
+    key = {b: delta_key(params, r, b) for b in range(2 - a % 2, params.pp, 2)}
+    best = min(key.values())
+    winners = [b for b, k in key.items() if k == best]
     if len(winners) != 1:
         raise ValueError(f"tie among minimizing endpoints {winners}")
     return winners[0]
@@ -419,13 +423,14 @@ def _f_term(a: int, b: int, c: int, m: int,
 
 def f_sum(a: int, b: int, c: int, m: int, table: TauTable) -> QSeries:
     """Alternating sum over the reflection orbit of a:
-    sum_{eps=+-1} eps * sum_n f_{eps(a + 2 p' n), b, c, m}."""
+    sum_{eps=+-1} eps * sum_n f_{eps(a + 2 p' n), b, c, m}.  The n window is
+    exact: the summand at a' = eps(a + 2p'n) carries S_{m,l} or S~_{m,l},
+    l = (b - a')/2, both zero for |l| > m ([nu, m-l-nu] is, for every nu),
+    so it counts just when eps b - 2m <= a + 2p'n <= eps b + 2m."""
     pp = table.params.pp
-    # Only arguments within 2m of b contribute: a + 2 p' n in eps b +- 2m.
     return QSeries.sum_shifted(
         ((eps, *term) for eps in (1, -1)
-         for n in range(-((a - eps * b + 2 * m) // (2 * pp)),
-                        (eps * b + 2 * m - a) // (2 * pp) + 1)
+         for n in lattice_range(eps * b - 2 * m - a, eps * b + 2 * m - a, 2 * pp)
          if (term := _f_term(eps * (a + 2 * pp * n), b, c, m, table)) is not None), pp)
 
 

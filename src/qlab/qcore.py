@@ -151,7 +151,7 @@ class QSeries:
     @staticmethod
     def from_keys(terms: Mapping[int, int], den: int) -> "QSeries":
         """The exact series sum_k c_k q^{k/den} from int keys k over a
-        positive ``den``; no exponent passes through ``Fraction``."""
+        positive ``den``, as in ``sum_shifted``; no ``Fraction`` is formed."""
         if den < 1:
             raise ValueError("den must be positive")
         return _reduced({k: c for k, c in terms.items() if c}, den, None)
@@ -206,41 +206,38 @@ class QSeries:
 
     @staticmethod
     def sum(terms: Iterable["QSeries"]) -> "QSeries":
-        """Sum of ``terms`` in one pass, truncated below their least cutoff;
-        an exact zero when ``terms`` is empty."""
+        """Sum of ``terms`` below their least cutoff; an exact zero for none."""
         terms = list(terms)
-        if not terms:
-            return _new({}, 1, None)
-        den = math.lcm(*(t._den for t in terms))
-        acc: dict[int, int] = {}
-        cut = None
-        for t in terms:
-            tt, tc = _scaled(t, den)
-            cut = _min_cutoff(cut, tc)
-            if not acc:
-                acc = dict(tt)  # a first nonzero term is copied in one step
-                continue
-            get = acc.get
-            for k, c in tt.items():
-                acc[k] = get(k, 0) + c
-        return _reduced({k: c for k, c in acc.items()
-                         if c and (cut is None or k < cut)}, den, cut)
+        return QSeries.sum_shifted(((1, t, 0) for t in terms),
+                                   math.lcm(*(t._den for t in terms)))
 
     @staticmethod
     def sum_shifted(terms: Iterable[tuple[int, "QSeries", int]], den: int) -> "QSeries":
         """sum sign * s * q^{key/den} over (sign, s, key) triples, each ``s``
-        exact with a denominator dividing the positive ``den``: the terms add
-        into one int-keyed dict, reduced once; an exact zero for no terms."""
+        with a denominator dividing the positive ``den``: the one loop that
+        combines series, into one int-keyed dict reduced once.  It is
+        truncated below the least shifted cutoff of the terms, so exact only
+        when every term is; an exact zero for no terms."""
+        if den < 1:
+            raise ValueError("den must be positive")
         acc: dict[int, int] = {}
         get = acc.get
+        cut = None
+        n = 0
         for sign, s, key in terms:
             f, r = divmod(den, s._den)
-            if r or s._cut is not None:
-                raise ValueError(f"need exact series with denominators dividing {den}")
+            if r:
+                raise ValueError(f"need series with denominators dividing {den}")
+            if s._cut is not None and (cut is None or s._cut * f + key < cut):
+                cut = s._cut * f + key
+            n += 1
             for k, c in s._terms.items():
                 e = k * f + key
                 acc[e] = get(e, 0) + sign * c
-        return QSeries.from_keys(acc, den)
+        # Alone, a term has no key at or above its cut, and a zero only for sign 0.
+        if n > 1 or 0 in acc.values():
+            acc = {k: c for k, c in acc.items() if c and (cut is None or k < cut)}
+        return _reduced(acc, den, cut)
 
     def __add__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
@@ -248,29 +245,27 @@ class QSeries:
         return QSeries.sum((self, other))
 
     def __neg__(self) -> "QSeries":
-        return _new({k: -c for k, c in self._terms.items()}, self._den, self._cut)
+        return QSeries.sum_shifted(((-1, self, 0),), self._den)
 
     def __sub__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
             return NotImplemented
-        return self + (-other)
+        return QSeries.sum_shifted(((1, self, 0), (-1, other, 0)),
+                                   math.lcm(self._den, other._den))
 
     def __mul__(self, other: Union["QSeries", int]) -> "QSeries":
-        if isinstance(other, int):
-            if other == 0:
-                return _reduced({}, self._den, self._cut)
-            if other == 1:
-                return self  # series are immutable
-            return _new({k: c * other for k, c in self._terms.items()},
-                        self._den, self._cut)
+        if isinstance(other, int):  # no copy of an immutable series for 1
+            return self if other == 1 else QSeries.sum_shifted(((other, self, 0),), self._den)
         if not isinstance(other, QSeries):
             return NotImplemented
-        # An exact monomial c q^e factor is a scale and a shift; the cutoff
+        # An exact monomial c q^e factor is one scaled shift; the cutoff
         # moves by e, as the general rule's ``ca + floor`` gives.
         for mono, rest in ((self, other), (other, self)):
             if mono._cut is None and len(mono._terms) == 1:
                 (k, c), = mono._terms.items()
-                return rest * c if k == 0 else (rest * c).shift(_exp(k, mono._den))
+                den = math.lcm(rest._den, mono._den)
+                return rest if k == 0 and c == 1 else QSeries.sum_shifted(
+                    ((c, rest, k * (den // mono._den)),), den)
         den = math.lcm(self._den, other._den)
         ta, ca = _scaled(self, den)
         tb, cb = _scaled(other, den)
@@ -301,27 +296,12 @@ class QSeries:
 
     def shift(self, exp: ExpLike) -> "QSeries":
         """Multiply by q^exp."""
-        den = self._den
-        if isinstance(exp, int):
-            # An integral shift keeps the denominator least.
-            k = exp * den
-            return _new({e + k: c for e, c in self._terms.items()}, den,
-                        None if self._cut is None else self._cut + k)
-        den = math.lcm(den, _den(exp))
-        terms, cut = _scaled(self, den)
-        k = _key(exp, den)
-        return _reduced({e + k: c for e, c in terms.items()}, den,
-                        None if cut is None else cut + k)
+        den = math.lcm(self._den, _den(exp))
+        return QSeries.sum_shifted(((1, self, _key(exp, den)),), den)
 
     def truncate(self, cutoff: CutoffLike) -> "QSeries":
-        if cutoff is None:
-            return self
-        den = math.lcm(self._den, _den(cutoff))
-        terms, cut = _scaled(self, den)
-        new_cut = _key(cutoff, den)
-        if cut is not None and cut <= new_cut:
-            return self
-        return _reduced({k: c for k, c in terms.items() if k < new_cut}, den, new_cut)
+        """self + O(q^cutoff): the sum with a zero known only below ``cutoff``."""
+        return self + QSeries.zero(cutoff)
 
     def flip(self) -> "QSeries":
         """Substitute q -> 1/q; exact series only (negation of exponents)."""
@@ -386,6 +366,11 @@ def compare(a: QSeries, b: QSeries) -> Comparison:
         k = min(bad)
         return Comparison(False, below, _exp(k, den), ta.get(k, 0), tb.get(k, 0))
     return Comparison(True, below)
+
+
+def lattice_range(lo: int, hi: int, step: int) -> range:
+    """The ints x with lo <= step * x <= hi (step > 0): each orbit sum's window."""
+    return range(-(-lo // step), hi // step + 1)
 
 
 # -- Pochhammer sums ------------------------------------------------------

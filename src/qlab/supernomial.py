@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Optional
 
-from .qcore import ExpLike, QSeries, q_binomial, sum_over_m
+from .qcore import ExpLike, QSeries, poch_sum, q_binomial
 from .report import CaseResult, check
 
 
@@ -62,11 +62,16 @@ def S_floor(m: int, l: int) -> Optional[int]:
 
 
 def string_sum(l: int, cutoff: ExpLike) -> QSeries:
-    """sum_{m >= |l|} q^{m^2} S_{m,l}(q) / (q)_m below ``cutoff``."""
-    # S_{m,l} is zero exactly for m < |l|: leading zeros, skipped unbuilt.
-    return sum_over_m(lambda m: S(m, l).shift(m * m),
-                      lambda m: None if m < abs(l) else S_floor(m, l) + m * m,
-                      cutoff)[0]
+    """sum_{m >= |l|} q^{m^2} S_{m,l}(q) / (q)_m below ``cutoff``.  S_{m,l} is
+    zero for m < |l|, and from m = |l| on q^{m^2} S_{m,l} starts at m^2 +
+    S_floor(m, l) = l^2 + ceil((m^2 - l^2)/2), which rises strictly with m:
+    the first term at or above the cutoff ends the sum."""
+    terms = {}
+    m = abs(l)
+    while m * m + S_floor(m, l) < cutoff:
+        terms[m] = S(m, l).shift(m * m)
+        m += 1
+    return poch_sum(terms, cutoff)
 
 
 SImpl = Callable[[int, int], QSeries]
@@ -99,7 +104,7 @@ def verify_S_recurrences(m_max: int,
     """Check the symmetry and all six step recurrences for 0 <= m < m_max,
     |l| <= m + 1.  Failures are collected, not raised, so a deliberately
     perturbed implementation shows up as failing cases.  Both implementations
-    must give exact series with integer exponents, or ``sum_shifted`` raises
+    must give series with integer exponents, or ``sum_shifted`` raises
     ``ValueError``.
     """
     table = _identity_table(s_impl, s_tilde_impl)

@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Optional
 
-from .qcore import QSeries, compare, poch_inv, sum_over_m
+from .qcore import QSeries, compare, lattice_range, poch_inv, sum_over_m
 from .report import CaseResult, check
 from .supernomial import S, S_floor, string_sum
 from .pathweights import (
@@ -24,6 +24,7 @@ from .pathweights import (
     _walk,
     b_of,
     config_sum_X,
+    delta_key,
     make_tau_table,
     path_gf,
 )
@@ -68,9 +69,9 @@ def _I_m_terms(params: ModelParams, r: int, a: int, b: int,
                m: int) -> list[tuple[int, int, int]]:
     """I_m as (sign, idx, e): I_m = sum sign * q^e S_{m,idx}, every |idx| <= m.
 
-    Two sums over lam, the second subtracted and indexed by -lam; each keeps
-    the terms whose index half - p' lam lies in [-m, m].
-    """
+    Two sums over lam, the second subtracted and indexed by -lam.  The lam
+    window is exact: S_{m,idx} is zero for |idx| > m, so a term counts just
+    when idx = half - p' lam lies in [-m, m], i.e. half - m <= p' lam <= half + m."""
     _check_rs(params, r, a)
     if not 1 <= b <= params.pp - 1 or (a - b) % 2 != 0:
         raise ValueError("need b on the strip with b = a mod 2")
@@ -81,8 +82,8 @@ def _I_m_terms(params: ModelParams, r: int, a: int, b: int,
     return [(sign, idx, lam * lam * n + lam * beta + shift + m * m - idx * idx)
             for half, beta, shift, sign in (((a - b) // 2, pp * r - p * a, 0, 1),
                                             ((a + b) // 2, -(pp * r + p * a), r * a, -1))
-            for lam in range(-((m - half) // pp + 1), (m + half) // pp + 2)
-            if abs(idx := half - pp * lam) <= m]
+            for lam in lattice_range(half - m, half + m, pp)
+            for idx in (half - pp * lam,)]
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -129,12 +130,11 @@ def _end_shift_parts(params: ModelParams, r: int, a: int,
                      b: int) -> tuple[int, dict[int, int]]:
     """(shift, bdr) of the paths from a to b, in units of 1/(4pp'): shift =
     delta(r,b) - delta(r,a), and bdr[d] = delta(r,d) - delta(r,b) + [d == b]
-    for each next-to-last site d on the strip, from 4pp' delta(r,s) =
-    (r p' - s p)^2 - (p' - p)^2, whose constant cancels in every difference."""
-    p, pp = params.p, params.pp
-    sq = {s: (r * pp - s * p) ** 2 for s in (a, b - 2, b, b + 2)}
-    return sq[b] - sq[a], {d: sq[d] - sq[b] + (4 * p * pp if d == b else 0)
-                           for d in (b - 2, b, b + 2) if 1 <= d <= pp - 1}
+    for each next-to-last site d on the strip, each from ``delta_key``."""
+    at_b = delta_key(params, r, b)
+    return at_b - delta_key(params, r, a), {
+        d: delta_key(params, r, d) - at_b + (4 * params.p * params.pp if d == b else 0)
+        for d in (b - 2, b, b + 2) if 1 <= d < params.pp}
 
 
 def _end_shifts(params: ModelParams, r: int, a: int, b: int, m: int) -> dict[int, int]:
@@ -199,10 +199,10 @@ def rigged_path_gf(params: ModelParams, r: int, a: int,
 
     The enumeration runs on integers in units of 1/(4 p p'), a common
     denominator of every weight and conformal weight of the model: a weight
-    is 4p times its entry in the table (in units of 1/p'), and
-    4pp' delta(r,s) = (r p' - s p)^2 - (p' - p)^2.  A walked path of energy
-    key has the tight chain 4p key + m bdr[s_{m-1}] + shift, so one at or over
-    the cut is skipped unrigged.  Every weight is at least w_min >= 0 (else
+    is 4p times its entry in the table (in units of 1/p'), and a conformal
+    weight is its ``delta_key``.  A walked path of energy key has the tight
+    chain 4p key + m bdr[s_{m-1}] + shift, so one at or over the cut is
+    skipped unrigged.  Every weight is at least w_min >= 0 (else
     ArithmeticError) and every bdr is positive, so no m-step path starts
     below shift + m min(bdr) + 4p w_min m(m-1)/2, which grows with m: the
     m-range ends where that reaches the cut.

@@ -28,6 +28,8 @@ integer-keyed internals:
   that the rigged oracle's walker key replaced;
 - ``monomial``, ``support`` and ``coeff_sum``: small views of a series that
   only the tests need;
+- ``wide_window``: a superset of ``qcore.lattice_range``'s window, which the
+  window tests put in its place;
 - ``weight_string`` and ``convolve``: z-graded characters as dicts weight ->
   q-series, multiplied weight by weight with one sum per weight, the route
   the Euler sum's (weight, series) pair input replaced;
@@ -54,6 +56,14 @@ from qlab.supernomial import S, S_tilde
 def monomial(exp, coeff: int = 1, cutoff=None) -> QSeries:
     """The series coeff * q^exp."""
     return QSeries({exp: coeff}, cutoff)
+
+
+def wide_window(lo: int, hi: int, step: int) -> range:
+    """Every x with |x| <= (|lo| + |hi|) // step + 3, a superset of the x
+    with lo <= step * x <= hi: a sum over it must equal the sum over the
+    exact window when no term outside that window counts."""
+    w = (abs(lo) + abs(hi)) // step + 3
+    return range(-w, w + 1)
 
 
 def support(s: QSeries) -> list:

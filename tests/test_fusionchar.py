@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qlab import pathweights, qcore, supernomial, vircharacters
+from qlab import fusionchar, pathweights, qcore, supernomial, vircharacters
 from qlab.qcore import QSeries, compare, poch_inv, poch_sum, q_binomial
 from qlab.supernomial import S, string_sum
 from qlab.fusionchar import (
@@ -16,6 +16,7 @@ from qlab.vircharacters import rocha_caridi
 
 from oracles import (
     coeff_sum, convolve, poch_inv_parts, support, supernomial2_sum, weight_string,
+    wide_window,
 )
 
 F = Fraction
@@ -172,6 +173,16 @@ class TestFinitizedSums:
     def test_matches_character(self):
         for case in verify_abf(1, 12, 10):
             assert case.ok, case
+
+    def test_lam_window_is_exact(self, monkeypatch):
+        # A wider lam window adds only zero binomials [2N, x], x outside
+        # 0..2N: the finitized sums agree.
+        cases = [(N, k, j, l) for N in range(13) for k in range(4)
+                 for j in range(k + 1) for l in range(k + 2)]
+        exact = [abf_finitized(*case) for case in cases]
+        monkeypatch.setattr(fusionchar, "lattice_range", wide_window)
+        for case, want in zip(cases, exact):
+            assert abf_finitized(*case) == want, case
 
     def test_k2_spot_check(self):
         for case in verify_abf(2, 10, 8):

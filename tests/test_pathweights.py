@@ -17,6 +17,7 @@ from qlab.vircharacters import path_side_GEN
 
 from oracles import (
     f_sum_by_slope, monomial, path_side_reference, slope_energy, slope_weight, walks,
+    wide_window,
 )
 
 F = Fraction
@@ -358,6 +359,16 @@ class TestConfigSums:
                         a, b, c, m, table), (p, pp, a, b, c, m)
                     n += 1
         assert n == 2410
+
+    def test_f_sum_window_is_exact(self, monkeypatch):
+        # A wider n window adds only zero terms (|l| > m): the f-sums agree.
+        cases = [(a, b, c, m, make_tau_table(ModelParams(p, pp)))
+                 for p, pp in _strips(12) for a, b, c in x_configs(ModelParams(p, pp))
+                 for m in range(9)]
+        exact = [f_sum(*case) for case in cases]
+        monkeypatch.setattr(pathweights, "lattice_range", wide_window)
+        for case, want in zip(cases, exact):
+            assert f_sum(*case) == want, case[:4]
 
     def test_alternating_closed_form(self):
         for key in _strips(12):

@@ -5,12 +5,13 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qlab.cli import _json_text, run
 from qlab.pathweights import ModelParams, delta
 from qlab.qcore import (
-    QSeries, compare, poch_inv, poch_sum, q_binomial, sum_over_m, supernomial2,
+    QSeries, compare, lattice_range, poch_inv, poch_sum, q_binomial, sum_over_m,
+    supernomial2,
 )
 
 from oracles import (
@@ -93,6 +94,7 @@ class TestRingLaws:
     def test_neutral_elements(self, a):
         assert a + QSeries.zero(None) == a
         assert a * QSeries.one(None) == a
+        assert a * 0 == QSeries.zero(a.cutoff)
 
     @given(a=exact_series(), b=exact_series(), cut=st.integers(-2, 8))
     @settings(max_examples=60)
@@ -287,17 +289,20 @@ class TestAgainstFractionOracle:
 
 
 @st.composite
-def shifted_terms(draw):
-    """(den, [(sign, s, key)]): exact series whose denominators divide den,
-    signed big coefficients, negative keys included."""
+def shifted_terms(draw, truncated=False):
+    """(den, [(sign, s, key)]): series whose denominators divide den, signed
+    big coefficients, negative keys included; exact series, or with
+    ``truncated`` a mix of exact and truncated ones."""
     den = draw(st.integers(1, 12))
     divisors = [d for d in range(1, den + 1) if den % d == 0]
     terms = []
     for _ in range(draw(st.integers(0, 5))):
         d = draw(st.sampled_from(divisors))
+        cut = draw(st.one_of(st.none(), st.builds(F, st.integers(-30, 30), st.just(d)))
+                   if truncated else st.none())
         s = QSeries(draw(st.dictionaries(st.builds(F, st.integers(-30, 30), st.just(d)),
-                                         st.integers(-2 ** 80, 2 ** 80), max_size=6)))
-        terms.append((draw(st.sampled_from([1, -1, 3])), s, draw(st.integers(-60, 60))))
+                                         st.integers(-2 ** 80, 2 ** 80), max_size=6)), cut)
+        terms.append((draw(st.sampled_from([1, -1, 3, 0])), s, draw(st.integers(-60, 60))))
     return den, terms
 
 
@@ -327,15 +332,36 @@ class TestSumShifted:
         assert list(QSeries.sum_shifted([(1, s, 0), (1, s, 12)], 12).items()) == [
             (0, 1), (1, -1), (2, -2)]
 
-    def test_rejects_truncated_series(self):
-        with pytest.raises(ValueError, match="exact"):
-            QSeries.sum_shifted([(1, QSeries.one(None), 0), (1, QSeries.one(5), 0)], 1)
+    @given(case=shifted_terms(truncated=True))
+    # Two terms: one truncates the other; two that cancel below a cut.
+    @example(case=(1, [(1, QSeries({0: 1, 5: 1}), 0), (1, QSeries.zero(3), 0)]))
+    @example(case=(2, [(1, QSeries({F(1, 2): 3}), 1), (-1, QSeries({1: 3, 2: 1}, 4), 0)]))
+    def test_truncated_terms_match_the_reference(self, case):
+        # Keys need not be multiples of den: the shifts are rational.
+        den, terms = case
+        got = QSeries.sum_shifted(iter(terms), den)
+        shifted = [(sign, RefSeries.of(s).shift(F(key, den))) for sign, s, key in terms]
+        assert RefSeries.of(got) == RefSeries.sum([
+            RefSeries.make(((e, sign * c) for e, c in r.terms.items()), r.cutoff)
+            for sign, r in shifted])
+        assert got.cutoff == min((r.cutoff for _, r in shifted if r.cutoff is not None),
+                                 default=None)
+        assert got.is_exact == all(s.is_exact for _, s, _ in terms)
+        assert_canonical(got)
 
     def test_rejects_denominator_not_dividing(self):
         with pytest.raises(ValueError, match="dividing 4"):
             QSeries.sum_shifted([(1, monomial(F(1, 3)), 0)], 4)
         with pytest.raises(ValueError):
             QSeries.sum_shifted([(1, QSeries.one(None), 0)], 0)
+
+
+def test_lattice_range_is_the_multiples_in_a_window():
+    for step in range(1, 8):
+        for lo in range(-20, 21):
+            for hi in range(lo - 3, 21):
+                assert list(lattice_range(lo, hi, step)) == [
+                    x for x in range(-25, 26) if lo <= step * x <= hi], (lo, hi, step)
 
 
 class TestJson:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qlab import supernomial
 from qlab.qcore import QSeries, supernomial2
 from qlab.supernomial import (
     S, S_floor, S_table, S_tilde, string_sum, verify_S_recurrences,
@@ -58,6 +59,39 @@ def test_floor_is_exact():
             poly = S(m, l)
             want = poly.floor if poly else None
             assert S_floor(m, l) == want, (m, l)
+
+
+def test_shifted_floor_lemma():
+    # S_floor(m, l) = -floor((m^2 - l^2)/2) for |l| <= m, so the string-sum
+    # term q^{m^2} S_{m,l} starts at l^2 + ceil((m^2 - l^2)/2), rising
+    # strictly in m: string_sum's proven stop.
+    for l in range(-59, 60):
+        floors = []
+        for m in range(abs(l), 60):
+            assert S_floor(m, l) == -((m * m - l * l) // 2), (m, l)
+            floors.append(m * m + S_floor(m, l))
+        assert all(a < b for a, b in zip(floors, floors[1:])), l
+
+
+def test_string_sum_builds_exactly_the_terms_below_the_cut(monkeypatch):
+    # The sum builds the terms m = |l|, |l| + 1, ... that reach below the
+    # cut and stops at the first that does not; by the lemma above, no later
+    # term does either.
+    built = []
+
+    def recording_S(m, l):
+        built.append(m)
+        return S(m, l)
+
+    monkeypatch.setattr(supernomial, "S", recording_S)
+    for l in range(-6, 7):
+        for c in range(41):
+            built.clear()
+            string_sum(l, c)
+            stop = abs(l) + len(built)
+            assert built == list(range(abs(l), stop)), (l, c)
+            assert all(S(m, l).shift(m * m).floor < c for m in built), (l, c)
+            assert S(stop, l).shift(stop * stop).floor >= c, (l, c)
 
 
 def test_string_sum_matches_building_every_term():

@@ -20,7 +20,7 @@ from qlab.vircharacters import (
     verify_GEN, verify_IandS, verify_poch_inv_expansion, verify_rigged, verify_rocha2,
 )
 
-from oracles import coeff_sum, sum_over_m_every_term, tight_chain
+from oracles import coeff_sum, sum_over_m_every_term, tight_chain, wide_window
 from test_pathweights import _strips
 from test_qcore import partitions
 
@@ -134,6 +134,19 @@ class TestIm:
                     for m in range(6):
                         assert (coeff_sum(I_m(params, r, a, b, m))
                                 == count_paths(a, b, m, params)), (p, pp, r, a, m)
+
+    def test_orbit_window_is_exact(self, monkeypatch):
+        # Over a wider lam window, the terms with S_{m,idx} != 0 (|idx| <= m)
+        # are the exact window's terms, in the same order.
+        cases = [(ModelParams(p, pp), r, a, b, m) for p, pp in _strips(10)
+                 for r in range(1, p) for a in range(1, pp)
+                 for b in range(2 - a % 2, pp, 2) for m in range(11)]
+        exact = [vircharacters._I_m_terms(*case) for case in cases]
+        monkeypatch.setattr(vircharacters, "lattice_range", wide_window)
+        for case, want in zip(cases, exact):
+            m = case[-1]
+            assert [t for t in vircharacters._I_m_terms(*case)
+                    if abs(t[1]) <= m] == want, case
 
     def test_rejects_parity_mismatch(self):
         with pytest.raises(ValueError):
