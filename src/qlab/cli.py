@@ -262,10 +262,8 @@ def _build(name: str, args, scaled: bool = False) -> tuple[dict, list[Chunk]]:
     unread = [k for k, x in given.items() if x is not None and k not in suite.defaults]
     if unread and not scaled:
         raise ValueError(f"suite {name} does not read --{unread[0]}")
-    if scaled:
-        given.update(suite.all_scale)
-    resolved = {k: x if given[k] is None else given[k]
-                for k, x in suite.defaults.items()}
+    unset = {**suite.defaults, **suite.all_scale} if scaled else suite.defaults
+    resolved = {k: x if given[k] is None else given[k] for k, x in unset.items()}
     return suite.build(argparse.Namespace(**resolved))
 
 

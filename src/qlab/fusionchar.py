@@ -17,11 +17,11 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .qcore import QSeries, lattice_range, poch_inv, poch_sum, q_binomial, sum_over_m, supernomial2
+from .qcore import QSeries, lattice_range, poch_inv, poch_sum, q_binomial, supernomial2
 from .report import CaseResult, check, first_failure
 from .supernomial import S, string_sum
 from .pathweights import ModelParams, delta
-from .vircharacters import I_m, I_m_floor, rocha_caridi
+from .vircharacters import I_m, I_m_sum, rocha_caridi
 
 
 def verify_exact_sequence_chars(k1_max: int, k2_max: int) -> list[CaseResult]:
@@ -159,8 +159,7 @@ def verify_grading(k: int, m_max: int, cutoff: int | Fraction) -> list[CaseResul
 
             # The m-th term, shifted by d, is the graded piece
             # graded_13_char(k, r, s, m, cutoff); the sum is shifted once.
-            total, _, _ = sum_over_m(lambda m: I_m(params, r, s, r + i, m),
-                                     lambda m: I_m_floor(params, r, s, r + i, m), cutoff)
+            total, _, _ = I_m_sum(params, r, s, r + i, cutoff)
             out.append(check(f"grading-sum k={k} r={r} s={s}", total.shift(d),
                              rocha_caridi(params, r, s, cutoff).shift(d)))
 

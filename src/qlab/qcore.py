@@ -13,6 +13,10 @@ have equal keys, denominators and cutoffs.  Arithmetic runs on the int keys
 and rescales to the lcm of the denominators only when two differ.  Exponents
 cross the API as ``int`` when integral and as ``Fraction`` otherwise, and
 into JSON as (num, den) in lowest terms (``json_rows``).
+
+Sums, shifts and products are calls to one kernel, ``QSeries.sum_shifted``,
+cut below its terms' least shifted cutoff.  A product reads each cutoff as an
+error term: a + O(q^{c_a}) times b is a b + O(q^{c_a + floor b}).
 """
 
 from __future__ import annotations
@@ -254,43 +258,26 @@ class QSeries:
                                    math.lcm(self._den, other._den))
 
     def __mul__(self, other: Union["QSeries", int]) -> "QSeries":
+        """sum_k c_k q^k * b over the terms of the factor a with fewer terms,
+        plus an error term per cutoff: O(q^{c_a + floor b}) for a truncated a,
+        and b's O(q^{c_b}) for an exact-zero a, which has no copy to carry it.
+        So it is cut at min(c_a + floor b, c_b + floor a), an exact zero's
+        floor being 0."""
         if isinstance(other, int):  # no copy of an immutable series for 1
             return self if other == 1 else QSeries.sum_shifted(((other, self, 0),), self._den)
         if not isinstance(other, QSeries):
             return NotImplemented
-        # An exact monomial c q^e factor is one scaled shift; the cutoff
-        # moves by e, as the general rule's ``ca + floor`` gives.
-        for mono, rest in ((self, other), (other, self)):
-            if mono._cut is None and len(mono._terms) == 1:
-                (k, c), = mono._terms.items()
-                den = math.lcm(rest._den, mono._den)
-                return rest if k == 0 and c == 1 else QSeries.sum_shifted(
-                    ((c, rest, k * (den // mono._den)),), den)
-        den = math.lcm(self._den, other._den)
-        ta, ca = _scaled(self, den)
-        tb, cb = _scaled(other, den)
-        # Truncation is sound through the other factor's floor.
-        cut = _min_cutoff(None if ca is None else ca + _floor_key(tb, cb),
-                       None if cb is None else cb + _floor_key(ta, ca))
-        acc: dict[int, int] = {}
-        get = acc.get
-        if cut is None:
-            for e1, c1 in ta.items():
-                for e2, c2 in tb.items():
-                    e = e1 + e2
-                    acc[e] = get(e, 0) + c1 * c2
-        else:
-            # Ascending exponents of the second factor: the first at or
-            # above the cut ends the row.
-            row = sorted(tb.items())
-            for e1, c1 in ta.items():
-                lim = cut - e1
-                for e2, c2 in row:
-                    if e2 >= lim:
-                        break
-                    e = e1 + e2
-                    acc[e] = get(e, 0) + c1 * c2
-        return _reduced({k: c for k, c in acc.items() if c}, den, cut)
+        if self == _ONE or other == _ONE:  # no copy for the exact 1
+            return other if self == _ONE else self
+        a, b = (self, other) if len(self._terms) <= len(other._terms) else (other, self)
+        den = math.lcm(a._den, b._den)
+        f = den // a._den
+        terms = [(c, b, k * f) for k, c in a._terms.items()]
+        if a._cut is not None:
+            terms.append((1, _O1, a._cut * f + _floor_key(b._terms, b._cut) * (den // b._den)))
+        elif not a._terms and b._cut is not None:
+            terms.append((1, _O1, b._cut * (den // b._den)))
+        return QSeries.sum_shifted(terms, den)
 
     __rmul__ = __mul__
 
@@ -330,6 +317,10 @@ class QSeries:
             return [(c, 1, k) for k, c in items]
         gcd = math.gcd
         return [(c, den // g, k // g) for k, c in items for g in (gcd(k, den),)]
+
+
+_ONE = QSeries.one()
+_O1 = QSeries.zero(0)  # O(1): the term (1, _O1, key) is O(q^{key/den})
 
 
 class Comparison(NamedTuple):

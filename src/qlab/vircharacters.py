@@ -110,16 +110,22 @@ def I_m_floor(params: ModelParams, r: int, a: int, b: int, m: int) -> Optional[i
                default=None)
 
 
+def I_m_sum(params: ModelParams, r: int, a: int, b: int,
+            cutoff: int | Fraction) -> tuple[QSeries, int, bool]:
+    """sum_m I_m / (q)_m below ``cutoff``, that is q^{-delta(r,a)} chi_{r,a}:
+    ``sum_over_m`` with ``I_m_floor`` as the bound.  Returns its (total, m,
+    capped), m being where its stop rule stopped."""
+    return sum_over_m(lambda m: I_m(params, r, a, b, m),
+                      lambda m: I_m_floor(params, r, a, b, m), cutoff)
+
+
 def verify_rocha2(params: ModelParams, r: int, a: int, b: int,
                   cutoff: int | Fraction) -> CaseResult:
-    """Check sum_m I_m / (q)_m against the alternating-sum character.
-
-    The m-sum is ``sum_over_m`` with ``I_m_floor`` as the bound; the detail
-    names the m at which its stop rule stopped.
+    """Check sum_m I_m / (q)_m (``I_m_sum``) against the alternating-sum
+    character; the detail names the m at which the sum stopped.
     """
     target = rocha_caridi(params, r, a, cutoff)
-    total, m, capped = sum_over_m(lambda m: I_m(params, r, a, b, m),
-                                  lambda m: I_m_floor(params, r, a, b, m), cutoff)
+    total, m, capped = I_m_sum(params, r, a, b, cutoff)
     cmp = compare(total, target)
     case_id = f"rocha2 p={params.p} p'={params.pp} r={r} a={a} b={b}"
     detail = cmp.detail() + (f"; hard cap m<={m - 1} hit" if capped else f"; m summed to {m}")

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -364,6 +365,23 @@ def test_all_applies_k_to_every_suite_that_reads_it(capsys):
     assert params["abf"]["k"] == 2
 
 
+def test_all_applies_the_users_scale_over_its_own(capsys):
+    # --qmax, --mmax and --m each beat the `all` scale in every suite that
+    # reads them; the report names each under its own key.
+    assert run(["all", "--qmax", "3", "--mmax", "2", "--m", "4"]) == 0
+    params = {rep["suite"]: rep["params"]
+              for rep in json.loads(capsys.readouterr().out)["suites"]}
+    value = {"qmax": 3, "deg": 3, "m_max": 2, "N_max": 2, "k1_max": 2, "k2_max": 2, "N": 4}
+    readers = {"qmax": ("grading", "i1", "pi2pi3", "pochsum", "rigged", "rocha2"),
+               "m_max": ("gen", "grading", "iands", "relS", "xandf"),
+               "deg": ("abf",), "N": ("abf",), "N_max": ("pmn",),
+               "k1_max": ("exactseq",), "k2_max": ("exactseq",)}
+    assert {key: tuple(sorted(name for name, ps in params.items() if key in ps))
+            for key in value} == readers
+    assert all(params[name][key] == value[key]
+               for key, names in readers.items() for name in names)
+
+
 # SHA-256 of the stdout of every benchmark op, recorded by
 # perfbench/record_digests.py; read here, never written.  The ops are every
 # default-seed op of perfbench/workloads.py, in workload order, so they share
@@ -385,11 +403,28 @@ def test_benchmark_op_stdout_is_pinned(op, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == BENCH_DIGESTS.get(op)
 
 
-def test_console_script_installed():
+def test_cli_module_runs_as_a_script():
     proc = _fresh_python("-m", "qlab.cli", "paths", "--p", "3", "--pp", "4",
                          "--a", "1", "--b", "1", "--m", "2", "--count")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 1
+
+
+@pytest.mark.parametrize("argv,code", [
+    ("verify pmn --mmax 1", 0),
+    ("verify abf --k 2 --m 8 --qmax 15", 1),  # fails: abf is claimed through q^N only
+    ("verify nosuchsuite", 2),
+], ids=["pass", "fail", "usage"])
+def test_console_script_target_keeps_the_exit_contract(argv, code):
+    # The `qlab` entry of [project.scripts], imported and called as an
+    # installed console script calls it, with sys.argv set.
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    module, func = re.search(r'^\[project\.scripts\]\s*^qlab = "([\w.]+):(\w+)"$',
+                             pyproject, re.MULTILINE).groups()
+    proc = _fresh_python("-c", (
+        f"import sys; sys.argv = ['qlab'] + {argv.split()!r}; "
+        f"from {module} import {func}; {func}()"))
+    assert proc.returncode == code, proc.stderr.decode()
 
 
 def _fresh_python(*args: str) -> subprocess.CompletedProcess:

@@ -161,8 +161,8 @@ def wide_series(draw, exact=False):
     return QSeries(terms, None if exact else draw(wide_cuts))
 
 
-# Exact one-term series c q^e, which ``QSeries.__mul__`` turns into a scale
-# and a shift: e integral (0 included) or rational, c = +-1 or another value.
+# Exact one-term series c q^e, which ``QSeries.__mul__`` makes a one-term
+# combination: e integral (0 included) or rational, c = +-1 or another value.
 exact_monomials = st.builds(
     monomial,
     st.one_of(st.just(0), st.integers(-30, 30), wide_exps),
@@ -286,6 +286,62 @@ class TestAgainstFractionOracle:
         assert halves.truncate(1) == QSeries.zero(1)
         assert list(QSeries({F(1, 6): 1, F(1, 3): 1}).shift(F(5, 6)).items()) == [
             (1, 1), (F(7, 6), 1)]
+
+
+def _both_orders(a: QSeries, b: QSeries, want: QSeries) -> None:
+    assert a * b == want and b * a == want
+
+
+class TestProductErrorTerms:
+    """Each factor's cutoff as one error term of the product, on examples a
+    random run can miss: a + O(q^{c_a}) times b adds O(q^{c_a + floor b}),
+    and an exact zero times b + O(q^{c_b}) is O(q^{c_b})."""
+
+    def test_exact_zero_times_truncated_is_its_cutoff(self):
+        # Not c_b + floor b: an exact zero's floor is 0.
+        _both_orders(QSeries.zero(None), QSeries({2: 1, 3: 5}, 7), QSeries.zero(7))
+        _both_orders(QSeries.zero(None), QSeries.zero(F(5, 2)), QSeries.zero(F(5, 2)))
+
+    def test_truncated_zero_times_exact_moves_by_its_floor(self):
+        _both_orders(QSeries.zero(5), QSeries({3: 2, 4: 1}), QSeries.zero(8))
+        _both_orders(QSeries.zero(5), QSeries({-2: 1}), QSeries.zero(3))
+        _both_orders(QSeries.zero(5), QSeries.zero(None), QSeries.zero(5))
+
+    def test_either_cutoff_binds(self):
+        b_exp = {3: 1, 5: 1, 6: 1}
+        # The factor with fewer terms binds: 4 + floor b = 7 < 20 + floor a.
+        _both_orders(QSeries({1: 1, 2: 1}, 4), QSeries(b_exp, 20),
+                     QSeries({4: 1, 5: 1, 6: 1}, 7))
+        # The other binds: 8 + floor a = 9 < 30 + floor b.
+        _both_orders(QSeries({1: 1, 2: 1}, 30), QSeries(b_exp, 8),
+                     QSeries({4: 1, 5: 1, 6: 1, 7: 2, 8: 1}, 9))
+        # Two empty truncated factors: c_a + c_b.
+        _both_orders(QSeries.zero(2), QSeries.zero(F(1, 3)), QSeries.zero(F(7, 3)))
+
+    def test_denominators_three_and_four(self):
+        thirds = {F(1, 3): 1, F(2, 3): 2}
+        quarters = {F(1, 4): 1, F(5, 4): -1, F(7, 4): 1}
+        # Truncated quarters: 2 + floor(thirds) = 7/3 drops q^{29/12}.
+        _both_orders(QSeries(thirds), QSeries(quarters, 2), QSeries(
+            {F(7, 12): 1, F(11, 12): 2, F(19, 12): -1, F(23, 12): -2, F(25, 12): 1},
+            F(7, 3)))
+        # Truncated thirds: 4/3 + floor(quarters) = 19/12.
+        _both_orders(QSeries(thirds, F(4, 3)), QSeries(quarters),
+                     QSeries({F(7, 12): 1, F(11, 12): 2}, F(19, 12)))
+
+    def test_one_term_truncated_factor(self):
+        _both_orders(QSeries({2: 3}, 5), QSeries({0: 1, 1: 1, 7: 1}),
+                     QSeries({2: 3, 3: 3}, 5))
+        _both_orders(QSeries({2: 3}, 5), QSeries({1: 1, 2: 1, 7: 1}),
+                     QSeries({3: 3, 4: 3}, 6))
+        _both_orders(QSeries({F(1, 2): -1}, 1), QSeries({F(1, 2): 1}, 3),
+                     QSeries({1: -1}, F(3, 2)))
+
+    def test_exact_one_returns_the_other_operand(self):
+        one = QSeries.one()
+        for other in (QSeries({F(1, 3): 2, 5: -1}, 7), QSeries({0: 1, 2: 1}),
+                      QSeries.zero(5), QSeries.zero(None), QSeries({0: 1}, 1)):
+            assert one * other is other and other * one is other
 
 
 @st.composite

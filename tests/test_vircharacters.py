@@ -13,10 +13,10 @@ from qlab.fusionchar import (
 from qlab.pathweights import (
     ModelParams, _walk, b_of, count_paths, make_tau_table, verify_Xandf,
 )
-from qlab.qcore import QSeries, poch_inv, poch_sum, sum_over_m, supernomial2
+from qlab.qcore import QSeries, poch_inv, poch_sum, supernomial2
 from qlab.supernomial import string_sum, verify_S_recurrences
 from qlab.vircharacters import (
-    I_m, I_m_floor, _end_shifts, path_side_GEN, rigged_path_gf, rocha_caridi,
+    I_m, I_m_floor, I_m_sum, _end_shifts, path_side_GEN, rigged_path_gf, rocha_caridi,
     verify_GEN, verify_IandS, verify_poch_inv_expansion, verify_rigged, verify_rocha2,
 )
 
@@ -359,8 +359,5 @@ class TestFloorBound:
         cases += [(unitary_params(k), r, s, r + (r - s) % 2, F(15))
                   for k in (1, 2, 3) for r in range(1, k + 2) for s in range(1, k + 3)]
         for *args, cut in cases:
-            def poly_of(m):
-                return I_m(*args, m)
-
-            assert (sum_over_m(poly_of, lambda m: I_m_floor(*args, m), cut)
-                    == sum_over_m_every_term(poly_of, cut)), args
+            assert I_m_sum(*args, cut) == sum_over_m_every_term(
+                lambda m: I_m(*args, m), cut), args
