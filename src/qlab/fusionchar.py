@@ -134,11 +134,11 @@ def graded_13_char(k: int, r: int, s: int, m: int,
 
 
 def verify_grading(k: int, m_max: int, cutoff: int | Fraction) -> list[CaseResult]:
-    """Three checks per sector (r, s) of the unitary model at level k:
-    nonnegativity of each graded piece (m <= m_max), recovery of the full
-    character by the m-sum (below the cutoff), and agreement of the two
-    routes to the graded piece (Euler-sum route for r = s mod 2, reflection
-    route otherwise) as exact polynomial identities."""
+    """Three checks per sector (r, s) of the unitary model at level k: each
+    graded piece (m <= m_max) is nonnegative, its signs read on the quotient
+    before the shift by delta, which moves no coefficient; the m-sum recovers
+    the full character below the cutoff; and the two routes to I_m (Euler sum
+    for r = s mod 2, reflection otherwise) agree as exact polynomial identities."""
     params = unitary_params(k)
     p, pp = params.p, params.pp
     out = []
@@ -149,9 +149,10 @@ def verify_grading(k: int, m_max: int, cutoff: int | Fraction) -> list[CaseResul
 
             neg = []
             for m in range(m_max + 1):
-                g = graded_13_char(k, r, s, m, cutoff)
-                # Only a piece with a negative coefficient needs its exponents.
+                g = poch_sum({m: I_m(params, r, s, r + i, m)}, cutoff)
+                # Only a piece with a negative coefficient is shifted, to name those.
                 if min(g.coeffs(), default=0) < 0:
+                    g = graded_13_char(k, r, s, m, cutoff)
                     neg.extend(f"m={m} q^{e}" for e, c in g.items() if c < 0)
             out.append(CaseResult(
                 f"grading-nonneg k={k} r={r} s={s}", not neg,
@@ -181,14 +182,16 @@ def verify_grading(k: int, m_max: int, cutoff: int | Fraction) -> list[CaseResul
     return out
 
 
-def verify_i1_sector(k: int, cutoff: int | Fraction) -> list[CaseResult]:
-    """Odd sectors match their reflection: the graded pieces at (r, s) and
-    (p - r, p' - s) agree for r - s odd, m <= 8."""
+def verify_i1_sector(k: int) -> list[CaseResult]:
+    """Odd sectors match their reflection: for r - s odd and m <= 8, the pieces
+    at (r, s) and (p - r, p' - s) share m and delta (README, *Reflected pieces*),
+    so their numerators I_m(r, s, r + 1) and I_m(p - r, p' - s, p - r) are
+    compared, exactly: equal numerators are equal pieces below every cutoff."""
     params = unitary_params(k)
     p, pp = params.p, params.pp
     return [first_failure(f"i1 k={k} r={r} s={s}", (
-                (f"m={m}", graded_13_char(k, r, s, m, cutoff),
-                 graded_13_char(k, p - r, pp - s, m, cutoff))
+                (f"m={m}", I_m(params, r, s, r + 1, m),
+                 I_m(params, p - r, pp - s, p - r, m))
                 for m in range(9)))
             for r in range(1, p) for s in range(1, pp) if (r - s) % 2 == 1]
 

@@ -1,5 +1,6 @@
 """Fused string characters, the level-one identity, finitized sums, grading."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from qlab.fusionchar import (
     verify_abf, verify_exact_sequence_chars, verify_grading, verify_i1_sector,
     verify_pi2pi3, verify_pmn,
 )
-from qlab.vircharacters import rocha_caridi
+from qlab.vircharacters import I_m, rocha_caridi
 
 from oracles import (
     coeff_sum, convolve, poch_inv_parts, support, supernomial2_sum, weight_string,
@@ -218,13 +219,79 @@ class TestGrading:
 
     def test_odd_sector_reflection(self):
         for k in (1, 2):
-            for case in verify_i1_sector(k, F(26)):
+            for case in verify_i1_sector(k):
                 assert case.ok, (k, case)
+
+    def test_reflection_keeps_delta(self):
+        # delta_key = (r p' - s p)^2 - (p' - p)^2 only changes sign inside
+        # the square under (r, s) -> (p - r, p' - s).
+        from qlab.pathweights import ModelParams, delta
+        for pp in range(4, 17):
+            for p in range(pp // 2 + 1, pp):
+                if p < 3 or math.gcd(p, pp) != 1:
+                    continue
+                params = ModelParams(p, pp)
+                for r in range(1, p):
+                    for s in range(1, pp):
+                        assert delta(params, r, s) == delta(params, p - r, pp - s), \
+                            (p, pp, r, s)
+
+    def test_reflected_pieces_agree_truncated(self):
+        # The truncated route i1 used to take: both graded pieces built and
+        # compared below a cutoff.  It must agree with i1's exact numerator
+        # check at small and large cutoffs.
+        for k in range(1, 5):
+            p, pp = unitary_params(k)
+            for r in range(1, p):
+                for s in range(1, pp):
+                    if (r - s) % 2 == 0:
+                        continue
+                    for m in range(9):
+                        for c in (10, 41):
+                            assert graded_13_char(k, r, s, m, c) == \
+                                graded_13_char(k, p - r, pp - s, m, c), (k, r, s, m, c)
+
+    def test_i1_fails_on_a_wrong_reflected_numerator(self, monkeypatch):
+        # The reflected side is the call with b = a (i = 0); off by one
+        # coefficient at m = 3, every odd sector fails there.
+        def off_by_one(params, a, s, b, m):
+            out = I_m(params, a, s, b, m)
+            if b == a and m == 3:
+                out = out + QSeries({out.floor: 1})
+            return out
+
+        monkeypatch.setattr(fusionchar, "I_m", off_by_one)
+        params = unitary_params(2)
+        cases = verify_i1_sector(2)
+        assert len(cases) == 6
+        for case in cases:
+            r, s = (int(part[2:]) for part in case.case_id.split()[2:])
+            ref = I_m(params, params.p - r, params.pp - s, params.p - r, 3)
+            c = ref.coeff(ref.floor)
+            assert not case.ok
+            assert case.detail == f"m=3: first mismatch at q^{ref.floor}: {c} != {c + 1}"
+
+    def test_nonneg_names_the_shifted_exponents(self, monkeypatch):
+        # On (3,4) the sector (1, 2) has delta = 1/16.  A numerator -1 at
+        # m = 0 is the piece -q^{1/16}; at m = 1 it is -q^{1/16}/(1 - q),
+        # negative at every exponent 1/16 + n.  The detail keeps four.
+        def negative(params, r, s, b, m):
+            if (r, s) == (1, 2) and m in (0, 1):
+                return QSeries({0: -1})
+            return I_m(params, r, s, b, m)
+
+        monkeypatch.setattr(fusionchar, "I_m", negative)
+        cases = {case.case_id: case for case in verify_grading(1, 3, 21)}
+        case = cases["grading-nonneg k=1 r=1 s=2"]
+        assert not case.ok
+        assert case.detail == ("negative at m=0 q^1/16, m=1 q^1/16, "
+                               "m=1 q^17/16, m=1 q^33/16")
+        assert all(other.ok for case_id, other in cases.items()
+                   if case_id.startswith("grading-nonneg") and "r=1 s=2" not in case_id)
 
 
 def test_exponents_come_out_as_int_when_integral():
     from qlab.pathweights import ModelParams
-    from qlab.vircharacters import I_m
     params = ModelParams(3, 4)
     for series in (q_binomial(9, 4), q_binomial(-3, 2), poch_sum({5: QSeries.one()}, 20),
                    poch_inv(F(41, 4)), S(4, 1), I_m(params, 1, 1, 1, 4),
