@@ -4,16 +4,16 @@ Subcommands: ``char`` (normalized character series), ``paths`` (path listing,
 count, or energy generating function), ``grading`` (graded filtration
 pieces), ``stable`` (table of S polynomials), ``verify`` (one named identity
 suite), ``all`` (every suite at desk scale).  Exit status: 0 all checks pass,
-1 at least one failure, 2 usage error or out-of-range value.  Output is
-deterministic: reports sort cases by id and JSON keys are sorted.  Suites
-run serially; ``--jobs`` (or ``QLAB_JOBS``) is accepted and changes nothing.
+1 at least one failure, 2 usage error, out-of-range value or out of memory.
+Output is deterministic: reports sort cases by id and JSON keys are sorted.
+Suites run serially; ``--jobs`` (or ``QLAB_JOBS``) is accepted and changes
+nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -25,7 +25,7 @@ except ImportError:
 from .supernomial import S_table, verify_S_recurrences
 from .pathweights import (
     ModelParams, b_of, count_paths, enumerate_paths, make_tau_table, path_gf,
-    site_data, verify_Xandf,
+    verify_tau, verify_Xandf,
 )
 from .vircharacters import (
     I_m, rocha_caridi, verify_GEN, verify_IandS, verify_poch_inv_expansion,
@@ -43,6 +43,10 @@ FIVE_MODELS = ((3, 4), (4, 5), (5, 7), (4, 7), (5, 8))
 # The most paths ``paths --list`` and ``--gf`` walk; ``--count`` walks none.
 PATH_WALK_LIMIT = 10 ** 6
 
+# The largest --qmax any command takes.  A character to q^20000 already
+# takes about 11 s; values far above the limit exhaust memory.
+QMAX_LIMIT = 10 ** 5
+
 # (p, p', r, a, b); the b != b_of rows exercise the free endpoint choice.
 ROCHA2_INSTANCES = (
     (3, 4, 1, 1, 1), (3, 4, 1, 1, 3), (3, 4, 1, 2, 2),
@@ -58,12 +62,16 @@ Chunk = tuple[str, Callable[[], list[CaseResult]]]
 def _run_chunks(chunks: Sequence[Chunk], jobs: Optional[int]) -> list[CaseResult]:
     """Run the chunks serially, in order; ``jobs`` changes nothing.
 
-    A chunk that raises becomes one failed case named after the chunk.
+    A chunk that raises becomes one failed case named after the chunk, but
+    ``MemoryError`` propagates: running out of memory is not a failed
+    identity.
     """
     cases: list[CaseResult] = []
     for name, thunk in chunks:
         try:
             cases.extend(thunk())
+        except MemoryError:
+            raise
         except Exception as exc:
             cases.append(CaseResult(name, False, f"error: {exc!r}"))
     return cases
@@ -115,23 +123,6 @@ def _xandf(v):
         (f"xandf {p},{pp}", lambda params=ModelParams(p, pp): verify_Xandf(
             make_tau_table(params), v.mmax))
         for p, pp in models]
-
-
-def _tau(v):
-    """One case per strip with p' <= --pp: ``site_data`` checks; nothing is weighed."""
-    def run() -> list[CaseResult]:
-        out = []
-        for pp in range(4, v.pp + 1):
-            for p in range(3, pp):
-                if not (p < pp < 2 * p) or math.gcd(p, pp) != 1:
-                    continue
-                try:
-                    site_data(ModelParams(p, pp))
-                    out.append(CaseResult(f"tau p={p} p'={pp}", True, "valid"))
-                except ValueError as exc:
-                    out.append(CaseResult(f"tau p={p} p'={pp}", False, str(exc)))
-        return out
-    return {"pp_max": v.pp}, [("tau", run)]
 
 
 def _rocha2(v):
@@ -205,7 +196,8 @@ SUITES: dict[str, Suite] = {
         {"p": None, "pp": None, "mmax": 5}, {"mmax": 4}, _xandf),
     "tau": Suite(
         "site tables satisfy every structural constraint of the labelling",
-        {"pp": 40}, {}, _tau),
+        {"pp": 40}, {}, lambda v: (
+            {"pp_max": v.pp}, [("tau", lambda: verify_tau(v.pp))])),
     "rocha2": Suite(
         "sum_m I_m/(q)_m reproduces the alternating-sum character",
         {"p": None, "pp": None, "r": None, "a": None, "b": None, "qmax": 40},
@@ -553,14 +545,20 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         for name in ("qmax", "mmax", "lmax", "m"):
             if (getattr(args, name, None) or 0) < 0:
                 raise ValueError(f"--{name} must be >= 0")
+        if (getattr(args, "qmax", None) or 0) > QMAX_LIMIT:
+            raise ValueError(f"--qmax {args.qmax} is over the limit {QMAX_LIMIT}")
         if args.jobs is not None and args.jobs < 1:
             raise ValueError("--jobs must be >= 1")
         return args.func(args)
     except ValueError as exc:
         # Bad input is a usage error; exit 1 stays reserved for a failed
         # identity.  Suite builders check their model parameters before any
-        # chunk runs; a chunk's own exception becomes a failed case.
+        # chunk runs; a chunk's own exception becomes a failed case, except
+        # running out of memory, which is no failed identity either.
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"{parser.prog}: error: out of memory; use smaller arguments", file=sys.stderr)
         return 2
 
 

@@ -448,3 +448,19 @@ def verify_Xandf(table: TauTable, m_max: int) -> list[CaseResult]:
     return [check(f"xandf p={p} p'={pp} a={a} b={b} c={c} m={m}",
                   config_sum_X(a, b, c, m, table), f_sum(a, b, c, m, table))
             for a, b, c in x_configs(table.params) for m in range(m_max + 1)]
+
+
+def verify_tau(pp_max: int) -> list[CaseResult]:
+    """One case per coprime strip 3 <= p < p' < 2p with p' <= pp_max:
+    ``site_data`` checks its labelling; nothing is weighed."""
+    out = []
+    for pp in range(4, pp_max + 1):
+        for p in range(3, pp):
+            if not (p < pp < 2 * p) or math.gcd(p, pp) != 1:
+                continue
+            try:
+                site_data(ModelParams(p, pp))
+                out.append(CaseResult(f"tau p={p} p'={pp}", True, "valid"))
+            except ValueError as exc:
+                out.append(CaseResult(f"tau p={p} p'={pp}", False, str(exc)))
+    return out

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from operator import add, sub
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 ExpLike = Union[int, Fraction]
 CutoffLike = Union[int, Fraction, None]
@@ -412,45 +412,6 @@ def poch_inv(cutoff: CutoffLike) -> QSeries:
     """
     m = 0 if cutoff is None else max(math.ceil(cutoff), 0)
     return poch_sum({m: QSeries.one()}, cutoff)
-
-
-def sum_over_m(poly_of: Callable[[int], QSeries], floor_of: Callable[[int], Optional[ExpLike]],
-               cut: ExpLike) -> tuple[QSeries, int, bool]:
-    """sum_{m >= 0} poly_of(m) / (q)_m below ``cut``, through ``poch_sum``.
-
-    A term is silent when its polynomial is zero or starts at or above
-    ``cut``.  Zero polynomials before the first non-silent term are skipped;
-    the sum stops after three consecutive silent terms, or once m > cap =
-    int(cut) + 2.  Returns (total, m, capped): the m at which the sum
-    stopped, and whether the cap stopped it.
-
-    ``floor_of(m)`` is a lower bound on the least exponent of poly_of(m), or
-    None only if poly_of(m) is zero.  After the first non-silent term, an m
-    whose bound is None or at or above ``cut`` is silent without building
-    its polynomial; before it, an m whose bound is None is skipped as a
-    leading zero.  The bound decides only what is built: the stop rule, and
-    so the total and the stop m, are those of building every term.  A built
-    polynomial that starts below its bound raises ``ArithmeticError``.
-    """
-    cap = int(cut) + 2
-    live: dict[int, QSeries] = {}
-    quiet = 0
-    m = 0
-    while m <= cap:
-        bound = floor_of(m)
-        poly = None if bound is None or (live and bound >= cut) else poly_of(m)
-        if poly and poly.floor < bound:
-            raise ArithmeticError(
-                f"term m={m} starts at q^{poly.floor}, below its bound q^{bound}")
-        if poly and poly.floor < cut:
-            live[m] = poly
-            quiet = 0
-        elif live or poly:  # silent; a leading zero is skipped
-            quiet += 1
-            if quiet == 3:
-                return poch_sum(live, cut), m, False
-        m += 1
-    return poch_sum(live, cut), m, True
 
 
 # -- binomial family --------------------------------------------------------

@@ -9,7 +9,7 @@ targets, never used in the computation itself.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 from .qcore import ExpLike, QSeries, poch_sum, q_binomial
 from .report import CaseResult, check
@@ -74,12 +74,11 @@ def string_sum(l: int, cutoff: ExpLike) -> QSeries:
     return poch_sum(terms, cutoff)
 
 
-SImpl = Callable[[int, int], QSeries]
-
-
-def _identity_table(s: SImpl, st: SImpl):
+def _identity_table():
     # Each entry: name -> (lhs, rhs (series, int shift) terms) as callables
-    # of (m, l); identities hold for all integers l, stepping m -> m+1.
+    # of (m, l); identities hold for all integers l, stepping m -> m+1.  S and
+    # S~ are read by name at call time, so a patched module name is checked.
+    s, st = S, S_tilde
     return {
         "sym": lambda m, l: (s(m, -l), ((s(m, l), 0),)),
         "sym~": lambda m, l: (st(m, -l), ((st(m, l), l),)),
@@ -98,16 +97,14 @@ def _identity_table(s: SImpl, st: SImpl):
     }
 
 
-def verify_S_recurrences(m_max: int,
-                         s_impl: SImpl = S,
-                         s_tilde_impl: SImpl = S_tilde) -> list[CaseResult]:
+def verify_S_recurrences(m_max: int) -> list[CaseResult]:
     """Check the symmetry and all six step recurrences for 0 <= m < m_max,
     |l| <= m + 1.  Failures are collected, not raised, so a deliberately
-    perturbed implementation shows up as failing cases.  Both implementations
-    must give series with integer exponents, or ``sum_shifted`` raises
-    ``ValueError``.
+    perturbed ``S``, ``S_tilde`` or ``_s_family`` shows up as failing cases.
+    Both families must give series with integer exponents, or
+    ``sum_shifted`` raises ``ValueError``.
     """
-    table = _identity_table(s_impl, s_tilde_impl)
+    table = _identity_table()
     return [check(f"relS {name} m={m} l={l}", lhs,
                   QSeries.sum_shifted(((1, t, k) for t, k in terms), 1))
             for name, pair in table.items()

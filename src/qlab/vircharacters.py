@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Optional
 
-from .qcore import QSeries, compare, lattice_range, poch_inv, sum_over_m
+from .qcore import QSeries, compare, lattice_range, poch_inv, poch_sum
 from .report import CaseResult, check
 from .supernomial import S, S_floor, string_sum
 from .pathweights import (
@@ -112,11 +112,37 @@ def I_m_floor(params: ModelParams, r: int, a: int, b: int, m: int) -> Optional[i
 
 def I_m_sum(params: ModelParams, r: int, a: int, b: int,
             cutoff: int | Fraction) -> tuple[QSeries, int, bool]:
-    """sum_m I_m / (q)_m below ``cutoff``, that is q^{-delta(r,a)} chi_{r,a}:
-    ``sum_over_m`` with ``I_m_floor`` as the bound.  Returns its (total, m,
-    capped), m being where its stop rule stopped."""
-    return sum_over_m(lambda m: I_m(params, r, a, b, m),
-                      lambda m: I_m_floor(params, r, a, b, m), cutoff)
+    """sum_m I_m / (q)_m below ``cutoff``, that is q^{-delta(r,a)} chi_{r,a},
+    through ``poch_sum``.  Returns (total, m, capped): the m at which the
+    sum stopped, and whether the cap stopped it.
+
+    A term is silent when I_m is zero or starts at or above ``cutoff``.  Zero
+    terms before the first non-silent one are skipped; the sum stops after
+    three consecutive silent terms, or once m > cap = int(cutoff) + 2.
+
+    ``I_m_floor`` decides only what is built.  After the first live term, an
+    m whose bound is None or at or above ``cutoff`` is silent without
+    building I_m; before it, an m whose bound is None is skipped as a
+    leading zero.  So the total and the stop m are those of building every
+    term.  A built I_m that starts below its bound raises ``ArithmeticError``.
+    """
+    cap = int(cutoff) + 2
+    live: dict[int, QSeries] = {}
+    quiet = 0
+    for m in range(cap + 1):
+        bound = I_m_floor(params, r, a, b, m)
+        poly = None if bound is None or (live and bound >= cutoff) else I_m(params, r, a, b, m)
+        if poly and poly.floor < bound:
+            raise ArithmeticError(
+                f"term m={m} starts at q^{poly.floor}, below its bound q^{bound}")
+        if poly and poly.floor < cutoff:
+            live[m] = poly
+            quiet = 0
+        elif live or poly:  # silent; a leading zero is skipped
+            quiet += 1
+            if quiet == 3:
+                return poch_sum(live, cutoff), m, False
+    return poch_sum(live, cutoff), cap + 1, True
 
 
 def verify_rocha2(params: ModelParams, r: int, a: int, b: int,

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from qlab import cli, pathweights, vircharacters
 from qlab.cli import (
-    _SUITE_ARGS, SUITES, Suite, _json_text, _run_chunks, build_parser, run,
+    _SUITE_ARGS, QMAX_LIMIT, SUITES, Suite, _json_text, _run_chunks, build_parser, run,
 )
 from qlab.pathweights import (
     ModelParams, brute_config_sum_X, config_sum_X, make_tau_table, x_configs,
@@ -173,6 +173,47 @@ class TestExitCodes:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("qlab: error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["char", "--p", "3", "--pp", "4", "--r", "1", "--s", "1", "--qmax", str(10 ** 20)],
+        ["grading", "--k", "1", "--r", "1", "--s", "1", "--qmax", str(10 ** 11)],
+        ["verify", "rocha2", "--p", "3", "--pp", "4", "--r", "1", "--a", "1", "--b", "3",
+         "--qmax", "99999999999"],
+        ["all", "--qmax", str(QMAX_LIMIT + 1)],
+    ], ids=["char", "grading", "rocha2", "all"])
+    def test_qmax_over_the_limit_is_2_unbuilt(self, argv, monkeypatch, capsys):
+        # Refused on its value before any series is built: every command's
+        # first step is patched to raise.
+        for name in ("rocha_caridi", "graded_13_char", "_build"):
+            monkeypatch.setattr(cli, name, _raises)
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"qlab: error: --qmax {argv[-1]} is over the limit "
+                                f"{QMAX_LIMIT}\n")
+        with pytest.raises(AssertionError, match="called"):  # the limit itself runs
+            run([*argv[:-1], str(QMAX_LIMIT)])
+
+    def test_out_of_memory_is_2_with_one_line(self, monkeypatch, capsys):
+        # A kernel that runs out of memory, inside a chunk or not, is no
+        # failed identity; nothing is allocated here.
+        def oom(*args):
+            raise MemoryError()
+
+        with pytest.raises(MemoryError):
+            _run_chunks([("one", lambda: [CaseResult("one", True)]), ("two", oom)], None)
+        monkeypatch.setattr(cli, "verify_abf", oom)
+        monkeypatch.setattr(vircharacters, "I_m_sum", oom)
+        monkeypatch.setattr(cli, "rocha_caridi", oom)
+        for argv in (["verify", "abf", "--k", "1", "--m", "3", "--qmax", "3"],
+                     ["verify", "rocha2", "--p", "3", "--pp", "4", "--r", "1", "--a", "1",
+                      "--qmax", "3"],
+                     ["all", "--qmax", "3", "--mmax", "1", "--m", "3"],
+                     ["char", "--p", "3", "--pp", "4", "--r", "1", "--s", "1"]):
+            assert run(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "qlab: error: out of memory; use smaller arguments\n"
 
     def test_partial_rocha2_instance_names_b_as_optional(self, capsys):
         # --b defaults to --a, so the message does not ask for it.

@@ -10,13 +10,12 @@ from hypothesis import example, given, settings, strategies as st
 from qlab.cli import _json_text, run
 from qlab.pathweights import ModelParams, delta
 from qlab.qcore import (
-    QSeries, compare, lattice_range, poch_inv, poch_sum, q_binomial, sum_over_m,
-    supernomial2,
+    QSeries, compare, lattice_range, poch_inv, poch_sum, q_binomial, supernomial2,
 )
 
 from oracles import (
-    RefSeries, coeff_sum, exact_div, monomial, poch, poch_inv_parts,
-    sum_over_m_every_term, support, supernomial2_sum,
+    RefSeries, coeff_sum, exact_div, monomial, poch, poch_inv_parts, support,
+    supernomial2_sum,
 )
 from test_pathweights import _strips
 
@@ -526,66 +525,6 @@ class TestPochSum:
     def test_bad_terms_raise(self, terms):
         with pytest.raises(ValueError):
             poch_sum(terms, 10)
-
-
-def floor_or_none(s: QSeries):
-    """The exact floor of a series as an m-sum bound: None for zero."""
-    return s.floor if s else None
-
-
-class TestSumOverM:
-    def test_leading_zero_terms_are_skipped(self):
-        # Five leading zeros, then 1 at m = 5: the zeros never stop the sum.
-        def poly_of(m):
-            return QSeries.one(None) if m == 5 else QSeries.zero(None)
-
-        total, m, capped = sum_over_m(poly_of, lambda m: floor_or_none(poly_of(m)), 10)
-        assert total == poch_inv_parts(5, 10)
-        assert (m, capped) == (8, False)
-
-    def test_stops_after_three_silent_terms(self):
-        seen = []
-
-        def poly_of(m):
-            seen.append(m)
-            return monomial(0 if m in (0, 2) else 10)  # q^10 is at the cut
-
-        # A bound of 0 proves nothing silent, so every term is built.
-        total, m, capped = sum_over_m(poly_of, lambda m: 0, 10)
-        assert seen == [0, 1, 2, 3, 4, 5]
-        assert (m, capped) == (5, False)
-        assert total == poch_inv_parts(0, 10) + poch_inv_parts(2, 10)
-
-    def test_leading_terms_above_the_cut_count(self):
-        total, m, capped = sum_over_m(lambda m: monomial(50), lambda m: 50, 10)
-        assert (m, capped, total) == (2, False, QSeries.zero(10))
-
-    def test_cap_sets_capped(self):
-        # Every term is live, so only the cap int(cut) + 2 = 12 stops the sum.
-        total, m, capped = sum_over_m(lambda m: QSeries.one(None), lambda m: 0, 10)
-        assert (m, capped) == (13, True)
-        assert total == QSeries.sum(poch_inv_parts(m, 10) for m in range(13))
-
-    def test_provably_silent_terms_are_not_built(self):
-        # A leading zero, live at m = 1, then a zero and two terms at or above
-        # the cut, and one at m = 5 that the rule never reaches: the bounds
-        # prove every term but m = 1 zero or silent, so only m = 1 is built.
-        polys = {0: QSeries.zero(None), 1: QSeries.one(None), 2: QSeries.zero(None),
-                 3: monomial(10), 4: monomial(12), 5: QSeries.one(None)}
-        built = []
-
-        def poly_of(m):
-            built.append(m)
-            return polys[m]
-
-        got = sum_over_m(poly_of, lambda m: floor_or_none(polys[m]), 10)
-        assert built == [1]
-        assert got == sum_over_m_every_term(polys.__getitem__, 10) == (
-            poch_inv_parts(1, 10), 4, False)
-
-    def test_term_below_its_bound_raises(self):
-        with pytest.raises(ArithmeticError, match="below its bound"):
-            sum_over_m(lambda m: monomial(3), lambda m: 4, 10)
 
 
 class TestQBinomial:

@@ -123,23 +123,27 @@ def test_recurrences_all_pass():
 
 
 def _bumped(family, at):
-    """``family`` with q^-1 added to its value at (m, l) = ``at``."""
-    def impl(m, l):
-        poly = family(m, l)
-        return poly + monomial(F(-1)) if (m, l) == at else poly
+    """``family`` with q^-1 added to its value at the arguments ``at``."""
+    def impl(*args):
+        poly = family(*args)
+        return poly + monomial(F(-1)) if args == at else poly
     return impl
 
 
-@pytest.mark.parametrize("s_tilde_impl,rec1_m3_l1", [
-    (S_tilde, None),
+@pytest.mark.parametrize("patches,rec1_m3_l1", [
+    ({"S": (3, 0)}, None),
     # S~(3,0) enters rec1 at m=3, l=1 only as a right-hand term times q^-3
-    (_bumped(S_tilde, (3, 0)), "first mismatch at q^-4: 3 != 4"),
-], ids=["S-only", "S-and-S_tilde"])
-def test_recurrences_catch_perturbation(s_tilde_impl, rec1_m3_l1):
-    # corrupt one value of S, and in the second input one of S~ too; the
-    # suite must notice each
-    checks = verify_S_recurrences(5, s_impl=_bumped(S, (3, 0)),
-                                  s_tilde_impl=s_tilde_impl)
+    ({"S": (3, 0), "S_tilde": (3, 0)}, "first mismatch at q^-4: 3 != 4"),
+    # the kernel behind both names: S(3,0) is _s_family(3, 0, 0)
+    ({"_s_family": (3, 0, 0)}, None),
+], ids=["S-only", "S-and-S_tilde", "s_family"])
+def test_recurrences_catch_perturbation(monkeypatch, patches, rec1_m3_l1):
+    # corrupt one value of S by its module name, in the second input one of
+    # S~ too, and in the third the kernel they share; the suite must notice
+    # each
+    for name, at in patches.items():
+        monkeypatch.setattr(supernomial, name, _bumped(getattr(supernomial, name), at))
+    checks = verify_S_recurrences(5)
     first = next(c for c in checks if not c.ok)
     assert first.case_id == "relS rec1 m=2 l=0"
     assert first.detail == "first mismatch at q^-1: 2 != 1"

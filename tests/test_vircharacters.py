@@ -20,7 +20,9 @@ from qlab.vircharacters import (
     verify_GEN, verify_IandS, verify_poch_inv_expansion, verify_rigged, verify_rocha2,
 )
 
-from oracles import coeff_sum, sum_over_m_every_term, tight_chain, wide_window
+from oracles import (
+    coeff_sum, monomial, poch_inv_parts, sum_over_m_every_term, tight_chain, wide_window,
+)
 from test_pathweights import _strips
 from test_qcore import partitions
 
@@ -361,3 +363,74 @@ class TestFloorBound:
         for *args, cut in cases:
             assert I_m_sum(*args, cut) == sum_over_m_every_term(
                 lambda m: I_m(*args, m), cut), args
+
+
+def floor_or_none(s: QSeries):
+    """The exact floor of a series as an m-sum bound: None for zero."""
+    return s.floor if s else None
+
+
+class TestImSumStopRule:
+    """The stop rule of ``I_m_sum``, on synthetic I_m and bounds patched in
+    by name."""
+
+    @staticmethod
+    def m_sum(monkeypatch, poly_of, floor_of, cut=10):
+        monkeypatch.setattr(vircharacters, "I_m", lambda params, r, a, b, m: poly_of(m))
+        monkeypatch.setattr(vircharacters, "I_m_floor",
+                            lambda params, r, a, b, m: floor_of(m))
+        return I_m_sum(ISING, 1, 1, 1, cut)
+
+    def test_leading_zero_terms_are_skipped(self, monkeypatch):
+        # Five leading zeros, then 1 at m = 5: the zeros never stop the sum.
+        def poly_of(m):
+            return QSeries.one(None) if m == 5 else QSeries.zero(None)
+
+        total, m, capped = self.m_sum(monkeypatch, poly_of,
+                                      lambda m: floor_or_none(poly_of(m)))
+        assert total == poch_inv_parts(5, 10)
+        assert (m, capped) == (8, False)
+
+    def test_stops_after_three_silent_terms(self, monkeypatch):
+        seen = []
+
+        def poly_of(m):
+            seen.append(m)
+            return monomial(0 if m in (0, 2) else 10)  # q^10 is at the cut
+
+        # A bound of 0 proves nothing silent, so every term is built.
+        total, m, capped = self.m_sum(monkeypatch, poly_of, lambda m: 0)
+        assert seen == [0, 1, 2, 3, 4, 5]
+        assert (m, capped) == (5, False)
+        assert total == poch_inv_parts(0, 10) + poch_inv_parts(2, 10)
+
+    def test_leading_terms_above_the_cut_count(self, monkeypatch):
+        total, m, capped = self.m_sum(monkeypatch, lambda m: monomial(50), lambda m: 50)
+        assert (m, capped, total) == (2, False, QSeries.zero(10))
+
+    def test_cap_sets_capped(self, monkeypatch):
+        # Every term is live, so only the cap int(cut) + 2 = 12 stops the sum.
+        total, m, capped = self.m_sum(monkeypatch, lambda m: QSeries.one(None), lambda m: 0)
+        assert (m, capped) == (13, True)
+        assert total == QSeries.sum(poch_inv_parts(m, 10) for m in range(13))
+
+    def test_provably_silent_terms_are_not_built(self, monkeypatch):
+        # A leading zero, live at m = 1, then a zero and two terms at or above
+        # the cut, and one at m = 5 that the rule never reaches: the bounds
+        # prove every term but m = 1 zero or silent, so only m = 1 is built.
+        polys = {0: QSeries.zero(None), 1: QSeries.one(None), 2: QSeries.zero(None),
+                 3: monomial(10), 4: monomial(12), 5: QSeries.one(None)}
+        built = []
+
+        def poly_of(m):
+            built.append(m)
+            return polys[m]
+
+        got = self.m_sum(monkeypatch, poly_of, lambda m: floor_or_none(polys[m]))
+        assert built == [1]
+        assert got == sum_over_m_every_term(polys.__getitem__, 10) == (
+            poch_inv_parts(1, 10), 4, False)
+
+    def test_term_below_its_bound_raises(self, monkeypatch):
+        with pytest.raises(ArithmeticError, match="below its bound"):
+            self.m_sum(monkeypatch, lambda m: monomial(3), lambda m: 4)
