@@ -6,8 +6,8 @@ pieces), ``stable`` (table of S polynomials), ``verify`` (one named identity
 suite), ``all`` (every suite at desk scale).  Exit status: 0 all checks pass,
 1 at least one failure, 2 usage error, out-of-range value or out of memory.
 Output is deterministic: reports sort cases by id and JSON keys are sorted.
-Suites run serially; ``--jobs`` (or ``QLAB_JOBS``) is accepted and changes
-nothing.
+Suites run serially; ``verify`` and ``all`` accept ``--jobs N`` (N >= 1), which
+changes nothing.
 """
 
 from __future__ import annotations
@@ -57,24 +57,6 @@ ROCHA2_INSTANCES = (
 )
 
 Chunk = tuple[str, Callable[[], list[CaseResult]]]
-
-
-def _run_chunks(chunks: Sequence[Chunk], jobs: Optional[int]) -> list[CaseResult]:
-    """Run the chunks serially, in order; ``jobs`` changes nothing.
-
-    A chunk that raises becomes one failed case named after the chunk, but
-    ``MemoryError`` propagates: running out of memory is not a failed
-    identity.
-    """
-    cases: list[CaseResult] = []
-    for name, thunk in chunks:
-        try:
-            cases.extend(thunk())
-        except MemoryError:
-            raise
-        except Exception as exc:
-            cases.append(CaseResult(name, False, f"error: {exc!r}"))
-    return cases
 
 
 # -- suite table -------------------------------------------------------------
@@ -260,11 +242,22 @@ def _build(name: str, args, scaled: bool = False) -> tuple[dict, list[Chunk]]:
     return suite.build(argparse.Namespace(**resolved))
 
 
-def _run_suite(name: str, params: dict, chunks: list[Chunk],
-               jobs: Optional[int]) -> SuiteReport:
-    """Run a built suite; one that yields no case checks nothing, which is a
-    usage error rather than a pass."""
-    cases = _run_chunks(chunks, jobs)
+def _run_suite(name: str, params: dict, chunks: list[Chunk]) -> SuiteReport:
+    """Run a built suite's chunks serially, in order.
+
+    A chunk that raises becomes one failed case named after the chunk, but
+    ``MemoryError`` propagates: running out of memory is not a failed
+    identity.  A suite that yields no case checks nothing, which is a usage
+    error rather than a pass.
+    """
+    cases: list[CaseResult] = []
+    for chunk, thunk in chunks:
+        try:
+            cases.extend(thunk())
+        except MemoryError:
+            raise
+        except Exception as exc:
+            cases.append(CaseResult(chunk, False, f"error: {exc!r}"))
     if not cases:
         raise ValueError(f"suite {name} checks nothing with these arguments")
     return SuiteReport(name, SUITES[name].anchor, params, tuple(cases))
@@ -449,15 +442,14 @@ def _cmd_stable(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    rep = _run_suite(args.suite, *_build(args.suite, args), args.jobs)
+    rep = _run_suite(args.suite, *_build(args.suite, args))
     _emit(args, rep, "id,status,detail", rep.csv_rows())
     return 0 if rep.ok else 1
 
 
 def _cmd_all(args) -> int:
     built = [(name, *_build(name, args, scaled=True)) for name in sorted(SUITES)]
-    reports = [_run_suite(name, params, chunks, args.jobs)
-               for name, params, chunks in built]
+    reports = [_run_suite(name, params, chunks) for name, params, chunks in built]
     ok = all(rep.ok for rep in reports)
     payload = {"kind": "all-suites", "ok": ok, "suites": reports}
     _emit(args, payload, "suite,id,status,detail",
@@ -480,12 +472,12 @@ def _parser(suites: tuple[str, ...]) -> argparse.ArgumentParser:
 
     def add_common(sp):
         sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--jobs", type=int, default=None,
-                        help="accepted for compatibility; runs are serial")
 
     def add_suite_args(sp):
         for name in _SUITE_ARGS:
             sp.add_argument(f"--{name}", type=int, default=None)
+        sp.add_argument("--jobs", type=int, default=1,
+                        help="accepted and ignored (N >= 1); suites run serially")
         add_common(sp)
 
     sp = sub.add_parser("char", help="normalized character series")
@@ -547,7 +539,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
                 raise ValueError(f"--{name} must be >= 0")
         if (getattr(args, "qmax", None) or 0) > QMAX_LIMIT:
             raise ValueError(f"--qmax {args.qmax} is over the limit {QMAX_LIMIT}")
-        if args.jobs is not None and args.jobs < 1:
+        if getattr(args, "jobs", 1) < 1:
             raise ValueError("--jobs must be >= 1")
         return args.func(args)
     except ValueError as exc:

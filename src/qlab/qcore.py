@@ -367,6 +367,20 @@ def lattice_range(lo: int, hi: int, step: int) -> range:
 # -- Pochhammer sums ------------------------------------------------------
 
 
+def _divide_one_minus_q(c: list[int], m: int) -> None:
+    """Divide the dense series ``c`` by 1 - q^m (m >= 1) in place, truncated
+    to its length: c[n] += c[n - m] for ascending n, as a running sum along
+    each residue class when there are few, else one block of m entries at a
+    time, each reading the updated block below it."""
+    size = len(c)
+    if m * m < size:
+        for r in range(m):
+            c[r::m] = accumulate(c[r::m])
+    else:
+        for b in range(m, size, m):
+            c[b:b + m] = map(add, c[b:b + m], c[b - m:b])
+
+
 def poch_sum(terms: Mapping[int, QSeries], cutoff: CutoffLike) -> QSeries:
     """sum_m terms[m] / (q)_m truncated below cutoff, on one dense int list.
 
@@ -390,15 +404,8 @@ def poch_sum(terms: Mapping[int, QSeries], cutoff: CutoffLike) -> QSeries:
             for k, v in terms[m]._terms.items():
                 if k - lo < size:
                     c[k - lo] += v
-        # Divide by 1 - q^m: c[n] += c[n - m] for ascending n, as a running
-        # sum along each residue class when there are few, else one block of
-        # m entries at a time, each reading the updated block below it.
-        if 0 < m < size and m * m < size:
-            for r in range(m):
-                c[r::m] = accumulate(c[r::m])
-        elif 0 < m < size:
-            for b in range(m, size, m):
-                c[b:b + m] = map(add, c[b:b + m], c[b - m:b])
+        if m:
+            _divide_one_minus_q(c, m)
     # cutoff is in lowest terms, so den is already least.
     return _new({(lo + n) * den: v for n, v in enumerate(c) if v}, den, cut)
 
@@ -427,9 +434,7 @@ def _gauss_coeffs(n: int, k: int) -> list[int]:
         s = m + i
         c = c + [0] * s
         c[s:] = map(sub, c[s:], c[:-s])
-        # Divide by (1 - q^i): prefix sums along each residue class mod i.
-        for r in range(i):
-            c[r::i] = accumulate(c[r::i])
+        _divide_one_minus_q(c, i)
         if any(c[-i:]):
             raise ArithmeticError("division is not exact")
         del c[-i:]

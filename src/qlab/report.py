@@ -8,13 +8,13 @@ embed no timing or host information.  ``cli._emit`` writes a report itself,
 as the bytes of ``json.dumps(obj, indent=2, sort_keys=True)`` of its object
 ``{"anchor", "cases", "ok", "params", "suite"}``: the cases go out as one
 ``{"detail", "id", "status"}`` template filled from a row per case, with no
-dict built per case.  Byte-identical output across runs and ``--jobs``
-values is a hard guarantee.
+dict built per case.  Byte-identical output across runs is a hard guarantee;
+suites run serially, so the ``--jobs`` that ``verify`` and ``all`` accept
+changes no byte.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Iterator, NamedTuple
 
 from .qcore import QSeries, compare
@@ -69,15 +69,3 @@ def first_failure(case_id: str, pairs: Iterable[tuple[str, QSeries, QSeries]],
             return CaseResult(case_id, False, f"{where}: {res.detail}")
     return CaseResult(case_id, True, passed)
 
-
-def default_jobs() -> int:
-    """Worker count asked for by ``QLAB_JOBS`` (1 if unset or invalid).
-
-    Suites run serially, so the count changes no output and no speed.
-    """
-    env = os.environ.get("QLAB_JOBS", "")
-    try:
-        n = int(env)
-    except ValueError:
-        return 1
-    return max(1, n)

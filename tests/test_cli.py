@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from qlab import cli, pathweights, vircharacters
 from qlab.cli import (
-    _SUITE_ARGS, QMAX_LIMIT, SUITES, Suite, _json_text, _run_chunks, build_parser, run,
+    _SUITE_ARGS, QMAX_LIMIT, SUITES, Suite, _json_text, _run_suite, build_parser, run,
 )
 from qlab.pathweights import (
     ModelParams, brute_config_sum_X, config_sum_X, make_tau_table, x_configs,
@@ -70,7 +70,7 @@ class TestReport:
         cases = json.loads(capsys.readouterr().out)["cases"]
         assert cases[0]["detail"] == """error: ValueError("p' off the strip")"""
 
-    def test_run_chunks_preserves_order_and_catches(self):
+    def test_run_suite_preserves_order_and_catches(self):
         def boom():
             raise RuntimeError("nope")
 
@@ -80,7 +80,7 @@ class TestReport:
             ("three", lambda: [CaseResult("three a", True),
                                CaseResult("three b", True)]),
         ]
-        cases = _run_chunks(chunks, 3)
+        cases = _run_suite("pmn", {}, chunks).cases
         assert [c.case_id for c in cases] == ["one", "two", "three a", "three b"]
         assert [c.ok for c in cases] == [True, False, True, True]
         assert cases[1].detail == "error: RuntimeError('nope')"
@@ -124,10 +124,17 @@ class TestSuiteTable:
 
 
 class TestExitCodes:
-    def test_usage_error_is_2(self):
-        with pytest.raises(SystemExit) as exc:
-            run(["char", "--p", "3"])
-        assert exc.value.code == 2
+    def test_usage_error_is_2(self, capsys):
+        # argparse rejects a missing argument, and --jobs on a command other
+        # than verify and all
+        for argv, err in ((["char", "--p", "3"], "required"),
+                          (["char", "--p", "3", "--pp", "4", "--r", "1", "--s", "1",
+                            "--jobs", "2"], "unrecognized arguments: --jobs 2")):
+            with pytest.raises(SystemExit) as exc:
+                run(argv)
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and err in captured.err
 
     def test_unknown_suite_is_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -201,7 +208,7 @@ class TestExitCodes:
             raise MemoryError()
 
         with pytest.raises(MemoryError):
-            _run_chunks([("one", lambda: [CaseResult("one", True)]), ("two", oom)], None)
+            _run_suite("pmn", {}, [("one", lambda: [CaseResult("one", True)]), ("two", oom)])
         monkeypatch.setattr(cli, "verify_abf", oom)
         monkeypatch.setattr(vircharacters, "I_m_sum", oom)
         monkeypatch.setattr(cli, "rocha_caridi", oom)
@@ -299,11 +306,12 @@ class TestDeterminism:
         return code, capsys.readouterr().out
 
     def test_jobs_do_not_change_bytes(self, capsys):
-        argv = ["verify", "gen", "--p", "3", "--pp", "4", "--mmax", "3"]
-        code1, out1 = self._capture(argv + ["--jobs", "1"], capsys)
-        code4, out4 = self._capture(argv + ["--jobs", "4"], capsys)
-        assert code1 == code4 == 0
-        assert out1 == out4
+        # --jobs is accepted and ignored: every count prints the serial bytes
+        for argv in (["verify", "gen", "--p", "3", "--pp", "4", "--mmax", "3"], ["all"]):
+            serial = self._capture(argv, capsys)
+            assert serial[0] == 0
+            for jobs in ("1", "2", "4"):
+                assert self._capture(argv + ["--jobs", jobs], capsys) == serial, jobs
 
     def test_repeat_runs_identical(self, capsys):
         argv = ["verify", "relS", "--mmax", "4", "--format", "csv"]
