@@ -16,7 +16,12 @@ into JSON as (num, den) in lowest terms (``json_rows``).
 
 Sums, shifts and products are calls to one kernel, ``QSeries.sum_shifted``,
 cut below its terms' least shifted cutoff.  A product reads each cutoff as an
-error term: a + O(q^{c_a}) times b is a b + O(q^{c_a + floor b}).
+error term: a + O(q^{c_a}) times b is a b + O(q^{c_a + floor b}).  Exact
+polynomials built by recurrence (Gaussian binomials, the two-row descent, and
+the S family in ``supernomial``) run instead on dense int rows (``_dense_sum``).
+The rows are cached, and a series is made from a row when a value is asked
+for (``_from_dense``); ``q_binomial`` and the S cells, asked for again and
+again, cache their series as well.
 """
 
 from __future__ import annotations
@@ -24,9 +29,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, compress
 from operator import add, sub
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 ExpLike = Union[int, Fraction]
 CutoffLike = Union[int, Fraction, None]
@@ -424,9 +429,47 @@ def poch_inv(cutoff: CutoffLike) -> QSeries:
 # -- binomial family --------------------------------------------------------
 
 
-def _gauss_coeffs(n: int, k: int) -> list[int]:
-    """Dense coefficient list of [n, k]_q for 0 <= k <= n."""
+def _from_dense(lo: int, c: Sequence[int]) -> QSeries:
+    """The exact series sum_n c[n] q^{lo + n}."""
+    return _new(dict(compress(zip(range(lo, lo + len(c)), c), c)), 1, None)
+
+
+def _dense_sum(terms: Iterable[tuple[int, int, tuple[int, ...]]]) -> tuple[int, tuple[int, ...]]:
+    """sum sign * q^at * c over (sign, at, c) triples, sign +1 or -1, each c
+    a dense coefficient row from exponent ``at``: one slice add per term, as
+    a (lo, row) pair without zeros at either end, (0, ()) for zero.  A lone
+    term with sign +1 is its own row, uncopied; rows are tuples, so cached
+    rows may be passed and shared."""
+    terms = [t for t in terms if t[2]]
+    if len(terms) < 2:
+        if not terms:
+            return 0, ()
+        if terms[0][0] > 0:
+            return terms[0][1], terms[0][2]
+    lo = min(at for _, at, _ in terms)
+    c = [0] * (max(at + len(x) for _, at, x in terms) - lo)
+    for sign, at, x in terms:
+        a = at - lo
+        c[a:a + len(x)] = map(add if sign > 0 else sub, c[a:a + len(x)], x)
+    # A signed sum can cancel at its ends.
+    hi = len(c)
+    while hi and not c[hi - 1]:
+        hi -= 1
+    start = 0
+    while start < hi and not c[start]:
+        start += 1
+    return lo + start, tuple(c[start:hi])
+
+
+@lru_cache(maxsize=None)
+def _gauss_coeffs(n: int, k: int) -> tuple[int, ...]:
+    """Dense coefficient row of [n, k]_q for 0 <= k <= n, cached: the one
+    Gaussian row under ``q_binomial`` and the ``_supernomial2_row`` descent.
+    [n, k] = [n, n - k], and the kernel below costs O(k * k(n-k)), so it
+    runs at the lesser k; both keys then hold one tuple."""
     m = n - k
+    if k > m:
+        return _gauss_coeffs(n, m)
     c = [1]
     for i in range(1, k + 1):
         # Multiply by (1 - q^(m+i)): c[j] -= c[j-m-i] for every j at once,
@@ -438,7 +481,7 @@ def _gauss_coeffs(n: int, k: int) -> list[int]:
         if any(c[-i:]):
             raise ArithmeticError("division is not exact")
         del c[-i:]
-    return c
+    return tuple(c)
 
 
 @lru_cache(maxsize=None)
@@ -454,32 +497,31 @@ def q_binomial(L: int, a: int) -> QSeries:
     the top i coefficients of each prefix-sum quotient must vanish, else
     ``ArithmeticError`` is raised.  The cost is O(a * a(L-a)) integer
     additions.  For L < 0 the same kernel runs on the reflection
-    [L, a] = (-1)^a q^{aL - a(a-1)/2} [a-L-1, a].
+    [L, a] = (-1)^a q^{aL - a(a-1)/2} [a-L-1, a].  The row is the cached
+    ``_gauss_coeffs``, which the ``_supernomial2_row`` descent shares.
     """
     if a < 0 or 0 <= L < a:
         return QSeries.zero(None)
-    n, sign, offset = L, 1, 0
-    if L < 0:
-        n, sign, offset = a - L - 1, (-1) ** a, a * L - a * (a - 1) // 2
-    coeffs = _gauss_coeffs(n, a)
-    # Every coefficient of a Gaussian binomial is positive.
-    return _new({offset + j: sign * c for j, c in enumerate(coeffs)}, 1, None)
+    if L >= 0:
+        return _from_dense(0, _gauss_coeffs(L, a))
+    row = _gauss_coeffs(a - L - 1, a)
+    return _from_dense(a * L - a * (a - 1) // 2, row if a % 2 == 0 else [-c for c in row])
 
 
 # -- two-row supernomial -----------------------------------------------------
 
 
 @lru_cache(maxsize=None)
-def _supernomial2(L1: int, L2: int, twice_a: int) -> QSeries:
+def _supernomial2_row(L1: int, L2: int, twice_a: int) -> tuple[int, tuple[int, ...]]:
+    """(lo, row) of the two-row supernomial, by the descent T(L1, L2) =
+    T(L1+2, L2-1) - q^{L1+L2} T(L1, L2-1) down to the Gaussian rows
+    [L1, L1/2 + a]_q at L2 = 0, which are ``q_binomial``'s cached rows."""
     if L2 == 0:
-        idx2 = 2 * L1 + 2 * twice_a  # 4*(L1/2 + a)
-        if idx2 % 4 != 0:
-            return QSeries.zero(None)
-        return q_binomial(L1, idx2 // 4)
-    # Descend in the second argument; the raised first argument reduces to
-    # plain Gaussian binomials at L2=0.
-    return QSeries.sum_shifted(((1, _supernomial2(L1 + 2, L2 - 1, twice_a), 0),
-                                (-1, _supernomial2(L1, L2 - 1, twice_a), L1 + L2)), 1)
+        k, r = divmod(L1 + twice_a, 2)  # L1/2 + a
+        return 0, (_gauss_coeffs(L1, k) if r == 0 and 0 <= k <= L1 else ())
+    lo1, c1 = _supernomial2_row(L1 + 2, L2 - 1, twice_a)
+    lo2, c2 = _supernomial2_row(L1, L2 - 1, twice_a)
+    return _dense_sum(((1, lo1, c1), (-1, lo2 + L1 + L2, c2)))
 
 
 def supernomial2(L1: int, L2: int, a: ExpLike) -> QSeries:
@@ -487,8 +529,10 @@ def supernomial2(L1: int, L2: int, a: ExpLike) -> QSeries:
     and L2 three-dimensional factors.
 
     Vanishes unless a + L1/2 is an integer with |2a| <= L1 + 2*L2.  At L2=0 it
-    is the Gaussian binomial [L1, L1/2 + a]_q.  ``a`` must be an int or a
-    ``Fraction``; anything else raises ``TypeError``.
+    is the Gaussian binomial [L1, L1/2 + a]_q, from the Gaussian row that
+    ``q_binomial`` shares (``_gauss_coeffs``).  The series is made on each
+    call from the cached row of the descent (``_supernomial2_row``).  ``a``
+    must be an int or a ``Fraction``; anything else raises ``TypeError``.
     """
     if L1 < 0 or L2 < 0:
         raise ValueError("supernomial2 needs L1, L2 >= 0")
@@ -497,4 +541,4 @@ def supernomial2(L1: int, L2: int, a: ExpLike) -> QSeries:
     twice_a = 2 * a
     if twice_a.denominator != 1 or (twice_a + L1) % 2 != 0:
         return QSeries.zero(None)
-    return _supernomial2(L1, L2, int(twice_a))
+    return _from_dense(*_supernomial2_row(L1, L2, int(twice_a)))

@@ -8,6 +8,8 @@ integer-keyed internals:
   binomials and trinomials that the dense kernel replaced;
 - ``supernomial2_sum``: the two-row supernomial as one sum of products of
   Gaussian binomials, themselves built by the q-Pascal rule;
+- ``s_family_sum``: S and S~ by their double sums of Gaussian-binomial
+  products, the formula that the library's row kernel replaced;
 - ``RefSeries``: a ``Fraction``-keyed sparse series with the straightforward
   sum, product, shift, truncation, flip and comparison rules;
 - ``poch_inv_parts``: 1/(q)_m built one part size at a time, uncached,
@@ -342,6 +344,13 @@ def gauss(n: int, k: int) -> QSeries:
     if k in (0, n):
         return QSeries.one(None)
     return gauss(n - 1, k - 1) + gauss(n - 1, k).shift(k)
+
+
+def s_family_sum(m: int, l: int, e: int) -> QSeries:
+    """sum_nu q^{(nu+l-m)(nu+l-e) + nu(nu-m)} [m,nu]_q [nu,m-l-nu]_q for
+    m >= 0: S_{m,l} at e = 0, S~_{m,l} at e = 1."""
+    return QSeries.sum(gauss(m, nu) * gauss(nu, m - l - nu).shift(
+        (nu + l - m) * (nu + l - e) + nu * (nu - m)) for nu in range(m + 1))
 
 
 def supernomial2_sum(L1: int, L2: int, twice_a: int) -> QSeries:

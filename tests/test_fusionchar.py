@@ -150,7 +150,8 @@ def test_euler_and_string_routes_sum_nothing_through_qseries_sum(monkeypatch):
         raise AssertionError("QSeries.sum called")
 
     # Cold caches, so every cached factor under the two checks is rebuilt.
-    for cached in (qcore.q_binomial, qcore.poch_inv, supernomial._s_family,
+    for cached in (qcore.q_binomial, qcore._gauss_coeffs, qcore._supernomial2_row,
+                   qcore.poch_inv, supernomial._s_family, supernomial._s_row,
                    vircharacters.I_m, pathweights._config_sum):
         cached.cache_clear()
     monkeypatch.setattr(qcore.QSeries, "sum", staticmethod(raises))

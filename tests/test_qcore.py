@@ -7,8 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qlab import qcore, supernomial
 from qlab.cli import _json_text, run
 from qlab.pathweights import ModelParams, delta
+from qlab.supernomial import S_table
 from qlab.qcore import (
     QSeries, compare, lattice_range, poch_inv, poch_sum, q_binomial, supernomial2,
 )
@@ -20,6 +22,13 @@ from oracles import (
 from test_pathweights import _strips
 
 F = Fraction
+
+
+def _clear_caches() -> None:
+    """Empty every cache of built series and rows in qcore and supernomial."""
+    for cached in (q_binomial, qcore._gauss_coeffs, qcore._supernomial2_row,
+                   poch_inv, supernomial._s_family, supernomial._s_row):
+        cached.cache_clear()
 
 
 def partitions(n_max: int) -> list[int]:
@@ -469,7 +478,9 @@ class TestPochhammer:
 
     def test_cached_factors_match_a_fresh_build_after_use(self, capsys):
         # ``verify grading`` multiplies cached factors into its characters;
-        # none of them may change under that use.
+        # none of them may change under that use.  Cold caches, so every
+        # factor is built under it.
+        _clear_caches()
         assert run(["verify", "grading"]) == 0
         capsys.readouterr()
         cuts = [c for n in range(-1, 62) for c in (n, F(n))]
@@ -477,6 +488,28 @@ class TestPochhammer:
                         for r in range(1, p) for s in range(1, pp)})
         for cut in cuts:
             assert poch_inv(cut) == poch_inv.__wrapped__(cut), cut
+
+    def test_shared_rows_are_never_mutated(self, capsys):
+        # The dense rows are handed out uncopied: a Gaussian row to
+        # q_binomial and to the supernomial descent, each S row to the next.
+        # After use, every row, and every value built on them, equals a
+        # fresh build.
+        def rows():
+            return ([supernomial._s_row(m) for m in range(10)],
+                    {(n, k): qcore._gauss_coeffs(n, k) for n in range(13) for k in range(n + 1)},
+                    {key: qcore._supernomial2_row(*key) for key in
+                     [(2 * k1, k2, a) for k1 in range(6) for k2 in range(6)
+                      for a in range(-k1 - k2, k1 + k2 + 1)]})
+
+        def values():
+            assert run(["verify", "exactseq"]) == 0
+            return capsys.readouterr().out, S_table(9), q_binomial(12, 6)
+
+        _clear_caches()
+        used = values(), rows()
+        _clear_caches()
+        fresh_rows = rows()
+        assert (values(), fresh_rows) == used
 
     def test_float_cutoff_raises_after_int_is_cached(self):
         poch_inv(4)

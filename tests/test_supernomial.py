@@ -5,12 +5,12 @@ from fractions import Fraction
 import pytest
 
 from qlab import supernomial
-from qlab.qcore import QSeries, supernomial2
+from qlab.qcore import QSeries, _dense_sum, supernomial2
 from qlab.supernomial import (
     S, S_floor, S_table, S_tilde, string_sum, verify_S_recurrences,
 )
 
-from oracles import monomial, sum_over_m_every_term
+from oracles import monomial, s_family_sum, sum_over_m_every_term
 
 F = Fraction
 
@@ -21,6 +21,15 @@ def test_hand_values():
     assert list(S_tilde(2, 0).items()) == [(F(-1), 1), (F(0), 2)]
     assert list(S_tilde(1, 1).items()) == [(F(0), 1)]
     assert list(S_tilde(1, -1).items()) == [(F(1), 1)]
+
+
+def test_rows_match_the_double_sum():
+    # The row kernel against the product formula it replaced, one step past
+    # the strip on each side, where both families vanish.
+    for m in range(15):
+        for l in range(-(m + 1), m + 2):
+            assert S(m, l) == s_family_sum(m, l, 0), (m, l)
+            assert S_tilde(m, l) == s_family_sum(m, l, 1), (m, l)
 
 
 def test_diagonal_is_one():
@@ -130,25 +139,59 @@ def _bumped(family, at):
     return impl
 
 
-@pytest.mark.parametrize("patches,rec1_m3_l1", [
-    ({"S": (3, 0)}, None),
+def _bumped_row(row_of, at):
+    """``row_of`` with q^-1 added to the S_{m,l} cell of row m, (m, l) =
+    ``at``, so every later row is built from the corrupted one."""
+    m, l = at
+
+    def impl(k):
+        cells_s, cells_st = row_of(k)
+        if k != m:
+            return cells_s, cells_st
+        bumped = _dense_sum(((1, *cells_s[l + m]), (1, -1, (1,))))
+        return cells_s[:l + m] + (bumped,) + cells_s[l + m + 1:], cells_st
+    return impl
+
+
+@pytest.fixture
+def cold_s_caches():
+    # A patched row kernel is read only by an uncached cell, and must leave
+    # no cell or row behind for later tests.
+    caches = (supernomial._s_family, supernomial._s_row)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+@pytest.mark.parametrize("patches,first_id,rec1_m3_l1", [
+    ({"S": (3, 0)}, "relS rec1 m=2 l=0", None),
     # S~(3,0) enters rec1 at m=3, l=1 only as a right-hand term times q^-3
-    ({"S": (3, 0), "S_tilde": (3, 0)}, "first mismatch at q^-4: 3 != 4"),
-    # the kernel behind both names: S(3,0) is _s_family(3, 0, 0)
-    ({"_s_family": (3, 0, 0)}, None),
-], ids=["S-only", "S-and-S_tilde", "s_family"])
-def test_recurrences_catch_perturbation(monkeypatch, patches, rec1_m3_l1):
+    ({"S": (3, 0), "S_tilde": (3, 0)}, "relS rec1 m=2 l=0", "first mismatch at q^-4: 3 != 4"),
+    # the cell cache behind both names: S(3,0) is _s_family(3, 0, 0)
+    ({"_s_family": (3, 0, 0)}, "relS rec1 m=2 l=0", None),
+    # the row kernel: S_{3,0} of row 3, which row 4 carries into S_{4,-1}
+    # but not into S_{4,1}, so the symmetry fails first
+    ({"_s_row": (3, 0)}, "relS sym m=4 l=-1", None),
+], ids=["S-only", "S-and-S_tilde", "s_family", "s_row"])
+def test_recurrences_catch_perturbation(monkeypatch, cold_s_caches, patches, first_id,
+                                        rec1_m3_l1):
     # corrupt one value of S by its module name, in the second input one of
-    # S~ too, and in the third the kernel they share; the suite must notice
-    # each
+    # S~ too, in the third the cell cache they share, and in the fourth one
+    # cell of the row kernel; the suite must notice each, also on an
+    # identity that the kernel does not build by (it builds by rec1 and rec4)
     for name, at in patches.items():
-        monkeypatch.setattr(supernomial, name, _bumped(getattr(supernomial, name), at))
+        bump = _bumped_row if name == "_s_row" else _bumped
+        monkeypatch.setattr(supernomial, name, bump(getattr(supernomial, name), at))
     checks = verify_S_recurrences(5)
-    first = next(c for c in checks if not c.ok)
-    assert first.case_id == "relS rec1 m=2 l=0"
-    assert first.detail == "first mismatch at q^-1: 2 != 1"
+    assert next(c for c in checks if not c.ok).case_id == first_id
+    (case,) = [c for c in checks if c.case_id == "relS rec1 m=2 l=0"]
+    assert case.detail == "first mismatch at q^-1: 2 != 1"
     (case,) = [c for c in checks if c.case_id == "relS rec1 m=3 l=1"]
     assert (None if case.ok else case.detail) == rec1_m3_l1
+    assert any(c.case_id.split()[1] in ("sym~", "rec2", "rec3", "rec5", "rec6")
+               for c in checks if not c.ok)
 
 
 def test_table_export():
