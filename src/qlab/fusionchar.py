@@ -17,7 +17,8 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .qcore import QSeries, lattice_range, poch_inv, poch_sum, q_binomial, supernomial2
+from .qcore import (QSeries, _dense_sum, _from_dense, _gauss_coeffs, lattice_range,
+                    poch_inv, poch_sum, q_binomial, supernomial2)
 from .report import CaseResult, check, first_failure
 from .supernomial import S, string_sum
 from .pathweights import ModelParams, delta
@@ -49,7 +50,7 @@ def verify_pi2pi3(cutoff: int | Fraction) -> list[CaseResult]:
     q^{l^2} / (q)_infinity, is ``string_sum(l)``, a q^{m^2}/(q)_m-weighted sum
     of the flipped three-dimensional string components S_{m,l}(q)."""
     return [check(f"pi2pi3 l={l}", string_sum(l, cutoff),
-                  poch_inv(cutoff - l * l).shift(l * l))
+                  poch_inv(cutoff, ((l * l, 1),)))
             for l in range(-math.isqrt(int(cutoff)) - 1, math.isqrt(int(cutoff)) + 2)]
 
 
@@ -87,11 +88,11 @@ def euler_multiplicity(V: Iterable[tuple[int, QSeries]], k: int, l: int) -> QSer
 
 
 def abf_finitized(N: int, k: int, j: int, l: int) -> QSeries:
-    """Finitized character: alternating sum of Gaussian binomials on a lattice
-    strip of width 2N.  Identically zero when l and j have opposite parity
-    (all binomial indices would be half-integers).  The lam window is exact:
-    the term at lam carries [2N, x]_q, x = base + (k+3) lam, which is zero
-    unless 0 <= x <= 2N, that is -base <= (k+3) lam <= 2N - base."""
+    """Finitized character on a strip of width 2N: an alternating sum of the
+    cached Gaussian rows [2N, x]_q, added as dense rows.  Identically zero when
+    l and j have opposite parity (all binomial indices would be half-integers).
+    The lam window is exact: x = base + (k+3) lam lies in 0 <= x <= 2N, that is
+    -base <= (k+3) lam <= 2N - base; [2N, x] is zero outside, but no row is."""
     if N < 0:
         raise ValueError("N must be >= 0")
     if not 0 <= j <= k:
@@ -103,14 +104,14 @@ def abf_finitized(N: int, k: int, j: int, l: int) -> QSeries:
     pq = (k + 2) * (k + 3)
     # Every term is shifted by (l - j)^2 / 4, an integer as l = j (mod 2).
     off = ((l - j) // 2) ** 2
-    return QSeries.sum_shifted(
-        ((sign, q_binomial(2 * N, base + (k + 3) * lam),
-          pq * lam * lam + lin * lam + shift + off)
-         for base, lin, shift, sign in (
-             ((2 * N - l + j) // 2, (k + 3) * (j + 1) - (k + 2) * (l + 1), 0, 1),
-             ((2 * N - l - j - 2) // 2, -((k + 3) * (j + 1) + (k + 2) * (l + 1)),
-              (j + 1) * (l + 1), -1))
-         for lam in lattice_range(-base, 2 * N - base, k + 3)), 1)
+    return _from_dense(*_dense_sum(
+        (sign, pq * lam * lam + lin * lam + shift + off,
+         _gauss_coeffs(2 * N, base + (k + 3) * lam))
+        for base, lin, shift, sign in (
+            ((2 * N - l + j) // 2, (k + 3) * (j + 1) - (k + 2) * (l + 1), 0, 1),
+            ((2 * N - l - j - 2) // 2, -((k + 3) * (j + 1) + (k + 2) * (l + 1)),
+             (j + 1) * (l + 1), -1))
+        for lam in lattice_range(-base, 2 * N - base, k + 3)))
 
 
 def unitary_params(k: int) -> ModelParams:

@@ -20,8 +20,8 @@ error term: a + O(q^{c_a}) times b is a b + O(q^{c_a + floor b}).  Exact
 polynomials built by recurrence (Gaussian binomials, the two-row descent, and
 the S family in ``supernomial``) run instead on dense int rows (``_dense_sum``).
 The rows are cached, and a series is made from a row when a value is asked
-for (``_from_dense``); ``q_binomial`` and the S cells, asked for again and
-again, cache their series as well.
+for (``_from_dense``); only the S cells cache their series too.  No
+1/(q)_infinity is cached: ``poch_inv`` divides each numerator in place.
 """
 
 from __future__ import annotations
@@ -415,15 +415,33 @@ def poch_sum(terms: Mapping[int, QSeries], cutoff: CutoffLike) -> QSeries:
     return _new({(lo + n) * den: v for n, v in enumerate(c) if v}, den, cut)
 
 
-@lru_cache(maxsize=None, typed=True)
-def poch_inv(cutoff: CutoffLike) -> QSeries:
-    """1/(q)_infinity below cutoff: q^n counts the partitions of n.  Parts
-    at or above the cutoff never fit, so it is 1/(q)_m at m = ceil(cutoff).
-    Cached, as every character divides by it; ``typed`` keeps an int and a
-    float cutoff apart, so a float still raises ``TypeError``.
-    """
-    m = 0 if cutoff is None else max(math.ceil(cutoff), 0)
-    return poch_sum({m: QSeries.one()}, cutoff)
+def poch_inv(cutoff: CutoffLike,
+             numerator: Sequence[tuple[int, int]] = ((0, 1),)) -> QSeries:
+    """numerator / (q)_infinity below a finite cutoff, for (exponent,
+    coefficient) pairs with int exponents; 1/(q)_infinity by default.  The
+    pairs go on one dense list c, divided in place by Euler's pentagonal
+    (q)_infinity = sum_k (-1)^k q^{k(3k-1)/2}: for ascending n, c[n] +=
+    sum_{k>=1} (-1)^{k+1} (c[n - k(3k-1)/2] + c[n - k(3k+1)/2]), k up to the
+    first pentagonal number above n.  That is O(cutoff^{3/2}) and forms no
+    product, so nothing is cached: each character divides its own numerator."""
+    if cutoff is None:
+        raise ValueError("poch_inv requires a finite cutoff")
+    den = _den(cutoff)
+    cut = _key(cutoff, den)
+    lo = min((e for e, _ in numerator), default=0)
+    c = [0] * (-(-cut // den) - lo)  # the exponents lo .. ceil(cutoff) - 1, if any
+    for e, v in numerator:
+        if e - lo < len(c):
+            c[e - lo] += v
+    pent = [(k * (3 * k - 1) // 2, k * (3 * k + 1) // 2, k % 2)
+            for k in range(1, math.isqrt(2 * len(c)) + 2)]  # past the list's end
+    for n in range(1, len(c)):
+        for g, h, odd in pent:
+            if g > n:
+                break
+            t = c[n - g] + c[n - h] if h <= n else c[n - g]
+            c[n] += t if odd else -t
+    return _new({(lo + n) * den: v for n, v in enumerate(c) if v}, den, cut)
 
 
 # -- binomial family --------------------------------------------------------
@@ -464,9 +482,10 @@ def _dense_sum(terms: Iterable[tuple[int, int, tuple[int, ...]]]) -> tuple[int, 
 @lru_cache(maxsize=None)
 def _gauss_coeffs(n: int, k: int) -> tuple[int, ...]:
     """Dense coefficient row of [n, k]_q for 0 <= k <= n, cached: the one
-    Gaussian row under ``q_binomial`` and the ``_supernomial2_row`` descent.
-    [n, k] = [n, n - k], and the kernel below costs O(k * k(n-k)), so it
-    runs at the lesser k; both keys then hold one tuple."""
+    Gaussian row under ``q_binomial``, ``abf_finitized`` and the descent.
+    Step i leaves [n-k+i, i]_q, so each division by 1 - q^i is exact.
+    [n, k] = [n, n - k], and this costs O(k * k(n-k)), so it runs at the
+    lesser k; both keys then hold one tuple."""
     m = n - k
     if k > m:
         return _gauss_coeffs(n, m)
@@ -484,22 +503,11 @@ def _gauss_coeffs(n: int, k: int) -> tuple[int, ...]:
     return tuple(c)
 
 
-@lru_cache(maxsize=None)
 def q_binomial(L: int, a: int) -> QSeries:
-    """Gaussian binomial [L, a]_q = (q^{L-a+1})_a / (q)_a.
-
-    Defined for any integer L and a >= 0 (zero for a < 0, and for 0 <= L < a);
-    for L < 0 the result is a Laurent polynomial.
-
-    Algorithm: a dense list of ints starts at [1] and, for i = 1..a, is
-    multiplied by (1 - q^{L-a+i}) and then divided by (1 - q^i).  After step
-    i the list is the polynomial [L-a+i, i]_q, so every division is exact;
-    the top i coefficients of each prefix-sum quotient must vanish, else
-    ``ArithmeticError`` is raised.  The cost is O(a * a(L-a)) integer
-    additions.  For L < 0 the same kernel runs on the reflection
-    [L, a] = (-1)^a q^{aL - a(a-1)/2} [a-L-1, a].  The row is the cached
-    ``_gauss_coeffs``, which the ``_supernomial2_row`` descent shares.
-    """
+    """Gaussian binomial [L, a]_q = (q^{L-a+1})_a / (q)_a, for any integer L
+    and a >= 0 (zero for a < 0, and for 0 <= L < a); for L < 0 it is the
+    Laurent polynomial (-1)^a q^{aL - a(a-1)/2} [a-L-1, a].  Made on each call
+    from the cached row ``_gauss_coeffs``, which the finitized sums add as is."""
     if a < 0 or 0 <= L < a:
         return QSeries.zero(None)
     if L >= 0:
@@ -515,7 +523,7 @@ def q_binomial(L: int, a: int) -> QSeries:
 def _supernomial2_row(L1: int, L2: int, twice_a: int) -> tuple[int, tuple[int, ...]]:
     """(lo, row) of the two-row supernomial, by the descent T(L1, L2) =
     T(L1+2, L2-1) - q^{L1+L2} T(L1, L2-1) down to the Gaussian rows
-    [L1, L1/2 + a]_q at L2 = 0, which are ``q_binomial``'s cached rows."""
+    [L1, L1/2 + a]_q at L2 = 0, the cached ``_gauss_coeffs``."""
     if L2 == 0:
         k, r = divmod(L1 + twice_a, 2)  # L1/2 + a
         return 0, (_gauss_coeffs(L1, k) if r == 0 and 0 <= k <= L1 else ())

@@ -40,7 +40,9 @@ def rocha_caridi(params: ModelParams, r: int, s: int, cutoff: int | Fraction) ->
     """Normalized irreducible character q^{-delta(r,s)} chi_{r,s} below cutoff.
 
     Alternating sum over lam of q^{lam^2 p p' + lam (p' r - p s)} minus
-    q^{lam^2 p p' + lam (p' r + p s) + r s}, divided by (q)_infinity.
+    q^{lam^2 p p' + lam (p' r + p s) + r s}, divided by (q)_infinity in place
+    by ``poch_inv``'s recurrence c[n] += sum_{k>=1} (-1)^{k+1} (c[n - k(3k-1)/2]
+    + c[n - k(3k+1)/2]): no product, and no cached 1/(q)_infinity.
 
     The lam window is exact.  With n = p p', an exponent lam^2 n + lam beta
     + shift (shift = 0 or r s) is an integer, so it lies below the cutoff
@@ -57,12 +59,11 @@ def rocha_caridi(params: ModelParams, r: int, s: int, cutoff: int | Fraction) ->
     p, pp = params.p, params.pp
     n = p * pp
     bound = int(cutoff)
-    terms: list[tuple[int, int]] = []
-    for beta, shift, sign in ((pp * r - p * s, 0, 1), (pp * r + p * s, r * s, -1)):
-        lam_max = (abs(beta) + math.isqrt(beta * beta + 4 * n * bound)) // (2 * n)
-        terms += [(lam * lam * n + lam * beta + shift, sign)
-                  for lam in range(-lam_max, lam_max + 1)]
-    return QSeries(terms, cutoff) * poch_inv(cutoff)
+    return poch_inv(cutoff, [
+        (lam * lam * n + lam * beta + shift, sign)
+        for beta, shift, sign in ((pp * r - p * s, 0, 1), (pp * r + p * s, r * s, -1))
+        for lam_max in ((abs(beta) + math.isqrt(beta * beta + 4 * n * bound)) // (2 * n),)
+        for lam in range(-lam_max, lam_max + 1)])
 
 
 def _I_m_terms(params: ModelParams, r: int, a: int, b: int,

@@ -150,8 +150,8 @@ def test_euler_and_string_routes_sum_nothing_through_qseries_sum(monkeypatch):
         raise AssertionError("QSeries.sum called")
 
     # Cold caches, so every cached factor under the two checks is rebuilt.
-    for cached in (qcore.q_binomial, qcore._gauss_coeffs, qcore._supernomial2_row,
-                   qcore.poch_inv, supernomial._s_family, supernomial._s_row,
+    for cached in (qcore._gauss_coeffs, qcore._supernomial2_row,
+                   supernomial._s_family, supernomial._s_row,
                    vircharacters.I_m, pathweights._config_sum):
         cached.cache_clear()
     monkeypatch.setattr(qcore.QSeries, "sum", staticmethod(raises))
@@ -178,10 +178,21 @@ class TestFinitizedSums:
 
     def test_lam_window_is_exact(self, monkeypatch):
         # A wider lam window adds only zero binomials [2N, x], x outside
-        # 0..2N: the finitized sums agree.
+        # 0..2N: the finitized sums agree.  A Gaussian row is defined only
+        # for 0 <= x <= n, so the spy checks each row the exact window reads
+        # and gives the wide window the zero row outside that range.
+        reads = []
+
+        def rows(n, x):
+            reads.append((n, x))
+            return gauss(n, x) if 0 <= x <= n else ()
+
+        gauss = qcore._gauss_coeffs
+        monkeypatch.setattr(fusionchar, "_gauss_coeffs", rows)
         cases = [(N, k, j, l) for N in range(13) for k in range(4)
                  for j in range(k + 1) for l in range(k + 2)]
         exact = [abf_finitized(*case) for case in cases]
+        assert reads and all(0 <= x <= n for n, x in reads)
         monkeypatch.setattr(fusionchar, "lattice_range", wide_window)
         for case, want in zip(cases, exact):
             assert abf_finitized(*case) == want, case

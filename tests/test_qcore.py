@@ -9,8 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qlab import qcore, supernomial
 from qlab.cli import _json_text, run
-from qlab.pathweights import ModelParams, delta
-from qlab.supernomial import S_table
+from qlab.supernomial import S, S_table, S_tilde
 from qlab.qcore import (
     QSeries, compare, lattice_range, poch_inv, poch_sum, q_binomial, supernomial2,
 )
@@ -19,15 +18,14 @@ from oracles import (
     RefSeries, coeff_sum, exact_div, monomial, poch, poch_inv_parts, support,
     supernomial2_sum,
 )
-from test_pathweights import _strips
 
 F = Fraction
 
 
 def _clear_caches() -> None:
     """Empty every cache of built series and rows in qcore and supernomial."""
-    for cached in (q_binomial, qcore._gauss_coeffs, qcore._supernomial2_row,
-                   poch_inv, supernomial._s_family, supernomial._s_row):
+    for cached in (qcore._gauss_coeffs, qcore._supernomial2_row,
+                   supernomial._s_family, supernomial._s_row):
         cached.cache_clear()
 
 
@@ -476,24 +474,45 @@ class TestPochhammer:
         prod = poch(m) * poch_sum({m: QSeries.one()}, F(20))
         assert compare(prod, QSeries.one(F(20))).ok
 
+    def test_division_matches_one_part_size_at_a_time_and_the_fold(self):
+        # numerator / (q)_infinity below c, against two routes: each term
+        # times 1/(q)_m built one part size at a time, and the poch_sum fold
+        # at an m that holds every part size below the cut.
+        numerators = [((0, 1),), ((0, 1), (0, 2), (3, -1), (3, 4)),
+                      ((2, 5), (0, 1), (2, -5), (7, 3), (7, -3)),
+                      ((-2, 1), (1, -3), (4, 10**30)), ((1, 1), (9, -2), (400, 7), (401, 1))]
+        cuts = [*range(-3, 30), 41, 100, 257, 400, F(41, 2), F(7, 3), F(-5, 2)]
+        for cut in cuts:
+            for num in numerators:
+                got = poch_inv(cut, num)
+                want = QSeries.sum([QSeries.zero(cut)] + [
+                    poch_inv_parts(math.ceil(cut - e), cut - e).shift(e) * v for e, v in num])
+                assert got == want, (cut, num)
+                lo = min(e for e, _ in num)
+                fold = poch_sum({max(math.ceil(cut) - lo, 0): QSeries(num)}, cut)
+                assert got == fold, (cut, num)
+        # Exponents at or above the cut add nothing.
+        assert poch_inv(9, ((0, 1), (9, 5), (12, 1))) == poch_inv(9)
+
     def test_cached_factors_match_a_fresh_build_after_use(self, capsys):
-        # ``verify grading`` multiplies cached factors into its characters;
-        # none of them may change under that use.  Cold caches, so every
-        # factor is built under it.
+        # ``verify grading`` sums, shifts and divides cached S and S~ cells
+        # and the rows under them; none of them may change under that use.
+        # Cold caches, so every factor is built under it.
+        def cells():
+            return [(S(m, l), S_tilde(m, l)) for m in range(12) for l in range(-m, m + 1)]
+
         _clear_caches()
         assert run(["verify", "grading"]) == 0
         capsys.readouterr()
-        cuts = [c for n in range(-1, 62) for c in (n, F(n))]
-        cuts += sorted({delta(ModelParams(p, pp), r, s) + 41 for p, pp in _strips(9)
-                        for r in range(1, p) for s in range(1, pp)})
-        for cut in cuts:
-            assert poch_inv(cut) == poch_inv.__wrapped__(cut), cut
+        used = cells()
+        _clear_caches()
+        assert cells() == used
 
     def test_shared_rows_are_never_mutated(self, capsys):
         # The dense rows are handed out uncopied: a Gaussian row to
-        # q_binomial and to the supernomial descent, each S row to the next.
-        # After use, every row, and every value built on them, equals a
-        # fresh build.
+        # q_binomial, to the finitized sums and to the supernomial descent,
+        # each S row to the next.  After use, every row, and every value
+        # built on them, equals a fresh build.
         def rows():
             return ([supernomial._s_row(m) for m in range(10)],
                     {(n, k): qcore._gauss_coeffs(n, k) for n in range(13) for k in range(n + 1)},
@@ -503,6 +522,7 @@ class TestPochhammer:
 
         def values():
             assert run(["verify", "exactseq"]) == 0
+            assert run(["verify", "abf"]) == 0
             return capsys.readouterr().out, S_table(9), q_binomial(12, 6)
 
         _clear_caches()
@@ -511,15 +531,15 @@ class TestPochhammer:
         fresh_rows = rows()
         assert (values(), fresh_rows) == used
 
-    def test_float_cutoff_raises_after_int_is_cached(self):
-        poch_inv(4)
+    def test_float_cutoff_raises_type_error(self):
+        assert poch_inv(4) == poch_inv(F(4))
         with pytest.raises(TypeError):
             poch_inv(4.0)
 
     @pytest.mark.parametrize("m,cut", [(-1, 5), (3, None), (None, None)])
     def test_bad_arguments_raise_on_every_call(self, m, cut):
-        # m=None is 1/(q)_infinity, the cached poch_inv; a finite m is the
-        # single-term Pochhammer sum.
+        # m=None is 1/(q)_infinity, poch_inv; a finite m is the single-term
+        # Pochhammer sum.
         for _ in range(2):
             with pytest.raises(ValueError):
                 poch_inv(cut) if m is None else poch_sum({m: QSeries.one()}, cut)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qlab import pathweights, vircharacters
-from qlab.cli import run
+from qlab.cli import FIVE_MODELS, run
 from qlab.fusionchar import (
     graded_13_char, unitary_params, verify_abf, verify_exact_sequence_chars,
     verify_pi2pi3, verify_pmn,
@@ -31,6 +31,17 @@ F = Fraction
 ISING = ModelParams(3, 4)
 
 
+def _wide_numerator(params: ModelParams, r: int, s: int, cut) -> QSeries:
+    """The theta numerator of chi_{r,s} below ``cut``, summed over |lam| <=
+    floor(cut) + 2, a window wider than ``rocha_caridi``'s."""
+    p, pp = params
+    n, wide = p * pp, int(cut) + 2
+    return QSeries([(lam * lam * n + lam * beta + shift, sign)
+                    for beta, shift, sign in ((pp * r - p * s, 0, 1),
+                                              (pp * r + p * s, r * s, -1))
+                    for lam in range(-wide, wide + 1)], cut)
+
+
 class TestCharacterSeries:
     def test_ising_vacuum_head(self):
         ch = rocha_caridi(ISING, 1, 1, F(8))
@@ -49,22 +60,29 @@ class TestCharacterSeries:
         # Against a window of |lam| <= floor(cutoff) + 2, which holds every
         # lam with an exponent below the cutoff (|beta| < 2n, so |lam| >= 2
         # gives an exponent >= |lam|), on every strip p' <= 16, all (r, s).
+        inverse = {cut: poch_inv(cut) for cut in (F(1, 2), 1, 2, 7, F(15, 2), 31, 100)}
         cases = 0
         for p, pp in _strips(16):
             params = ModelParams(p, pp)
-            n = p * pp
             for r in range(1, p):
                 for s in range(1, pp):
-                    for cut in (F(1, 2), 1, 2, 7, F(15, 2), 31, 100):
-                        wide = int(cut) + 2
-                        num = QSeries([(lam * lam * n + lam * beta + shift, sign)
-                                       for beta, shift, sign in ((pp * r - p * s, 0, 1),
-                                                                 (pp * r + p * s, r * s, -1))
-                                       for lam in range(-wide, wide + 1)], cut)
-                        assert rocha_caridi(params, r, s, cut) == num * poch_inv(cut), (
-                            p, pp, r, s, cut)
+                    for cut, inv in inverse.items():
+                        assert rocha_caridi(params, r, s, cut) == \
+                            _wide_numerator(params, r, s, cut) * inv, (p, pp, r, s, cut)
                         cases += 1
         assert cases == 22582
+
+    @pytest.mark.parametrize("models,cut", [(FIVE_MODELS, 41), (((3, 4),), 2001)])
+    def test_division_matches_the_product_route(self, models, cut):
+        # The route before the pentagonal division: the cut numerator times
+        # 1/(q)_m at m = cut, every part size below it, by the poch_sum fold.
+        inverse = poch_sum({cut: QSeries.one()}, cut)
+        for p, pp in models:
+            params = ModelParams(p, pp)
+            for r in range(1, p):
+                for s in range(1, pp):
+                    assert rocha_caridi(params, r, s, cut) == \
+                        _wide_numerator(params, r, s, cut) * inverse, (p, pp, r, s)
 
     def test_head_is_partition_like(self):
         # below every correction exponent the coefficients are p(n) - p(n-rs)
