@@ -276,20 +276,30 @@ def _check_path_ends(a: int, b: int, m: int, params: ModelParams) -> None:
 def _walk(a: int, b: int, m: int, pp: int,
           weights: Optional[Mapping[Triple, int]] = None,
           prefix: Optional[list[int]] = None,
-          below: Optional[int] = None) -> Iterator[tuple[int, int]]:
-    """The one path enumerator: every admissible path (s_0, ..., s_m) from a
-    to b, m >= 1, depth first in lexicographic order; yields (s_{m-1}, sum_i
-    i * weights[s_{i-1}, s_i, s_{i+1}]) per path (0 without weights), while a
-    ``prefix`` list holding a holds s_0..s_{m-1}.  The stack holds (position,
-    previous site, site, running sum), so a step costs one weight lookup and
-    no path is built.  The last step, to b, is never pushed: at m = 1 only a is.
-    An int ``below`` drops each popped prefix whose running sum is not below
-    it, which skips only such paths if no weight is negative."""
+          below: Optional[int] = None) -> Iterator[tuple[int, int, int]]:
+    """The one path enumerator: every admissible path (s_0, ..., s_n) from a
+    to b of each length 1 <= n <= m, in one depth-first pass; yields (n,
+    s_{n-1}, sum_i i * weights[s_{i-1}, s_i, s_{i+1}]) per path (0 without
+    weights), while a ``prefix`` list holds s_0..s_{n-1}.  Paths of one
+    length come in lexicographic order, and a path comes before its
+    extensions.  The stack holds (depth, previous site, site, running sum),
+    so a step costs one weight lookup and no path is built: the node s_i
+    yields the (i+1)-step path when b follows it, and b itself is never
+    pushed.  An int ``below`` drops each popped prefix whose running sum is
+    not below it, which skips only such paths if no weight is negative.
+
+    Reach: the node s_i pushes a child s_2 (depth i + 1) only if |s_2 - b|
+    <= 2(m - 1 - i), and that drops no path.  A path through s_2 that ends
+    at b after n <= m steps has its next-to-last site s_{n-1} at depth n - 1
+    >= i + 1, a successor of b, and each of the n - 2 - i steps between
+    them moves by at most 2, so |s_2 - b| <= 2(n - 2 - i) + 2 = 2(n - 1 - i)
+    <= 2(m - 1 - i).  The bound of n = m is the loosest over all lengths n
+    <= m, so a walk to depth m visits the nodes of one yielding m-step paths
+    only, and none more.
+    """
     succ = _successors(pp)
     last = m - 1
-    # Pushed in descending order, so they pop in ascending order.
-    stack = ([(1, a, s, 0) for s in reversed(succ[a]) if abs(s - b) <= 2 * last]
-             if last else [(0, 0, a, 0)])
+    stack = [(0, 0, a, 0)] if m > 0 else []
     while stack:
         i, prev, s, acc = stack.pop()
         if below is not None and acc >= below:
@@ -297,23 +307,25 @@ def _walk(a: int, b: int, m: int, pp: int,
         if prefix is not None:
             del prefix[i:]
             prefix.append(s)
-        if i == last:
-            if b in succ[s]:
-                yield s, acc + i * weights[prev, s, b] if i and weights else acc
-            continue
-        reach = 2 * (last - i)  # b must lie within two sites per step left
-        for s2 in reversed(succ[s]):
-            if abs(s2 - b) <= reach:
-                stack.append((i + 1, s, s2, acc + i * weights[prev, s, s2] if weights else acc))
+        if b in succ[s]:
+            yield i + 1, s, acc + i * weights[prev, s, b] if i and weights else acc
+        if i < last:
+            reach = 2 * (last - i)  # b must lie within two sites per step left
+            # Pushed in descending order, so they pop in ascending order.
+            for s2 in reversed(succ[s]):
+                if abs(s2 - b) <= reach:
+                    stack.append((i + 1, s, s2,
+                                  acc + i * weights[prev, s, s2] if i and weights else acc))
 
 
 def enumerate_paths(a: int, b: int, m: int, params: ModelParams) -> list[Path]:
     """All admissible paths (s_0, ..., s_m) with s_0 = a and s_m = b, in
-    lexicographic order: those of ``_walk``, read off its prefix, unweighed."""
+    lexicographic order: the m-step ones of ``_walk``, read off its prefix,
+    unweighed."""
     _check_path_ends(a, b, m, params)
     prefix = [a]
     return ([(a,)] if m == 0 and a == b else
-            [(*prefix, b) for _ in _walk(a, b, m, params.pp, prefix=prefix)])
+            [(*prefix, b) for n, _, _ in _walk(a, b, m, params.pp, prefix=prefix) if n == m])
 
 
 def count_paths(a: int, b: int, m: int, params: ModelParams) -> int:
@@ -338,14 +350,16 @@ def path_gf(a: int, b: int, m: int, table: TauTable,
             ends: Optional[Mapping[int, int]] = None) -> QSeries:
     """Exact sum over the paths (s_0, ..., s_m) from a to b of q^{E +
     ends[s_{m-1}] / (4pp')}, E the energy (no end term without ``ends`` or a
-    step); each path of ``_walk`` adds one int key over 4pp'."""
+    step); each m-step path of ``_walk`` adds one int key over 4pp', and the
+    shorter ones it yields on the way are passed over."""
     _check_path_ends(a, b, m, table.params)
     p, pp = table.params
     keys = {0: 1} if m == 0 and a == b else {}
     ends = ends or dict.fromkeys(_successors(pp)[b], 0)
-    for d, e in _walk(a, b, m, pp, table.weights):  # nothing at m = 0
-        e = 4 * p * e + ends[d]
-        keys[e] = keys.get(e, 0) + 1
+    for n, d, e in _walk(a, b, m, pp, table.weights):  # nothing at m = 0
+        if n == m:
+            e = 4 * p * e + ends[d]
+            keys[e] = keys.get(e, 0) + 1
     return QSeries.from_keys(keys, 4 * p * pp)
 
 

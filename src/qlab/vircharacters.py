@@ -26,7 +26,6 @@ from .pathweights import (
     config_sum_X,
     delta_key,
     make_tau_table,
-    path_gf,
 )
 
 def _check_rs(params: ModelParams, r: int, s: int) -> None:
@@ -177,24 +176,38 @@ def _end_shifts(params: ModelParams, r: int, a: int, b: int, m: int) -> dict[int
     return {d: shift + m * e for d, e in bdr.items()}
 
 
-def path_side_GEN(params: ModelParams, r: int, a: int, b: int, m: int) -> QSeries:
-    """Path-sum form of I_m: sum over paths of q^{E + m*(boundary) + shift}.
+def path_sides_GEN(params: ModelParams, r: int, a: int, b: int,
+                   m_max: int) -> list[QSeries]:
+    """Path-sum forms of I_0, ..., I_{m_max}: entry m sums q^{E + m*(boundary)
+    + shift} over the m-step paths.
 
     Only defined at the weight-minimizing endpoint b = b_of(r, a).  One walk
-    of ``path_gf`` adds each path's int key; no path is built.
+    to depth m_max yields the paths of every length; each adds its int key,
+    4p E + shift + m bdr[s_{m-1}] of ``_end_shift_parts``, to the keys of its
+    length.  No path is built.
     """
     if b != b_of(r, a, params):
         raise ValueError("path generating sum requires the minimizing endpoint")
-    # At m = 0 the only path is (a) with a = b, whose end shift is 0.
-    return path_gf(a, b, m, make_tau_table(params), _end_shifts(params, r, a, b, m))
+    if m_max < 0:
+        raise ValueError("m must be >= 0")
+    p, pp = params
+    shift, bdr = _end_shift_parts(params, r, a, b)
+    keys: list[dict[int, int]] = [{} for _ in range(m_max + 1)]
+    if a == b:
+        keys[0][0] = 1  # at m = 0 the only path is (a), whose end shift is 0
+    for n, d, key in _walk(a, b, m_max, pp, make_tau_table(params).weights):
+        e = 4 * p * key + shift + n * bdr[d]
+        keys[n][e] = keys[n].get(e, 0) + 1
+    return [QSeries.from_keys(k, 4 * p * pp) for k in keys]
 
 
 def verify_GEN(params: ModelParams, r: int, a: int, m_max: int) -> list[CaseResult]:
-    """Exact equality of the path sum and I_m at b = b_of(r, a), m <= m_max."""
+    """Exact equality of the path sum and I_m at b = b_of(r, a), m <= m_max;
+    the path sums of every m come from one walk (``path_sides_GEN``)."""
     b = b_of(r, a, params)
     return [check(f"gen p={params.p} p'={params.pp} r={r} a={a} m={m}",
-                  path_side_GEN(params, r, a, b, m), I_m(params, r, a, b, m))
-            for m in range(m_max + 1)]
+                  side, I_m(params, r, a, b, m))
+            for m, side in enumerate(path_sides_GEN(params, r, a, b, m_max))]
 
 
 def verify_IandS(params: ModelParams, r: int, a: int, b: int,
@@ -228,17 +241,18 @@ def rigged_path_gf(params: ModelParams, r: int, a: int,
     partitions into at most m parts: the riggings of a path are its tight
     chain (every rule an equality) plus such a partition, and the tight chain
     sums to the path's energy plus its end shift, so the series equals
-    sum_m path_side_GEN(m) / (q)_m.
+    sum_m path_sides_GEN(...)[m] / (q)_m.
 
     The enumeration runs on integers in units of 1/(4 p p'), a common
     denominator of every weight and conformal weight of the model: a weight
     is 4p times its entry in the table (in units of 1/p'), and a conformal
-    weight is its ``delta_key``.  A walked path of energy key has the tight
-    chain 4p key + m bdr[s_{m-1}] + shift, so one at or over the cut is
-    skipped unrigged.  Every weight is at least w_min >= 0 (else
-    ArithmeticError) and every bdr is positive, so no m-step path starts
-    below shift + m min(bdr) + 4p w_min m(m-1)/2, which grows with m: the
-    m-range ends where that reaches the cut.
+    weight is its ``delta_key``.  Each m keeps its own walk to depth m, with
+    its own prune ``below``, and rigs only the m-step paths it yields.  A
+    walked path of energy key has the tight chain 4p key + m bdr[s_{m-1}] +
+    shift, so one at or over the cut is skipped unrigged.  Every weight is
+    at least w_min >= 0 (else ArithmeticError) and every bdr is positive, so
+    no m-step path starts below shift + m min(bdr) + 4p w_min m(m-1)/2, which
+    grows with m: the m-range ends where that reaches the cut.
     """
     b = b_of(r, a, params)
     table = make_tau_table(params)
@@ -271,8 +285,8 @@ def rigged_path_gf(params: ModelParams, r: int, a: int,
     while shift + m * least_bdr + 4 * p * w_min * (m * (m - 1) // 2) < cut_u:
         # key < below exactly when 4p key < cut_u - shift - m least_bdr.
         below = -((shift + m * least_bdr - cut_u) // (4 * p))
-        for d, key in _walk(a, b, m, pp, table.weights, prefix, below):
-            if 4 * p * key + m * bdr[d] + shift < cut_u:  # else skipped unrigged
+        for n, d, key in _walk(a, b, m, pp, table.weights, prefix, below):
+            if n == m and 4 * p * key + m * bdr[d] + shift < cut_u:  # else unrigged
                 path = (*prefix, b)
                 # w[i] = weight at interior position i, 1 <= i <= m-1, and
                 # cmin[i] = sum_{k=1}^{i-1} k * w[k]: least extra mass below i.

@@ -13,7 +13,8 @@ from qlab.pathweights import (
     path_gf, site_data, tau, verify_Xandf, x_configs,
 )
 from qlab.qcore import QSeries
-from qlab.vircharacters import path_side_GEN
+from qlab import vircharacters
+from qlab.vircharacters import path_sides_GEN, verify_GEN
 
 from oracles import (
     f_sum_by_slope, monomial, path_side_reference, slope_energy, slope_weight, walks,
@@ -279,8 +280,8 @@ class TestPaths:
         # The filtered step sequences of ``walks`` are the paths of
         # enumerate_paths in the same (lexicographic) order, and every sum of
         # the walker equals the sum of per-path ``slope_energy`` in Fraction
-        # over them: plain (paths --gf), with the end shifts of path_side_GEN, and
-        # with a final site c (brute_config_sum_X).
+        # over them: plain (paths --gf) and with a final site c
+        # (brute_config_sum_X).
         for p, pp in _strips(9):
             params = ModelParams(p, pp)
             table = make_tau_table(params)
@@ -297,10 +298,60 @@ class TestPaths:
                                 assert brute_config_sum_X(a, b, c, m, table) == QSeries(
                                     (slope_energy(path + (c,), table), 1)
                                     for path in want), (*case, c)
-                        for r in range(1, p):
-                            if b_of(r, a, params) == b:
-                                assert path_side_GEN(params, r, a, b, m) == path_side_reference(
-                                    params, table, r, a, b, m), (*case, r)
+
+    def test_walk_yields_every_length_in_one_pass(self):
+        # One walk to depth m is the walks of every length n <= m: grouped by
+        # n, the (s_0..s_{n-1}) its prefix holds at each yield, then b, are
+        # the paths of ``walks(a, n)`` ending at b in lexicographic order, and
+        # each yield carries s_{n-1} and the energy key over p'.
+        m = 6
+        for p, pp in _strips(9):
+            table = make_tau_table(ModelParams(p, pp))
+            for a in range(1, pp):
+                oracle = [walks(a, n, pp) for n in range(m + 1)]
+                for b in range(1, pp):
+                    prefix: list[int] = []
+                    got: dict[int, list] = {n: [] for n in range(1, m + 1)}
+                    for n, d, key in pathweights._walk(a, b, m, pp, table.weights, prefix):
+                        path = (*prefix, b)
+                        assert len(path) == n + 1 and d == path[-2], (p, pp, a, b, path)
+                        assert F(key, pp) == slope_energy(path, table), (p, pp, a, b, path)
+                        got[n].append(path)
+                    for n in range(1, m + 1):
+                        assert got[n] == oracle[n][b], (p, pp, a, b, n)
+                    assert list(pathweights._walk(a, b, 0, pp)) == []
+
+    def test_path_sides_match_reference(self):
+        # path_sides_GEN(m_max)[m], from one walk, is the per-path Fraction
+        # sum of ``path_side_reference`` at each m <= m_max.
+        m_max = 6
+        for p, pp in _strips(9):
+            params = ModelParams(p, pp)
+            table = make_tau_table(params)
+            for r in range(1, p):
+                for a in range(1, pp):
+                    b = b_of(r, a, params)
+                    sides = path_sides_GEN(params, r, a, b, m_max)
+                    assert len(sides) == m_max + 1
+                    for m, side in enumerate(sides):
+                        assert side == path_side_reference(
+                            params, table, r, a, b, m), (p, pp, r, a, m)
+
+    def test_verify_gen_walks_once_per_label(self, monkeypatch):
+        # verify_GEN reads every m <= m_max off a single walk per label.
+        calls = []
+
+        def counting_walk(*args, **kwargs):
+            calls.append(args[:3])
+            return pathweights._walk(*args, **kwargs)
+
+        monkeypatch.setattr(vircharacters, "_walk", counting_walk)
+        params = ModelParams(5, 7)
+        for r in range(1, 5):
+            for a in range(1, 7):
+                calls.clear()
+                assert all(case.ok for case in verify_GEN(params, r, a, 5))
+                assert calls == [(a, b_of(r, a, params), 5)], (r, a)
 
     def test_energy_of_forced_path(self):
         # (1, 3, 1) is the only path from 1 to 1 in two steps, (1, 3) the only

@@ -16,7 +16,7 @@ from qlab.pathweights import (
 from qlab.qcore import QSeries, poch_inv, poch_sum, supernomial2
 from qlab.supernomial import string_sum, verify_S_recurrences
 from qlab.vircharacters import (
-    I_m, I_m_floor, I_m_sum, _end_shifts, path_side_GEN, rigged_path_gf, rocha_caridi,
+    I_m, I_m_floor, I_m_sum, _end_shifts, path_sides_GEN, rigged_path_gf, rocha_caridi,
     verify_GEN, verify_IandS, verify_poch_inv_expansion, verify_rigged, verify_rocha2,
 )
 
@@ -231,7 +231,11 @@ class TestDecomposition:
 
     def test_path_side_requires_minimizing_endpoint(self):
         with pytest.raises(ValueError):
-            path_side_GEN(ISING, 1, 1, 3, 2)
+            path_sides_GEN(ISING, 1, 1, 3, 2)
+
+    def test_path_sides_reject_negative_m(self):
+        with pytest.raises(ValueError):
+            path_sides_GEN(ISING, 1, 1, b_of(1, 1, ISING), -1)
 
     def test_path_sum_equals_Im(self):
         for p, pp in _strips(9):
@@ -320,23 +324,25 @@ class TestRiggedOracle:
 
     def test_tight_chain_is_path_key(self):
         # Lemma: a path's least rigging exponent is 4p times its walker key
-        # plus the end shift of path_side_GEN, at b = b_of(r, a), m <= 6.
-        paths = 0
+        # plus the end shift of path_sides_GEN, at b = b_of(r, a), m <= 6,
+        # every length read off one walk per label.
+        m_max, paths = 6, 0
         for p, pp in _strips(9):
             params = ModelParams(p, pp)
             table = make_tau_table(params)
             for r in range(1, p):
                 for a in range(1, pp):
                     b = b_of(r, a, params)
-                    for m in range(1, 7):
-                        ends = _end_shifts(params, r, a, b, m)
-                        prefix = [a]
-                        keys = [(tight_chain(params, table, r, (*prefix, b)),
-                                 4 * p * key + ends[d])
-                                for d, key in _walk(a, b, m, pp, table.weights, prefix)]
-                        assert len(keys) == count_paths(a, b, m, params)
-                        assert all(x == y for x, y in keys), (p, pp, r, a, m)
-                        paths += len(keys)
+                    ends = [_end_shifts(params, r, a, b, m) for m in range(m_max + 1)]
+                    prefix: list[int] = []
+                    keys = [(m, tight_chain(params, table, r, (*prefix, b)),
+                             4 * p * key + ends[m][d])
+                            for m, d, key in _walk(a, b, m_max, pp, table.weights, prefix)]
+                    for m in range(1, m_max + 1):
+                        count = sum(n == m for n, _, _ in keys)
+                        assert count == count_paths(a, b, m, params), (p, pp, r, a, m)
+                    assert all(x == y for _, x, y in keys), (p, pp, r, a)
+                    paths += len(keys)
         assert paths == 26856
 
     def test_negative_weight_raises(self, monkeypatch):
