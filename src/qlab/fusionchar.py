@@ -139,7 +139,17 @@ def verify_grading(k: int, m_max: int, cutoff: int | Fraction) -> list[CaseResul
     graded piece (m <= m_max) is nonnegative, its signs read on the quotient
     before the shift by delta, which moves no coefficient; the m-sum recovers
     the full character below the cutoff; and the two routes to I_m (Euler sum
-    for r = s mod 2, reflection otherwise) agree as exact polynomial identities."""
+    for r = s mod 2, reflection otherwise) agree as exact polynomial identities.
+
+    The Euler route's weight range covers every nonzero weight of the fused
+    string, m three-dimensional factors times one r-dimensional factor.  The
+    m factors give weight 2l with series S_{m,l}, and S_{m,l} = 0 for |l| >
+    m: its nu-term needs 0 <= m - l - nu <= nu <= m, which no nu meets when
+    l > m (then m - l - nu < 0) or l < -m (then nu >= (m - l)/2 > m).  The
+    r-dimensional factor has the weights 1 - r, 3 - r, ..., r - 1, each
+    once, and no other.  So the pairs (2l + j, S(m, l)) for l in [-m, m] and
+    j in that set are every pair with a nonzero series; and as S_{m,m} =
+    S_{m,-m} = 1, narrowing either range by one drops a nonzero pair."""
     params = unitary_params(k)
     p, pp = params.p, params.pp
     out = []

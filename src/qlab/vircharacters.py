@@ -237,11 +237,12 @@ def rigged_path_gf(params: ModelParams, r: int, a: int,
     q^{sum_i n_i + delta(r,b) - delta(r,a)}; the result equals the normalized
     character.  This is a brute-force oracle: no product formula is used.
 
-    What it checks on its own is the rigging rules and a brute-force count of
-    partitions into at most m parts: the riggings of a path are its tight
-    chain (every rule an equality) plus such a partition, and the tight chain
-    sums to the path's energy plus its end shift, so the series equals
-    sum_m path_sides_GEN(...)[m] / (q)_m.
+    What it checks on its own is the rigging rules: every rigging of n_2 ...
+    n_m is listed against them, and n_1's values are counted by their run.
+    The riggings of a path are its tight chain (every rule an equality) plus
+    a partition into at most m parts, and the tight chain sums to the path's
+    energy plus its end shift, so the series equals sum_m
+    path_sides_GEN(...)[m] / (q)_m; none of those kernels is called.
 
     The enumeration runs on integers in units of 1/(4 p p'), a common
     denominator of every weight and conformal weight of the model: a weight
@@ -253,6 +254,14 @@ def rigged_path_gf(params: ModelParams, r: int, a: int,
     at least w_min >= 0 (else ArithmeticError) and every bdr is positive, so
     no m-step path starts below shift + m min(bdr) + 4p w_min m(m-1)/2, which
     grows with m: the m-range ends where that reaches the cut.
+
+    n_1's run: n_1 takes the values n_2 + w[1], n_2 + w[1] + 1, ..., so the
+    exponents of one (n_2, ..., n_m) form a run e, e + unit, ... up to the
+    cut, from the e of its least n_1.  At i = 2 the descent's bound rest =
+    partial + 2 n_2 + w[1] + shift is exactly that e, so the n_2 loop
+    records runs[e] += 1 itself and makes no call per n_2 (for m = 1, the
+    tight chain is the start).  At the end each residue class mod unit is
+    expanded with one prefix sum up to cut_u.
     """
     b = b_of(r, a, params)
     table = make_tau_table(params)
@@ -265,18 +274,18 @@ def rigged_path_gf(params: ModelParams, r: int, a: int,
     # bdr[d] = least n_m after s_{m-1} = d; > 0, as b has the least delta of its parity.
     shift, bdr = _end_shift_parts(params, r, a, b)
     least_bdr = min(bdr.values())
-    acc: dict[int, int] = {0: 1} if a == b else {}  # m = 0: the path (a), shift 0
+    runs: dict[int, int] = {}  # runs[e]: n_1 runs whose least value gives exponent e
 
     def descend(i: int, lower: int, partial: int) -> None:
-        # choose n_i = lower + k, k >= 0
+        # choose n_i = lower + k unit, k >= 0, for i >= 2
         n_i = lower
         while True:
-            rest = partial + n_i + (i - 1) * n_i + cmin[i] + shift
+            rest = partial + i * n_i + cmin[i] + shift
             if rest >= cut_u:
                 return
-            if i == 1:
-                e = partial + n_i + shift
-                acc[e] = acc.get(e, 0) + 1
+            if i == 2:
+                # rest is the exponent at n_1's least value n_2 + w[1].
+                runs[rest] = runs.get(rest, 0) + 1
             else:
                 descend(i - 1, n_i + w[i - 1], partial + n_i)
             n_i += unit
@@ -286,14 +295,30 @@ def rigged_path_gf(params: ModelParams, r: int, a: int,
         # key < below exactly when 4p key < cut_u - shift - m least_bdr.
         below = -((shift + m * least_bdr - cut_u) // (4 * p))
         for n, d, key in _walk(a, b, m, pp, table.weights, prefix, below):
-            if n == m and 4 * p * key + m * bdr[d] + shift < cut_u:  # else unrigged
-                path = (*prefix, b)
-                # w[i] = weight at interior position i, 1 <= i <= m-1, and
-                # cmin[i] = sum_{k=1}^{i-1} k * w[k]: least extra mass below i.
-                w = [0] + [4 * p * table.weights[path[i - 1:i + 2]] for i in range(1, m)]
-                cmin = [0, *accumulate(i * w[i] for i in range(m))]
-                descend(m, bdr[d], 0)
+            tight = 4 * p * key + m * bdr[d] + shift
+            if n != m or tight >= cut_u:
+                continue  # unrigged
+            if m == 1:  # n_1 = bdr[d] starts the run
+                runs[tight] = runs.get(tight, 0) + 1
+                continue
+            path = (*prefix, b)
+            # w[i] = weight at interior position i, 1 <= i <= m-1, and
+            # cmin[i] = sum_{k=1}^{i-1} k * w[k]: least extra mass below i.
+            w = [0] + [4 * p * table.weights[path[i - 1:i + 2]] for i in range(1, m)]
+            cmin = [0, *accumulate(i * w[i] for i in range(m))]
+            descend(m, bdr[d], 0)
         m += 1
+    # A run from e counts once at e, e + unit, ... below cut_u: one prefix
+    # sum per residue class mod unit, from the least start in that class.
+    firsts: dict[int, int] = {}
+    for e in sorted(runs):
+        firsts.setdefault(e % unit, e)
+    acc: dict[int, int] = {}
+    for lo in firsts.values():
+        span = range(lo, cut_u, unit)
+        acc.update(zip(span, accumulate(runs.get(e, 0) for e in span)))
+    if a == b:  # m = 0: the path (a), shift 0
+        acc[0] = acc.get(0, 0) + 1
     return QSeries.from_keys(acc, unit).truncate(cutoff)
 
 

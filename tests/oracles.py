@@ -28,6 +28,9 @@ integer-keyed internals:
 - ``tight_chain``: the least rigging exponent of one path, every rigging
   rule met with equality and summed position by position, the per-path loop
   that the rigged oracle's walker key replaced;
+- ``rigged_by_rigging``: the rigged-path character with every rigging listed
+  and counted one by one, n_1 included, the descent that the library's
+  count of n_1 by its run replaced;
 - ``monomial``, ``support`` and ``coeff_sum``: small views of a series that
   only the tests need;
 - ``wide_window``: a superset of ``qcore.lattice_range``'s window, which the
@@ -49,7 +52,7 @@ from itertools import accumulate, product
 from operator import add
 from typing import Callable, Iterable, Optional
 
-from qlab.pathweights import ModelParams, delta
+from qlab.pathweights import ModelParams, _walk, b_of, delta, make_tau_table
 from qlab.qcore import QSeries
 from qlab.report import SuiteReport
 from qlab.supernomial import S, S_tilde
@@ -287,6 +290,52 @@ def tight_chain(params: ModelParams, table, r: int, path: tuple[int, ...]) -> in
         chain += 4 * p * table.weights[path[i - 1], path[i], path[i + 1]]
         tight += chain
     return tight - d_u(a)
+
+
+def rigged_by_rigging(params: ModelParams, r: int, a: int, cutoff) -> QSeries:
+    """``rigged_path_gf`` with its n_1 level listed: the same walk, m-range
+    and rigging rules, but the descent steps n_1 through lower, lower + 1,
+    ... as it steps every other n_i, and adds one to the exponent of each
+    rigging, in units of 1/(4pp').  It walks with the library's ``_walk``,
+    which the step-sequence oracle ``walks`` checks on its own; the end
+    shifts are summed here from the delta formula."""
+    b = b_of(r, a, params)
+    table = make_tau_table(params)
+    p, pp = params
+    unit = 4 * p * pp
+    cut_u = math.ceil(cutoff * unit)
+    w_min = min(table.weights.values())
+
+    def d_u(s: int) -> int:  # 4pp' delta(r, s), up to a constant
+        return (r * pp - s * p) ** 2
+
+    shift = d_u(b) - d_u(a)
+    bdr = {d: d_u(d) - d_u(b) + (unit if d == b else 0)
+           for d in (b - 2, b, b + 2) if 1 <= d < pp}
+    acc: dict[int, int] = {0: 1} if a == b else {}
+
+    def descend(i: int, lower: int, partial: int) -> None:
+        n_i = lower
+        while partial + i * n_i + cmin[i] + shift < cut_u:
+            if i == 1:
+                e = partial + n_i + shift
+                acc[e] = acc.get(e, 0) + 1
+            else:
+                descend(i - 1, n_i + w[i - 1], partial + n_i)
+            n_i += unit
+
+    m, least_bdr = 1, min(bdr.values())
+    while shift + m * least_bdr + 4 * p * w_min * (m * (m - 1) // 2) < cut_u:
+        prefix: list[int] = []
+        below = -((shift + m * least_bdr - cut_u) // (4 * p))
+        for n, d, key in _walk(a, b, m, pp, table.weights, prefix, below):
+            if n == m:
+                path = (*prefix, b)
+                w = [0] + [4 * p * table.weights[path[i - 1:i + 2]] for i in range(1, m)]
+                cmin = [0, *accumulate(i * w[i] for i in range(m))]
+                descend(m, bdr[d], 0)
+        m += 1
+    return QSeries.from_keys(acc, unit).truncate(cutoff)
 
 
 def poch(m: int, cutoff=None) -> QSeries:

@@ -1,5 +1,6 @@
 """Normalized characters, their m-graded decomposition, and path oracles."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,8 @@ from qlab.vircharacters import (
 )
 
 from oracles import (
-    coeff_sum, monomial, poch_inv_parts, sum_over_m_every_term, tight_chain, wide_window,
+    coeff_sum, monomial, poch_inv_parts, rigged_by_rigging, sum_over_m_every_term,
+    tight_chain, wide_window,
 )
 from test_pathweights import _strips
 from test_qcore import partitions
@@ -344,6 +346,52 @@ class TestRiggedOracle:
                     assert all(x == y for _, x, y in keys), (p, pp, r, a)
                     paths += len(keys)
         assert paths == 26856
+
+    def test_runs_match_listing_every_rigging(self):
+        # Lemma *n_1 run*: the oracle counts n_1's values by their run from
+        # n_2 + w[1]; the lister steps through each.  Every strip p' <= 9,
+        # all (r, a), at cuts 6, 11 and 21.
+        cases = [(ModelParams(p, pp), r, a, cut)
+                 for p, pp in _strips(9) for r in range(1, p) for a in range(1, pp)
+                 for cut in (6, 11, 21)]
+        assert len(cases) == 972
+        assert [case for case in cases
+                if rigged_path_gf(*case) != rigged_by_rigging(*case)] == []
+
+    def test_reaches_no_closed_form(self):
+        # The oracle lists riggings itself; it must reach none of the kernels
+        # of the other routes to the character.  Every cache is cleared
+        # first, so that no cache hit hides a call.
+        closed_forms = {
+            "qlab.qcore.poch_sum", "qlab.qcore.poch_inv", "qlab.supernomial.string_sum",
+            "qlab.supernomial._s_row", "qlab.supernomial._s_family",
+            "qlab.vircharacters.I_m", "qlab.vircharacters.I_m_sum",
+            "qlab.vircharacters.path_sides_GEN", "qlab.pathweights.config_sum_X",
+        }
+        for name, module in list(sys.modules.items()):
+            if name == "qlab" or name.startswith("qlab."):
+                for obj in vars(module).values():
+                    if callable(getattr(obj, "cache_clear", None)):
+                        obj.cache_clear()
+        reached = set()
+
+        def record(frame, event, arg):
+            if event == "call":
+                module = frame.f_globals.get("__name__", "")
+                if module.startswith("qlab."):
+                    reached.add(f"{module}.{frame.f_code.co_name}")
+
+        params, outer = ModelParams(5, 8), sys.getprofile()
+        sys.setprofile(record)
+        try:
+            for r in range(1, 5):
+                for a in range(1, 8):
+                    rigged_path_gf(params, r, a, 11)
+        finally:
+            sys.setprofile(outer)
+        assert {"qlab.vircharacters.rigged_path_gf", "qlab.pathweights._walk",
+                "qlab.pathweights.make_tau_table"} <= reached
+        assert reached & closed_forms == set()
 
     def test_negative_weight_raises(self, monkeypatch):
         # The m-bound needs every weight >= 0; a table breaking that is refused.
