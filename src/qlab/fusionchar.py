@@ -17,10 +17,10 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .qcore import (QSeries, _dense_sum, _from_dense, _gauss_coeffs, lattice_range,
-                    poch_inv, poch_sum, q_binomial, supernomial2)
+from .qcore import (QSeries, _dense_mul, _dense_sum, _from_dense, _gauss_coeffs,
+                    _supernomial2_row, lattice_range, poch_inv, poch_sum, q_binomial)
 from .report import CaseResult, check, first_failure
-from .supernomial import S, string_sum
+from .supernomial import S, _s_cell, string_sum
 from .pathweights import ModelParams, delta
 from .vircharacters import I_m, I_m_sum, rocha_caridi
 
@@ -29,18 +29,27 @@ def verify_exact_sequence_chars(k1_max: int, k2_max: int) -> list[CaseResult]:
     """Character identity of the fusion short exact sequence, specialized to
     strings: [2k1, k2; a] = [2k1-2, k2+1; a] + q^{2k1+k2-1} [2k1-2, k2; a].
 
+    Each weight compares the (lo, row) pair of the left side's descent row
+    (``_supernomial2_row``) with the ``_dense_sum`` of the two rows on the
+    right; rows have no zeros at either end, so equal pairs are equal
+    polynomials.  Only a weight whose pairs differ is made into series, for
+    ``check``'s first mismatch.
+
     ``supernomial2`` is computed by the descent T(L1, L2) = T(L1+2, L2-1) -
     q^{L1+L2} T(L1, L2-1), and this identity is that descent at
     (L1, L2) = (2k1-2, k2+1), rearranged: the suite cannot fail while the
     descent is the kernel.  The tests check the identity on an independent
     route, the Schilling--Warnaar single sum."""
-    def weights(k1: int, k2: int):
+    def mismatches(k1: int, k2: int):
         for a in range(-(k1 + k2), k1 + k2 + 1):
-            yield (f"a={a}", supernomial2(2 * k1, k2, a), QSeries.sum_shifted(
-                ((1, supernomial2(2 * k1 - 2, k2 + 1, a), 0),
-                 (1, supernomial2(2 * k1 - 2, k2, a), 2 * k1 + k2 - 1)), 1))
+            lhs = _supernomial2_row(2 * k1, k2, 2 * a)
+            lo1, c1 = _supernomial2_row(2 * k1 - 2, k2 + 1, 2 * a)
+            lo2, c2 = _supernomial2_row(2 * k1 - 2, k2, 2 * a)
+            rhs = _dense_sum(((1, lo1, c1), (1, lo2 + 2 * k1 + k2 - 1, c2)))
+            if lhs != rhs:
+                yield f"a={a}", _from_dense(*lhs), _from_dense(*rhs)
 
-    return [first_failure(f"exactseq k1={k1} k2={k2}", weights(k1, k2),
+    return [first_failure(f"exactseq k1={k1} k2={k2}", mismatches(k1, k2),
                           "exact for all weights")
             for k1 in range(1, k1_max + 1) for k2 in range(k2_max + 1)]
 
@@ -56,14 +65,21 @@ def verify_pi2pi3(cutoff: int | Fraction) -> list[CaseResult]:
 
 def verify_pmn(N_max: int) -> list[CaseResult]:
     """Finite counterpart: q^{N^2} [2N, N+l]_{1/q} =
-    sum_{m} q^{m^2} [N, m]_q S_{m,l}(q), exactly, for every weight."""
+    sum_{m} q^{m^2} [N, m]_q S_{m,l}(q), exactly, for every weight.
+
+    The right side is summed on dense rows: each product of the Gaussian row
+    [N, m] and the cell of S_{m,l} is one ``_dense_mul``, and the shifted
+    products are added by ``_dense_sum``.  The left side is the flipped
+    ``q_binomial``, so the two sides share only the Gaussian rows."""
     out = []
     for N in range(N_max + 1):
         for l in range(-N, N + 1):
             lhs = q_binomial(2 * N, N + l).flip().shift(N * N)
-            rhs = QSeries.sum_shifted(((1, q_binomial(N, m) * S(m, l), m * m)
-                                       for m in range(abs(l), N + 1)), 1)
-            out.append(check(f"pmn N={N} l={l}", lhs, rhs))
+            terms = []
+            for m in range(abs(l), N + 1):
+                lo, cell = _s_cell(m, l, 0)
+                terms.append((1, m * m + lo, _dense_mul(_gauss_coeffs(N, m), cell)))
+            out.append(check(f"pmn N={N} l={l}", lhs, _from_dense(*_dense_sum(terms))))
     return out
 
 

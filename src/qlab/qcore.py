@@ -14,19 +14,23 @@ and rescales to the lcm of the denominators only when two differ.  Exponents
 cross the API as ``int`` when integral and as ``Fraction`` otherwise, and
 into JSON as (num, den) in lowest terms (``json_rows``).
 
-Sums, shifts and products are calls to one kernel, ``QSeries.sum_shifted``,
-cut below its terms' least shifted cutoff.  A product reads each cutoff as an
-error term: a + O(q^{c_a}) times b is a b + O(q^{c_a + floor b}).  Exact
-polynomials built by recurrence (Gaussian binomials, the two-row descent, and
-the S family in ``supernomial``) run instead on dense int rows (``_dense_sum``).
-The rows are cached, and a series is made from a row when a value is asked
-for (``_from_dense``); only the S cells cache their series too.  No
-1/(q)_infinity is cached: ``poch_inv`` divides each numerator in place.
+Sums, shifts and products of series are calls to one kernel,
+``QSeries.sum_shifted``, cut below its terms' least shifted cutoff.  A product
+reads each cutoff as an error term: a + O(q^{c_a}) times b is
+a b + O(q^{c_a + floor b}).  Exact polynomials built by recurrence (Gaussian
+binomials, the two-row descent, and the S family in ``supernomial``) run
+instead on dense int rows (``_dense_sum``), and two such rows multiply by
+Kronecker substitution (``_dense_mul``): ``verify pmn`` multiplies rows, and
+``verify exactseq`` compares descent rows.  The rows are cached, and a series
+is made from a row when a value is asked for (``_from_dense``); only the S
+cells cache their series too.  No 1/(q)_infinity is cached: ``poch_inv``
+divides each numerator in place.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, compress
@@ -477,6 +481,46 @@ def _dense_sum(terms: Iterable[tuple[int, int, tuple[int, ...]]]) -> tuple[int, 
     while start < hi and not c[start]:
         start += 1
     return lo + start, tuple(c[start:hi])
+
+
+_WORD = {1: "B", 2: "H", 4: "I", 8: "Q"}  # unsigned native formats by size
+
+
+def _dense_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """The exact product of two dense rows of nonnegative ints, by Kronecker
+    substitution: each row is packed into one int with w-byte digits (its
+    coefficients evaluated at 256^w), the two ints are multiplied once, and
+    the product is read back w bytes per coefficient.  The result has
+    len(a) + len(b) - 1 entries, zeros kept; an empty row gives ().
+
+    The digits never carry: coefficient n of the product is a sum of at most
+    min(len a, len b) terms a_i b_{n-i}, each at most max a * max b, so it is
+    at most that bound, and w is at least the least number of bytes with
+    256^w > bound.  Up to 8 bytes, w is rounded up to 1, 2, 4 or 8, so that
+    the product is read back as machine words in one ``memoryview.cast``;
+    a wider digit carries no more than a narrower one.  A negative entry
+    would borrow from the digit above, so it raises ``ValueError``."""
+    if not a or not b:
+        return ()
+    if min(a) < 0 or min(b) < 0:
+        raise ValueError("_dense_mul needs rows of nonnegative ints")
+    n = len(a) + len(b) - 1
+    bound = max(a) * max(b) * min(len(a), len(b))
+    if not bound:
+        return (0,) * n
+    # bound >= max a and max b, so every packed entry fits its digit too.
+    w = -(-bound.bit_length() // 8)
+    word = w <= 8
+    if word:
+        w = 1 << (w - 1).bit_length()
+    # One byte order throughout, the native one, which the cast reads.
+    order = sys.byteorder
+    pa = int.from_bytes(b"".join([x.to_bytes(w, order) for x in a]), order)
+    pb = int.from_bytes(b"".join([x.to_bytes(w, order) for x in b]), order)
+    data = (pa * pb).to_bytes(n * w, order)
+    if word:
+        return tuple(memoryview(data).cast(_WORD[w]).tolist())
+    return tuple([int.from_bytes(data[i:i + w], order) for i in range(0, n * w, w)])
 
 
 @lru_cache(maxsize=None)

@@ -45,19 +45,25 @@ def _s_row(m: int) -> tuple[tuple, tuple]:
     return tuple(cells_s), tuple(cells_st)
 
 
-@lru_cache(maxsize=None)
-def _s_family(m: int, l: int, e: int) -> QSeries:
-    """S_{m,l} at e = 0, S~_{m,l} at e = 1, from its cell of ``_s_row``.
-    The series is cached beside its row: ``verify grading`` asks for each
-    cell once per sector and weight, which makes building the series anew
-    on each call cost more than its memory saves."""
+def _s_cell(m: int, l: int, e: int) -> tuple[int, tuple[int, ...]]:
+    """The dense (lo, coefficients) cell of S_{m,l} at e = 0, of S~_{m,l}
+    at e = 1, read from ``_s_row``; (0, ()) for |l| > m."""
     if m < 0:
         raise ValueError("S needs m >= 0")
     if abs(l) > m:
-        return QSeries.zero(None)
+        return 0, ()
     for k in range(m + 1):  # bottom-up: no row recurses deeper than one level
         row = _s_row(k)
-    return _from_dense(*row[e][l + m])
+    return row[e][l + m]
+
+
+@lru_cache(maxsize=None)
+def _s_family(m: int, l: int, e: int) -> QSeries:
+    """S_{m,l} at e = 0, S~_{m,l} at e = 1, from its cell (``_s_cell``).
+    The series is cached beside its row: ``verify grading`` asks for each
+    cell once per sector and weight, which makes building the series anew
+    on each call cost more than its memory saves."""
+    return _from_dense(*_s_cell(m, l, e))
 
 
 def S(m: int, l: int) -> QSeries:

@@ -33,6 +33,9 @@ integer-keyed internals:
   count of n_1 by its run replaced;
 - ``monomial``, ``support`` and ``coeff_sum``: small views of a series that
   only the tests need;
+- ``row_product``: the schoolbook product of two dense coefficient rows,
+  every pair of entries multiplied and added, the reference for the
+  library's packed-int product ``_dense_mul``;
 - ``wide_window``: a superset of ``qcore.lattice_range``'s window, which the
   window tests put in its place;
 - ``weight_string`` and ``convolve``: z-graded characters as dicts weight ->
@@ -69,6 +72,18 @@ def wide_window(lo: int, hi: int, step: int) -> range:
     exact window when no term outside that window counts."""
     w = (abs(lo) + abs(hi)) // step + 3
     return range(-w, w + 1)
+
+
+def row_product(a, b) -> tuple[int, ...]:
+    """The convolution of two coefficient rows, pair by pair: len(a) +
+    len(b) - 1 entries, zeros kept, and () when either row is empty."""
+    if not a or not b:
+        return ()
+    c = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            c[i + j] += x * y
+    return tuple(c)
 
 
 def support(s: QSeries) -> list:

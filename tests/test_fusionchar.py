@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from qlab import fusionchar, pathweights, qcore, supernomial, vircharacters
-from qlab.qcore import QSeries, compare, poch_inv, poch_sum, q_binomial
+from qlab.qcore import QSeries, compare, poch_inv, poch_sum, q_binomial, supernomial2
+from qlab.report import first_failure
 from qlab.supernomial import S, string_sum
 from qlab.fusionchar import (
     abf_finitized, euler_multiplicity, graded_13_char, unitary_params,
@@ -71,11 +72,78 @@ class TestLevelOne:
         for case in verify_pmn(5):
             assert case.ok, case
 
+    # [4, 2] is read at N = 4, m = 2; [6, 2] = [6, 4] at N = 6, m = 2 and 4.
+    @pytest.mark.parametrize("n,k", [(4, 2), (6, 2)])
+    def test_fails_exactly_where_a_product_is_bumped(self, monkeypatch, n, k):
+        # One more in the middle coefficient of every product by the row
+        # [n, k]: the cases N = n with |l| <= max(k, n - k) read it, and
+        # each must fail with the right side one or two too high there.
+        row, mul = qcore._gauss_coeffs(n, k), qcore._dense_mul
+
+        def bumped(a, b):
+            c = mul(a, b)
+            if a != row:
+                return c
+            i = len(c) // 2
+            return c[:i] + (c[i] + 1,) + c[i + 1:]
+
+        monkeypatch.setattr(fusionchar, "_dense_mul", bumped)
+        cases = verify_pmn(7)
+        top = max(k, n - k)
+        assert {c.case_id for c in cases if not c.ok} == {
+            f"pmn N={n} l={l}" for l in range(-top, top + 1)}
+        for case in cases:
+            if not case.ok:
+                lhs, rhs = map(int, case.detail.split(": ")[1].split(" != "))
+                assert 0 < rhs - lhs <= 2, case
+
+
+@pytest.fixture
+def cold_row_caches():
+    # A patched row kernel must leave no row built on it for later tests.
+    caches = (qcore._gauss_coeffs, qcore._supernomial2_row)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
 
 class TestExactSequence:
     def test_character_identity(self):
         for case in verify_exact_sequence_chars(3, 3):
             assert case.ok, case
+
+    def test_a_bumped_row_fails_as_on_the_series_route(self, monkeypatch, cold_row_caches):
+        # q^{lo+1} added to the row T(0, 2; a=0).  The descent carries the
+        # bump into every row that descends through it, so a case fails only
+        # where a side reads the bumped row directly and the other side does
+        # not carry it: k1 = 1, k2 = 1, as T(0, 2) is its first right row.
+        # The suite must report that case as the series route it replaced
+        # does, supernomial2 and sum_shifted through compare.
+        row = qcore._supernomial2_row
+
+        def bumped(L1, L2, twice_a):
+            lo, c = row(L1, L2, twice_a)
+            if (L1, L2, twice_a) == (0, 2, 0):
+                return qcore._dense_sum(((1, lo, c), (1, lo + 1, (1,))))
+            return lo, c
+
+        monkeypatch.setattr(qcore, "_supernomial2_row", bumped)
+        monkeypatch.setattr(fusionchar, "_supernomial2_row", bumped)
+
+        def series_route(k1, k2):
+            return first_failure(f"exactseq k1={k1} k2={k2}", (
+                (f"a={a}", supernomial2(2 * k1, k2, a), QSeries.sum_shifted(
+                    ((1, supernomial2(2 * k1 - 2, k2 + 1, a), 0),
+                     (1, supernomial2(2 * k1 - 2, k2, a), 2 * k1 + k2 - 1)), 1))
+                for a in range(-(k1 + k2), k1 + k2 + 1)), "exact for all weights")
+
+        cases = verify_exact_sequence_chars(3, 3)
+        assert cases == [series_route(k1, k2) for k1 in range(1, 4) for k2 in range(4)]
+        (bad,) = [c for c in cases if not c.ok]
+        assert bad.case_id == "exactseq k1=1 k2=1"
+        assert bad.detail.startswith("a=0: first mismatch at q^")
 
     def test_identity_holds_on_the_single_sum(self):
         # The suite's identity is the kernel's own descent in L2 at

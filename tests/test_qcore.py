@@ -15,8 +15,8 @@ from qlab.qcore import (
 )
 
 from oracles import (
-    RefSeries, coeff_sum, exact_div, monomial, poch, poch_inv_parts, support,
-    supernomial2_sum,
+    RefSeries, coeff_sum, exact_div, monomial, poch, poch_inv_parts, row_product,
+    support, supernomial2_sum,
 )
 
 F = Fraction
@@ -578,6 +578,53 @@ class TestPochSum:
     def test_bad_terms_raise(self, terms):
         with pytest.raises(ValueError):
             poch_sum(terms, 10)
+
+
+def dense_rows():
+    """Rows of 0..80 nonnegative ints below one drawn top (so every digit
+    width is reached, 1 byte to past a machine word), zeros inside and up to
+    three at each end."""
+    return st.sampled_from([1, 255, 2 ** 16, 2 ** 32, 2 ** 64, 10 ** 30]).flatmap(
+        lambda top: st.builds(
+            lambda lead, core, trail: (0,) * lead + tuple(core) + (0,) * trail,
+            st.integers(0, 3),
+            st.lists(st.one_of(st.just(0), st.integers(0, top)), max_size=74),
+            st.integers(0, 3)))
+
+
+class TestDenseMul:
+    @given(a=dense_rows(), b=dense_rows())
+    @settings(max_examples=300, deadline=None)
+    # One byte at bound 255; two at 256 and at 510, the carry of 255 + 255.
+    @example(a=(255,), b=(1,))
+    @example(a=(16,), b=(16,))
+    @example(a=(255, 255), b=(1, 1))
+    @example(a=(2 ** 64 - 1,), b=(1,))
+    @example(a=(2 ** 32, 2 ** 32), b=(2 ** 32,))
+    def test_matches_the_schoolbook_product(self, a, b):
+        want = row_product(a, b)
+        assert qcore._dense_mul(a, b) == want
+        assert qcore._dense_mul(b, a) == want
+
+    @given(a=dense_rows(), b=dense_rows())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_series_product(self, a, b):
+        # The exact QSeries product, a second route that shares no code.
+        got = qcore._from_dense(0, qcore._dense_mul(a, b))
+        assert got == qcore._from_dense(0, a) * qcore._from_dense(0, b)
+        assert got == qcore._from_dense(0, b) * qcore._from_dense(0, a)
+
+    def test_empty_and_zero_rows(self):
+        assert qcore._dense_mul((), (1, 2)) == ()
+        assert qcore._dense_mul((3,), ()) == ()
+        assert qcore._dense_mul((0, 0), (10 ** 30,)) == (0, 0)
+
+    @pytest.mark.parametrize("a,b", [((1, -1), (1,)), ((2,), (0, -(10 ** 30)))])
+    def test_negative_entry_raises(self, a, b):
+        with pytest.raises(ValueError):
+            qcore._dense_mul(a, b)
+        with pytest.raises(ValueError):
+            qcore._dense_mul(b, a)
 
 
 class TestQBinomial:

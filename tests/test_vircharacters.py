@@ -364,7 +364,8 @@ class TestRiggedOracle:
         # first, so that no cache hit hides a call.
         closed_forms = {
             "qlab.qcore.poch_sum", "qlab.qcore.poch_inv", "qlab.supernomial.string_sum",
-            "qlab.supernomial._s_row", "qlab.supernomial._s_family",
+            "qlab.supernomial._s_row", "qlab.supernomial._s_cell",
+            "qlab.supernomial._s_family",
             "qlab.vircharacters.I_m", "qlab.vircharacters.I_m_sum",
             "qlab.vircharacters.path_sides_GEN", "qlab.pathweights.config_sum_X",
         }
