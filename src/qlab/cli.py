@@ -43,8 +43,11 @@ FIVE_MODELS = ((3, 4), (4, 5), (5, 7), (4, 7), (5, 8))
 # The most paths ``paths --list`` and ``--gf`` walk; ``--count`` walks none.
 PATH_WALK_LIMIT = 10 ** 6
 
-# The largest --qmax any command takes.  A character to q^20000 takes about
-# 0.35 s, and one at the limit about 7 s (93 MB); values far above it exhaust memory.
+# The largest --qmax any command takes, sized for ``char``: a character to
+# q^20000 takes about 0.35 s, and one at the limit about 7 s (93 MB).  The
+# m-sum suites grow much faster (``verify rocha2`` on (3,4) takes 2 s and
+# 366 MB at --qmax 2000, 7 s and 1.5 GB at 4000), so the limit bounds neither
+# their time nor their memory; see ROADMAP item 9 on the caches.
 QMAX_LIMIT = 10 ** 5
 
 # (p, p', r, a, b); the b != b_of rows exercise the free endpoint choice.

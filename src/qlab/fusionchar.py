@@ -35,7 +35,7 @@ def verify_exact_sequence_chars(k1_max: int, k2_max: int) -> list[CaseResult]:
     polynomials.  Only a weight whose pairs differ is made into series, for
     ``check``'s first mismatch.
 
-    ``supernomial2`` is computed by the descent T(L1, L2) = T(L1+2, L2-1) -
+    The rows are built by the descent T(L1, L2) = T(L1+2, L2-1) -
     q^{L1+L2} T(L1, L2-1), and this identity is that descent at
     (L1, L2) = (2k1-2, k2+1), rearranged: the suite cannot fail while the
     descent is the kernel.  The tests check the identity on an independent

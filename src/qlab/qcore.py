@@ -15,16 +15,17 @@ cross the API as ``int`` when integral and as ``Fraction`` otherwise, and
 into JSON as (num, den) in lowest terms (``json_rows``).
 
 Sums, shifts and products of series are calls to one kernel,
-``QSeries.sum_shifted``, cut below its terms' least shifted cutoff.  A product
-reads each cutoff as an error term: a + O(q^{c_a}) times b is
-a b + O(q^{c_a + floor b}).  Exact polynomials built by recurrence (Gaussian
-binomials, the two-row descent, and the S family in ``supernomial``) run
-instead on dense int rows (``_dense_sum``), and two such rows multiply by
-Kronecker substitution (``_dense_mul``): ``verify pmn`` multiplies rows, and
-``verify exactseq`` compares descent rows.  The rows are cached, and a series
-is made from a row when a value is asked for (``_from_dense``); only the S
-cells cache their series too.  No 1/(q)_infinity is cached: ``poch_inv``
-divides each numerator in place.
+``QSeries.sum_shifted``, and it has the one truncation rule: a result is cut
+below its terms' least shifted cutoff.  A product of two series is taken of
+exact series only; a truncated factor raises ``ValueError``.  Truncated series
+are made by ``sum_shifted``, ``poch_sum`` and ``poch_inv``.  Exact polynomials
+built by recurrence (Gaussian binomials, the two-row descent, and the S family
+in ``supernomial``) run instead on dense int rows (``_dense_sum``), and two
+such rows multiply by Kronecker substitution (``_dense_mul``): ``verify pmn``
+multiplies rows, and ``verify exactseq`` compares descent rows.  The rows are
+cached, and a series is made from a row when a value is asked for
+(``_from_dense``); only the S cells cache their series too.  No
+1/(q)_infinity is cached: ``poch_inv`` divides each numerator in place.
 """
 
 from __future__ import annotations
@@ -70,12 +71,6 @@ def _min_cutoff(a: Optional[int], b: Optional[int]) -> Optional[int]:
     if b is None:
         return a
     return min(a, b)
-
-
-def _floor_key(terms: dict[int, int], cut: Optional[int]) -> int:
-    if terms:
-        return min(terms)
-    return 0 if cut is None else cut
 
 
 def _scaled(s: "QSeries", den: int) -> tuple[dict[int, int], Optional[int]]:
@@ -192,7 +187,9 @@ class QSeries:
 
     @property
     def floor(self) -> ExpLike:
-        return _exp(_floor_key(self._terms, self._cut), self._den)
+        if self._terms:
+            return _exp(min(self._terms), self._den)
+        return 0 if self._cut is None else _exp(self._cut, self._den)
 
     @property
     def is_exact(self) -> bool:
@@ -268,25 +265,18 @@ class QSeries:
 
     def __mul__(self, other: Union["QSeries", int]) -> "QSeries":
         """sum_k c_k q^k * b over the terms of the factor a with fewer terms,
-        plus an error term per cutoff: O(q^{c_a + floor b}) for a truncated a,
-        and b's O(q^{c_b}) for an exact-zero a, which has no copy to carry it.
-        So it is cut at min(c_a + floor b, c_b + floor a), an exact zero's
-        floor being 0."""
+        for exact series a and b; a truncated factor raises ``ValueError``.
+        An int scales the series and keeps its cutoff."""
         if isinstance(other, int):  # no copy of an immutable series for 1
             return self if other == 1 else QSeries.sum_shifted(((other, self, 0),), self._den)
         if not isinstance(other, QSeries):
             return NotImplemented
-        if self == _ONE or other == _ONE:  # no copy for the exact 1
-            return other if self == _ONE else self
+        if self._cut is not None or other._cut is not None:
+            raise ValueError("QSeries multiplies exact series only")
         a, b = (self, other) if len(self._terms) <= len(other._terms) else (other, self)
         den = math.lcm(a._den, b._den)
         f = den // a._den
-        terms = [(c, b, k * f) for k, c in a._terms.items()]
-        if a._cut is not None:
-            terms.append((1, _O1, a._cut * f + _floor_key(b._terms, b._cut) * (den // b._den)))
-        elif not a._terms and b._cut is not None:
-            terms.append((1, _O1, b._cut * (den // b._den)))
-        return QSeries.sum_shifted(terms, den)
+        return QSeries.sum_shifted([(c, b, k * f) for k, c in a._terms.items()], den)
 
     __rmul__ = __mul__
 
@@ -326,10 +316,6 @@ class QSeries:
             return [(c, 1, k) for k, c in items]
         gcd = math.gcd
         return [(c, den // g, k // g) for k, c in items for g in (gcd(k, den),)]
-
-
-_ONE = QSeries.one()
-_O1 = QSeries.zero(0)  # O(1): the term (1, _O1, key) is O(q^{key/den})
 
 
 class Comparison(NamedTuple):
@@ -574,23 +560,3 @@ def _supernomial2_row(L1: int, L2: int, twice_a: int) -> tuple[int, tuple[int, .
     lo1, c1 = _supernomial2_row(L1 + 2, L2 - 1, twice_a)
     lo2, c2 = _supernomial2_row(L1, L2 - 1, twice_a)
     return _dense_sum(((1, lo1, c1), (-1, lo2 + L1 + L2, c2)))
-
-
-def supernomial2(L1: int, L2: int, a: ExpLike) -> QSeries:
-    """Weight-2a slice of the character of a fused string of L1 two-dimensional
-    and L2 three-dimensional factors.
-
-    Vanishes unless a + L1/2 is an integer with |2a| <= L1 + 2*L2.  At L2=0 it
-    is the Gaussian binomial [L1, L1/2 + a]_q, from the Gaussian row that
-    ``q_binomial`` shares (``_gauss_coeffs``).  The series is made on each
-    call from the cached row of the descent (``_supernomial2_row``).  ``a``
-    must be an int or a ``Fraction``; anything else raises ``TypeError``.
-    """
-    if L1 < 0 or L2 < 0:
-        raise ValueError("supernomial2 needs L1, L2 >= 0")
-    if not isinstance(a, (int, Fraction)):
-        raise TypeError(f"weight must be int or Fraction, got {type(a).__name__}")
-    twice_a = 2 * a
-    if twice_a.denominator != 1 or (twice_a + L1) % 2 != 0:
-        return QSeries.zero(None)
-    return _from_dense(*_supernomial2_row(L1, L2, int(twice_a)))

@@ -12,11 +12,14 @@ integer-keyed internals:
   products, the formula that the library's row kernel replaced;
 - ``RefSeries``: a ``Fraction``-keyed sparse series with the straightforward
   sum, product, shift, truncation, flip and comparison rules;
+- ``product``: the product of two possibly truncated series, the exact
+  product of their terms cut where ``RefSeries`` cuts a product, which the
+  library's exact-only ``QSeries`` product leaves to the tests;
 - ``poch_inv_parts``: 1/(q)_m built one part size at a time, uncached,
   the reference for the library's back-to-front ``poch_sum`` fold;
 - ``sum_over_m_every_term``: the m-sum that builds every term to decide
   whether it is silent, with no floor bound, each term times its own
-  ``poch_inv_parts`` factor;
+  ``poch_inv_parts`` factor by ``product``;
 - ``f_sum_by_slope``: the alternating f-sum with each exponent summed in
   ``Fraction`` from the slope t = p'/p;
 - ``slope_weight`` and ``slope_energy``: the weight rules written with the
@@ -51,7 +54,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate, product as cartesian
 from operator import add
 from typing import Callable, Iterable, Optional
 
@@ -183,7 +186,7 @@ def sum_over_m_every_term(poly_of: Callable[[int], QSeries], cut, start: int = 0
         else:
             seen = True
             quiet = 0
-            terms.append(poly * poch_inv_parts(m, cut - poly.floor))
+            terms.append(product(poly, poch_inv_parts(m, cut - poly.floor)))
         m += 1
     return QSeries.sum(terms), m, True
 
@@ -266,7 +269,7 @@ def walks(a: int, m: int, pp: int) -> dict[int, list[tuple[int, ...]]]:
     strip 1..p'-1 and never rests on a wall, grouped by its end b (a key for
     every site), each group in lexicographic order."""
     out: dict[int, list[tuple[int, ...]]] = {b: [] for b in range(1, pp)}
-    for steps in product((-2, 0, 2), repeat=m):
+    for steps in cartesian((-2, 0, 2), repeat=m):
         path = tuple(accumulate(steps, initial=a))
         if all(1 <= s <= pp - 1 for s in path) and not any(
                 s == s2 in (1, pp - 1) for s, s2 in zip(path, path[1:])):
@@ -353,13 +356,23 @@ def rigged_by_rigging(params: ModelParams, r: int, a: int, cutoff) -> QSeries:
     return QSeries.from_keys(acc, unit).truncate(cutoff)
 
 
-def poch(m: int, cutoff=None) -> QSeries:
-    """(q)_m = prod_{i=1}^m (1 - q^i), exact for cutoff=None."""
+def product(a: QSeries, b: QSeries) -> QSeries:
+    """a * b with each cutoff read as an error term: a + O(q^{c_a}) times b
+    is a b + O(q^{c_a + floor b}), so the exact product of the two factors'
+    terms is cut at min(c_a + floor b, c_b + floor a), an exact zero's floor
+    being 0; exact when both factors are."""
+    full = QSeries(dict(a.items())) * QSeries(dict(b.items()))
+    cuts = [c + f for c, f in ((a.cutoff, b.floor), (b.cutoff, a.floor)) if c is not None]
+    return full.truncate(min(cuts)) if cuts else full
+
+
+def poch(m: int) -> QSeries:
+    """The exact (q)_m = prod_{i=1}^m (1 - q^i)."""
     if m < 0:
         raise ValueError("poch needs m >= 0")
-    out = QSeries.one(cutoff)
+    out = QSeries.one()
     for i in range(1, m + 1):
-        out = out * QSeries({0: 1, i: -1}, cutoff)
+        out = out * QSeries({0: 1, i: -1})
     return out
 
 

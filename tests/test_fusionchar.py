@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qlab import fusionchar, pathweights, qcore, supernomial, vircharacters
-from qlab.qcore import QSeries, compare, poch_inv, poch_sum, q_binomial, supernomial2
+from qlab.qcore import QSeries, compare, poch_inv, poch_sum, q_binomial
 from qlab.report import first_failure
 from qlab.supernomial import S, string_sum
 from qlab.fusionchar import (
@@ -120,7 +120,7 @@ class TestExactSequence:
         # where a side reads the bumped row directly and the other side does
         # not carry it: k1 = 1, k2 = 1, as T(0, 2) is its first right row.
         # The suite must report that case as the series route it replaced
-        # does, supernomial2 and sum_shifted through compare.
+        # does, series of the rows and sum_shifted through compare.
         row = qcore._supernomial2_row
 
         def bumped(L1, L2, twice_a):
@@ -131,6 +131,9 @@ class TestExactSequence:
 
         monkeypatch.setattr(qcore, "_supernomial2_row", bumped)
         monkeypatch.setattr(fusionchar, "_supernomial2_row", bumped)
+
+        def supernomial2(L1, L2, a):
+            return qcore._from_dense(*qcore._supernomial2_row(L1, L2, 2 * a))
 
         def series_route(k1, k2):
             return first_failure(f"exactseq k1={k1} k2={k2}", (
@@ -148,8 +151,9 @@ class TestExactSequence:
     def test_identity_holds_on_the_single_sum(self):
         # The suite's identity is the kernel's own descent in L2 at
         # (L1, L2) = (2k1 - 2, k2 + 1), rearranged, so the suite cannot fail
-        # while that descent computes supernomial2.  Here the same identity
-        # on the Schilling--Warnaar single sum, which shares no code with it.
+        # while that descent computes the two-row supernomial.  Here the same
+        # identity on the Schilling--Warnaar single sum, which shares no code
+        # with it.
         n = 0
         for k1 in range(1, 5):
             for k2 in range(5):
