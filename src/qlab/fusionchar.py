@@ -17,8 +17,9 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .qcore import (QSeries, _dense_mul, _dense_sum, _from_dense, _gauss_coeffs,
-                    _supernomial2_row, lattice_range, poch_inv, poch_sum, q_binomial)
+from .qcore import (QSeries, _dense_mul, _dense_sum, _digit_bytes, _from_dense,
+                    _gauss_coeffs, _supernomial2_int, _unpack, lattice_range, poch_inv,
+                    poch_sum, q_binomial)
 from .report import CaseResult, check, first_failure
 from .supernomial import S, _s_cell, string_sum
 from .pathweights import ModelParams, delta
@@ -29,25 +30,32 @@ def verify_exact_sequence_chars(k1_max: int, k2_max: int) -> list[CaseResult]:
     """Character identity of the fusion short exact sequence, specialized to
     strings: [2k1, k2; a] = [2k1-2, k2+1; a] + q^{2k1+k2-1} [2k1-2, k2; a].
 
-    Each weight compares the (lo, row) pair of the left side's descent row
-    (``_supernomial2_row``) with the ``_dense_sum`` of the two rows on the
-    right; rows have no zeros at either end, so equal pairs are equal
-    polynomials.  Only a weight whose pairs differ is made into series, for
-    ``check``'s first mismatch.
+    Each weight compares two ints: the left side's descent node
+    (``_supernomial2_int``), the polynomial evaluated at B = 256^w, against
+    the right side's two nodes added at B, the second shifted by
+    B^{2k1+k2-1}.  One w serves the call: every node read, and the right
+    side's sum, has coefficients below 2^{2 k1_max + 2 k2_max + 2}, and
+    256^w exceeds that (README, *Packed descent digit width*), so each side
+    is its coefficients in base B and equal ints are equal polynomials.
+    Only a weight whose ints differ is unpacked into series, for ``check``'s
+    first mismatch.
 
-    The rows are built by the descent T(L1, L2) = T(L1+2, L2-1) -
+    The nodes are built by the descent T(L1, L2) = T(L1+2, L2-1) -
     q^{L1+L2} T(L1, L2-1), and this identity is that descent at
     (L1, L2) = (2k1-2, k2+1), rearranged: the suite cannot fail while the
     descent is the kernel.  The tests check the identity on an independent
     route, the Schilling--Warnaar single sum."""
+    w = _digit_bytes(1 << (2 * k1_max + 2 * k2_max + 2))
+
     def mismatches(k1: int, k2: int):
+        shift = 8 * w * (2 * k1 + k2 - 1)
         for a in range(-(k1 + k2), k1 + k2 + 1):
-            lhs = _supernomial2_row(2 * k1, k2, 2 * a)
-            lo1, c1 = _supernomial2_row(2 * k1 - 2, k2 + 1, 2 * a)
-            lo2, c2 = _supernomial2_row(2 * k1 - 2, k2, 2 * a)
-            rhs = _dense_sum(((1, lo1, c1), (1, lo2 + 2 * k1 + k2 - 1, c2)))
+            lhs = _supernomial2_int(2 * k1, k2, 2 * a, w)
+            rhs = (_supernomial2_int(2 * k1 - 2, k2 + 1, 2 * a, w)
+                   + (_supernomial2_int(2 * k1 - 2, k2, 2 * a, w) << shift))
             if lhs != rhs:
-                yield f"a={a}", _from_dense(*lhs), _from_dense(*rhs)
+                yield (f"a={a}", _from_dense(0, _unpack(lhs, w)),
+                       _from_dense(0, _unpack(rhs, w)))
 
     return [first_failure(f"exactseq k1={k1} k2={k2}", mismatches(k1, k2),
                           "exact for all weights")

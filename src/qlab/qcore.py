@@ -19,11 +19,14 @@ Sums, shifts and products of series are calls to one kernel,
 below its terms' least shifted cutoff.  A product of two series is taken of
 exact series only; a truncated factor raises ``ValueError``.  Truncated series
 are made by ``sum_shifted``, ``poch_sum`` and ``poch_inv``.  Exact polynomials
-built by recurrence (Gaussian binomials, the two-row descent, and the S family
-in ``supernomial``) run instead on dense int rows (``_dense_sum``), and two
-such rows multiply by Kronecker substitution (``_dense_mul``): ``verify pmn``
-multiplies rows, and ``verify exactseq`` compares descent rows.  The rows are
-cached, and a series is made from a row when a value is asked for
+built by recurrence (Gaussian binomials and the S family in ``supernomial``)
+run instead on dense int rows (``_dense_sum``).  A row of nonnegative ints
+packs into one int, its value at 256^w with one w-byte digit per coefficient
+(``_pack``, read back by ``_unpack``), so that two rows multiply by Kronecker
+substitution (``_dense_mul``, for ``verify pmn``) and the two-row descent is
+one shift and subtraction of ints per node (``_supernomial2_int``, for
+``verify exactseq``, which compares the ints).  The rows and the packed nodes
+are cached, and a series is made from a row when a value is asked for
 (``_from_dense``); only the S cells cache their series too.  No
 1/(q)_infinity is cached: ``poch_inv`` divides each numerator in place.
 """
@@ -463,29 +466,57 @@ def _dense_sum(terms: Iterable[tuple[int, int, tuple[int, ...]]]) -> tuple[int, 
     hi = len(c)
     while hi and not c[hi - 1]:
         hi -= 1
+    if not hi:
+        return 0, ()
     start = 0
-    while start < hi and not c[start]:
+    while not c[start]:
         start += 1
     return lo + start, tuple(c[start:hi])
 
 
 _WORD = {1: "B", 2: "H", 4: "I", 8: "Q"}  # unsigned native formats by size
+_CAST = sys.byteorder == "little"  # the packed digits are little-endian
+
+
+def _digit_bytes(bound: int) -> int:
+    """The least w >= 1 with 256^w > ``bound`` >= 0, rounded up to 1, 2, 4
+    or 8 when it is at most 8, so that ``_unpack`` reads machine words; a
+    wider digit carries no more than a narrower one."""
+    w = max(1, -(-bound.bit_length() // 8))
+    return 1 << (w - 1).bit_length() if w <= 8 else w
+
+
+def _pack(row: Sequence[int], w: int) -> int:
+    """sum_n row[n] 256^{w n}: the row evaluated at 256^w, one w-byte digit
+    per entry.  An entry outside 0 <= x < 256^w raises ``OverflowError``."""
+    return int.from_bytes(b"".join([x.to_bytes(w, "little") for x in row]), "little")
+
+
+def _unpack(x: int, w: int, n: Optional[int] = None) -> tuple[int, ...]:
+    """The n lowest w-byte digits of x >= 0, lowest first, the row that
+    ``_pack(row, w)`` packs; by default every digit up to the highest
+    nonzero one.  x < 0, or x >= 256^{w n}, raises ``OverflowError``."""
+    if n is None:
+        n = -(-x.bit_length() // (8 * w))
+    data = x.to_bytes(n * w, "little")
+    if _CAST and w in _WORD:
+        return tuple(memoryview(data).cast(_WORD[w]).tolist())
+    return tuple([int.from_bytes(data[i:i + w], "little") for i in range(0, n * w, w)])
 
 
 def _dense_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     """The exact product of two dense rows of nonnegative ints, by Kronecker
     substitution: each row is packed into one int with w-byte digits (its
-    coefficients evaluated at 256^w), the two ints are multiplied once, and
-    the product is read back w bytes per coefficient.  The result has
-    len(a) + len(b) - 1 entries, zeros kept; an empty row gives ().
+    coefficients evaluated at 256^w, ``_pack``), the two ints are multiplied
+    once, and the product is read back w bytes per coefficient (``_unpack``).
+    The result has len(a) + len(b) - 1 entries, zeros kept; an empty row
+    gives ().
 
     The digits never carry: coefficient n of the product is a sum of at most
     min(len a, len b) terms a_i b_{n-i}, each at most max a * max b, so it is
-    at most that bound, and w is at least the least number of bytes with
-    256^w > bound.  Up to 8 bytes, w is rounded up to 1, 2, 4 or 8, so that
-    the product is read back as machine words in one ``memoryview.cast``;
-    a wider digit carries no more than a narrower one.  A negative entry
-    would borrow from the digit above, so it raises ``ValueError``."""
+    at most that bound, and w = ``_digit_bytes(bound)`` has 256^w above it.
+    A negative entry would borrow from the digit above, so it raises
+    ``ValueError``."""
     if not a or not b:
         return ()
     if min(a) < 0 or min(b) < 0:
@@ -495,18 +526,8 @@ def _dense_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     if not bound:
         return (0,) * n
     # bound >= max a and max b, so every packed entry fits its digit too.
-    w = -(-bound.bit_length() // 8)
-    word = w <= 8
-    if word:
-        w = 1 << (w - 1).bit_length()
-    # One byte order throughout, the native one, which the cast reads.
-    order = sys.byteorder
-    pa = int.from_bytes(b"".join([x.to_bytes(w, order) for x in a]), order)
-    pb = int.from_bytes(b"".join([x.to_bytes(w, order) for x in b]), order)
-    data = (pa * pb).to_bytes(n * w, order)
-    if word:
-        return tuple(memoryview(data).cast(_WORD[w]).tolist())
-    return tuple([int.from_bytes(data[i:i + w], order) for i in range(0, n * w, w)])
+    w = _digit_bytes(bound)
+    return _unpack(_pack(a, w) * _pack(b, w), w, n)
 
 
 @lru_cache(maxsize=None)
@@ -550,13 +571,30 @@ def q_binomial(L: int, a: int) -> QSeries:
 
 
 @lru_cache(maxsize=None)
-def _supernomial2_row(L1: int, L2: int, twice_a: int) -> tuple[int, tuple[int, ...]]:
-    """(lo, row) of the two-row supernomial, by the descent T(L1, L2) =
-    T(L1+2, L2-1) - q^{L1+L2} T(L1, L2-1) down to the Gaussian rows
-    [L1, L1/2 + a]_q at L2 = 0, the cached ``_gauss_coeffs``."""
+def _supernomial2_int(L1: int, L2: int, twice_a: int, w: int) -> int:
+    """The two-row supernomial T(L1, L2; a), a = twice_a/2, evaluated at
+    B = 256^w: sum_n c_n B^n over its coefficients c_n.  Built by the descent
+    T(L1, L2) = T(L1+2, L2-1) - q^{L1+L2} T(L1, L2-1), one big-int shift and
+    subtraction per node, down to the Gaussian rows [L1, L1/2 + a]_q at
+    L2 = 0, the cached ``_gauss_coeffs`` packed by ``_pack``.  Evaluation at
+    B is a ring map, so every node is its polynomial's value whatever w is.
+
+    Digit width (README, *Packed descent digit width*): by the
+    Schilling--Warnaar single sum every node has nonnegative coefficients at
+    exponents >= 0, each at most its value at q = 1, which is at most
+    2^{L1} 3^{L2} <= 2^{L1 + 2 L2}.  So with 256^w > 2^{L1 + 2 L2} each
+    coefficient is one digit, and ``_unpack(x, w)`` reads the row back.
+    ``verify exactseq`` reads T(2k1, k2), T(2k1-2, k2+1) and T(2k1-2, k2)
+    and adds the last two, so both its sides have coefficients below 2^N,
+    N = 2 k1_max + 2 k2_max + 2; it takes the least w with 256^w > 2^N,
+    rounded up to 1, 2, 4 or 8 bytes (``_digit_bytes``), and equal ints are
+    then equal polynomials.  The descent subtracts nodes with nonnegative
+    coefficients, so each node is bounded coefficient by coefficient by its
+    leaf [L1 + 2 L2, L1/2 + L2 + a]_q: a digit too narrow for a coefficient
+    of the node is too narrow for that leaf, whose packing raises
+    ``OverflowError``."""
     if L2 == 0:
         k, r = divmod(L1 + twice_a, 2)  # L1/2 + a
-        return 0, (_gauss_coeffs(L1, k) if r == 0 and 0 <= k <= L1 else ())
-    lo1, c1 = _supernomial2_row(L1 + 2, L2 - 1, twice_a)
-    lo2, c2 = _supernomial2_row(L1, L2 - 1, twice_a)
-    return _dense_sum(((1, lo1, c1), (-1, lo2 + L1 + L2, c2)))
+        return _pack(_gauss_coeffs(L1, k), w) if r == 0 and 0 <= k <= L1 else 0
+    return (_supernomial2_int(L1 + 2, L2 - 1, twice_a, w)
+            - (_supernomial2_int(L1, L2 - 1, twice_a, w) << 8 * w * (L1 + L2)))

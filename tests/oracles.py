@@ -8,6 +8,10 @@ integer-keyed internals:
   binomials and trinomials that the dense kernel replaced;
 - ``supernomial2_sum``: the two-row supernomial as one sum of products of
   Gaussian binomials, themselves built by the q-Pascal rule;
+- ``supernomial2_row``: the two-row descent on dense coefficient rows, one
+  ``_dense_sum`` slice add per node, the route that the library's packed-int
+  descent ``_supernomial2_int`` replaced (the one route here written on
+  ``qcore``'s row internals: its Gaussian leaves and ``_dense_sum``);
 - ``s_family_sum``: S and S~ by their double sums of Gaussian-binomial
   products, the formula that the library's row kernel replaced;
 - ``RefSeries``: a ``Fraction``-keyed sparse series with the straightforward
@@ -59,7 +63,7 @@ from operator import add
 from typing import Callable, Iterable, Optional
 
 from qlab.pathweights import ModelParams, _walk, b_of, delta, make_tau_table
-from qlab.qcore import QSeries
+from qlab.qcore import QSeries, _dense_sum, _gauss_coeffs
 from qlab.report import SuiteReport
 from qlab.supernomial import S, S_tilde
 
@@ -442,6 +446,19 @@ def supernomial2_sum(L1: int, L2: int, twice_a: int) -> QSeries:
     n = (twice_a + L1) // 2 + L2
     return QSeries.sum(gauss(L2, j2) * gauss(L1 + j2, n - j2).shift((n - j2) * (L2 - j2))
                        for j2 in range(L2 + 1))
+
+
+@functools.lru_cache(maxsize=None)
+def supernomial2_row(L1: int, L2: int, twice_a: int) -> tuple[int, tuple[int, ...]]:
+    """(lo, row) of the two-row supernomial T(L1, L2; a), a = twice_a/2, by
+    the descent T(L1, L2) = T(L1+2, L2-1) - q^{L1+L2} T(L1, L2-1) down to
+    the Gaussian rows [L1, L1/2 + a]_q at L2 = 0; (0, ()) for zero."""
+    if L2 == 0:
+        k, r = divmod(L1 + twice_a, 2)  # L1/2 + a
+        return 0, (_gauss_coeffs(L1, k) if r == 0 and 0 <= k <= L1 else ())
+    lo1, c1 = supernomial2_row(L1 + 2, L2 - 1, twice_a)
+    lo2, c2 = supernomial2_row(L1, L2 - 1, twice_a)
+    return _dense_sum(((1, lo1, c1), (-1, lo2 + L1 + L2, c2)))
 
 
 def _min_cut(a: Optional[Fraction], b: Optional[Fraction]) -> Optional[Fraction]:

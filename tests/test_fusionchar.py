@@ -17,8 +17,8 @@ from qlab.fusionchar import (
 from qlab.vircharacters import I_m, rocha_caridi
 
 from oracles import (
-    coeff_sum, convolve, poch_inv_parts, support, supernomial2_sum, weight_string,
-    wide_window,
+    coeff_sum, convolve, poch_inv_parts, support, supernomial2_row, supernomial2_sum,
+    weight_string, wide_window,
 )
 
 F = Fraction
@@ -101,7 +101,7 @@ class TestLevelOne:
 @pytest.fixture
 def cold_row_caches():
     # A patched row kernel must leave no row built on it for later tests.
-    caches = (qcore._gauss_coeffs, qcore._supernomial2_row)
+    caches = (qcore._gauss_coeffs, qcore._supernomial2_int)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -115,25 +115,29 @@ class TestExactSequence:
             assert case.ok, case
 
     def test_a_bumped_row_fails_as_on_the_series_route(self, monkeypatch, cold_row_caches):
-        # q^{lo+1} added to the row T(0, 2; a=0).  The descent carries the
-        # bump into every row that descends through it, so a case fails only
-        # where a side reads the bumped row directly and the other side does
-        # not carry it: k1 = 1, k2 = 1, as T(0, 2) is its first right row.
-        # The suite must report that case as the series route it replaced
-        # does, series of the rows and sum_shifted through compare.
-        row = qcore._supernomial2_row
+        # B^{lo+1} added to the packed node T(0, 2; a=0), whose lowest term
+        # is B^lo: the polynomial gains q^{lo+1}.  The descent carries the
+        # bump into every node that descends through it, so a case fails
+        # only where a side reads the bumped node directly and the other
+        # side does not carry it: k1 = 1, k2 = 1, as T(0, 2) is its first
+        # right node.  The suite must report that case as the series route
+        # it replaced does, series of the unpacked nodes and sum_shifted
+        # through compare.
+        node = qcore._supernomial2_int
 
-        def bumped(L1, L2, twice_a):
-            lo, c = row(L1, L2, twice_a)
+        def bumped(L1, L2, twice_a, w):
+            x = node(L1, L2, twice_a, w)
             if (L1, L2, twice_a) == (0, 2, 0):
-                return qcore._dense_sum(((1, lo, c), (1, lo + 1, (1,))))
-            return lo, c
+                lo = ((x & -x).bit_length() - 1) // (8 * w)
+                return x + (1 << 8 * w * (lo + 1))
+            return x
 
-        monkeypatch.setattr(qcore, "_supernomial2_row", bumped)
-        monkeypatch.setattr(fusionchar, "_supernomial2_row", bumped)
+        monkeypatch.setattr(qcore, "_supernomial2_int", bumped)
+        monkeypatch.setattr(fusionchar, "_supernomial2_int", bumped)
 
-        def supernomial2(L1, L2, a):
-            return qcore._from_dense(*qcore._supernomial2_row(L1, L2, 2 * a))
+        def supernomial2(L1, L2, a):  # at 2-byte digits, the suite's at k1, k2 <= 3
+            x = qcore._supernomial2_int(L1, L2, 2 * a, 2)
+            return qcore._from_dense(0, qcore._unpack(x, 2))
 
         def series_route(k1, k2):
             return first_failure(f"exactseq k1={k1} k2={k2}", (
@@ -147,6 +151,42 @@ class TestExactSequence:
         (bad,) = [c for c in cases if not c.ok]
         assert bad.case_id == "exactseq k1=1 k2=1"
         assert bad.detail.startswith("a=0: first mismatch at q^")
+
+    @pytest.mark.parametrize("k1_max,k2_max", [(1, 1), (2, 3), (4, 3), (3, 8), (1, 8), (8, 1),
+                                               (8, 8)])
+    def test_digit_width_is_the_least_word_above_the_bound(
+            self, monkeypatch, cold_row_caches, k1_max, k2_max):
+        # Every node of one call is read at the least width of 1, 2, 4 or 8
+        # bytes with 256^w > 2^N, N = 2 k1_max + 2 k2_max + 2 (README,
+        # *Packed descent digit width*), and the cases pass.
+        N = 2 * k1_max + 2 * k2_max + 2
+        want = min(w for w in (1, 2, 4, 8) if 256 ** w > 2 ** N)
+        node, widths = qcore._supernomial2_int, set()
+
+        def spy(L1, L2, twice_a, w):
+            widths.add(w)
+            return node(L1, L2, twice_a, w)
+
+        monkeypatch.setattr(fusionchar, "_supernomial2_int", spy)
+        assert all(case.ok for case in verify_exact_sequence_chars(k1_max, k2_max))
+        assert widths == {want}
+
+    def test_every_node_read_fits_its_digit(self):
+        # The lemma's bound on the nodes themselves, on the row descent the
+        # packed kernel replaced: at k1, k2 <= 6 every coefficient of the
+        # left node, of the right side's two nodes and their sum, and of the
+        # leaf the right side descends to, is below 2^{2 k1 + 2 k2 + 2}.
+        for k1 in range(1, 7):
+            for k2 in range(7):
+                cap = 2 ** (2 * k1 + 2 * k2 + 2)
+                for a in range(-(k1 + k2), k1 + k2 + 1):
+                    first, second = (supernomial2_row(2 * k1 - 2, k2 + 1, 2 * a),
+                                     supernomial2_row(2 * k1 - 2, k2, 2 * a))
+                    rhs = qcore._dense_sum(((1, *first), (1, second[0] + 2 * k1 + k2 - 1,
+                                                          second[1])))
+                    for lo, row in (supernomial2_row(2 * k1, k2, 2 * a), first, second, rhs,
+                                    supernomial2_row(2 * k1 + 2 * k2, 0, 2 * a)):
+                        assert max(row, default=0) < cap, (k1, k2, a)
 
     def test_identity_holds_on_the_single_sum(self):
         # The suite's identity is the kernel's own descent in L2 at
@@ -222,7 +262,7 @@ def test_euler_and_string_routes_sum_nothing_through_qseries_sum(monkeypatch):
         raise AssertionError("QSeries.sum called")
 
     # Cold caches, so every cached factor under the two checks is rebuilt.
-    for cached in (qcore._gauss_coeffs, qcore._supernomial2_row,
+    for cached in (qcore._gauss_coeffs, qcore._supernomial2_int,
                    supernomial._s_family, supernomial._s_row,
                    vircharacters.I_m, pathweights._config_sum):
         cached.cache_clear()

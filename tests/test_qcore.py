@@ -14,7 +14,7 @@ from qlab.qcore import QSeries, compare, lattice_range, poch_inv, poch_sum, q_bi
 
 from oracles import (
     RefSeries, coeff_sum, exact_div, monomial, poch, poch_inv_parts, product,
-    row_product, support, supernomial2_sum,
+    row_product, support, supernomial2_row, supernomial2_sum,
 )
 
 F = Fraction
@@ -22,7 +22,7 @@ F = Fraction
 
 def _clear_caches() -> None:
     """Empty every cache of built series and rows in qcore and supernomial."""
-    for cached in (qcore._gauss_coeffs, qcore._supernomial2_row,
+    for cached in (qcore._gauss_coeffs, qcore._supernomial2_int,
                    supernomial._s_family, supernomial._s_row):
         cached.cache_clear()
 
@@ -517,13 +517,13 @@ class TestPochhammer:
 
     def test_shared_rows_are_never_mutated(self, capsys):
         # The dense rows are handed out uncopied: a Gaussian row to
-        # q_binomial, to the finitized sums and to the supernomial descent,
-        # each S row to the next.  After use, every row, and every value
-        # built on them, equals a fresh build.
+        # q_binomial, to the finitized sums and to the packed supernomial
+        # descent, each S row to the next.  After use, every row, and every
+        # value built on them, equals a fresh build.
         def rows():
             return ([supernomial._s_row(m) for m in range(10)],
                     {(n, k): qcore._gauss_coeffs(n, k) for n in range(13) for k in range(n + 1)},
-                    {key: qcore._supernomial2_row(*key) for key in
+                    {key: supernomial2(*key) for key in
                      [(2 * k1, k2, a) for k1 in range(6) for k2 in range(6)
                       for a in range(-k1 - k2, k1 + k2 + 1)]})
 
@@ -634,6 +634,90 @@ class TestDenseMul:
             qcore._dense_mul(b, a)
 
 
+class TestDigits:
+    @pytest.mark.parametrize("bound,w", [
+        (0, 1), (1, 1), (255, 1), (256, 2), (2 ** 16 - 1, 2), (2 ** 16, 4),
+        (2 ** 24, 4), (2 ** 32 - 1, 4), (2 ** 32, 8), (2 ** 56, 8), (2 ** 64 - 1, 8),
+        (2 ** 64, 9), (2 ** 72 - 1, 9), (2 ** 72, 10)])
+    def test_digit_bytes_is_the_least_word_above_the_bound(self, bound, w):
+        assert qcore._digit_bytes(bound) == w
+
+    @given(row=dense_rows())
+    @settings(max_examples=100, deadline=None)
+    def test_unpack_reads_back_what_pack_packs(self, row):
+        w = qcore._digit_bytes(max(row, default=0))
+        x = qcore._pack(row, w)
+        assert qcore._unpack(x, w, len(row)) == row
+        # By default, every digit up to the highest nonzero one.
+        top = max((i + 1 for i, c in enumerate(row) if c), default=0)
+        assert qcore._unpack(x, w) == row[:top]
+        # A wider digit reads the same row.
+        assert qcore._unpack(qcore._pack(row, w + 1), w + 1, len(row)) == row
+
+    @pytest.mark.parametrize("w", [1, 2, 3, 4, 8, 9])
+    def test_an_entry_wider_than_its_digit_raises(self, w):
+        with pytest.raises(OverflowError):
+            qcore._pack((1, 256 ** w, 1), w)
+        with pytest.raises(OverflowError):
+            qcore._pack((-1,), w)
+        with pytest.raises(OverflowError):
+            qcore._unpack(-1, w)
+        with pytest.raises(OverflowError):
+            qcore._unpack(256 ** (2 * w), w, 2)
+
+
+def trimmed_rows():
+    """Dense rows of small signed ints without zeros at either end."""
+    return st.lists(st.integers(-3, 3), max_size=8).map(
+        lambda c: tuple(c[next((i for i, x in enumerate(c) if x), len(c)):
+                          max((i + 1 for i, x in enumerate(c) if x), default=0)]))
+
+
+def series_route(terms) -> QSeries:
+    """sum sign * q^at * row over (sign, at, row) as series, by ``sum_shifted``."""
+    return QSeries.sum_shifted(((sign, qcore._from_dense(at, row), 0)
+                                for sign, at, row in terms), 1)
+
+
+class TestDenseSum:
+    @given(terms=st.lists(st.tuples(st.sampled_from([1, -1]), st.integers(-6, 6),
+                                    trimmed_rows()), max_size=5))
+    @settings(max_examples=300, deadline=None)
+    @example(terms=[(1, 2, (1,)), (-1, 2, (1,))])
+    def test_matches_the_series_route(self, terms):
+        lo, row = qcore._dense_sum(terms)
+        assert qcore._from_dense(lo, row) == series_route(terms)
+        # No zero at either end, and zero is (0, ()).
+        assert (row[0] and row[-1]) if row else lo == 0
+
+    def test_cancellation_is_trimmed_at_both_ends(self):
+        terms = [(1, -2, (1, 2, 3, 4)), (-1, -2, (1, 0, 0, 4)), (1, 5, (7,)), (-1, 5, (7,))]
+        assert qcore._dense_sum(terms) == (-1, (2, 3))
+        assert qcore._from_dense(-1, (2, 3)) == series_route(terms)
+
+    def test_a_sum_that_cancels_is_zero(self):
+        assert qcore._dense_sum([(1, 2, (1, 5)), (-1, 2, (1, 5))]) == (0, ())
+        assert qcore._dense_sum([(1, -3, (1, 0, 2)), (-1, -1, (2,)), (-1, -3, (1,))]) == (0, ())
+
+    def test_a_lone_plus_term_is_its_own_row(self):
+        row = (3, 0, 4)
+        lo, got = qcore._dense_sum([(1, 7, row)])
+        assert lo == 7 and got is row
+
+    def test_a_lone_minus_term_is_negated(self):
+        assert qcore._dense_sum([(-1, 2, (3, 0, -4))]) == (2, (-3, 0, 4))
+
+    def test_empty_rows_are_dropped(self):
+        row = (1, 2)
+        assert qcore._dense_sum([]) == (0, ())
+        assert qcore._dense_sum([(1, 9, ()), (-1, -9, ())]) == (0, ())
+        lo, got = qcore._dense_sum([(1, 100, ()), (1, 3, row), (-1, -50, ())])
+        assert lo == 3 and got is row
+        # An empty row's exponent widens nothing.
+        assert qcore._dense_sum([(1, -50, ()), (1, 0, (1,)), (1, 2, (1,)), (-1, 60, ())]) == \
+            (0, (1, 0, 1))
+
+
 class TestQBinomial:
     def test_hand_values(self):
         assert list(q_binomial(4, 2).items()) == [
@@ -675,9 +759,17 @@ class TestQBinomial:
         assert q_binomial(L, a) == want, (L, a)
 
 
+def node_width(L1: int, L2: int) -> int:
+    """The digit width of the bound 2^{L1 + 2 L2} on the coefficients of
+    T(L1, L2; a) and of its leaves (README, *Packed descent digit width*)."""
+    return qcore._digit_bytes(1 << (L1 + 2 * L2))
+
+
 def supernomial2(L1: int, L2: int, twice_a: int) -> QSeries:
-    """The two-row supernomial at weight twice_a/2, from its descent row."""
-    return qcore._from_dense(*qcore._supernomial2_row(L1, L2, twice_a))
+    """The two-row supernomial at weight twice_a/2, unpacked from its
+    packed descent node."""
+    w = node_width(L1, L2)
+    return qcore._from_dense(0, qcore._unpack(qcore._supernomial2_int(L1, L2, twice_a, w), w))
 
 
 class TestSupernomial2:
@@ -731,3 +823,45 @@ class TestSupernomial2:
                     assert got == supernomial2_sum(L1, L2, twice_a), (L1, L2, twice_a)
                     n += 1
         assert n == 2079
+
+    def test_matches_the_row_descent(self):
+        # The packed node against the row descent it replaced, as ints: the
+        # row packed at the same digit width and shifted to its exponent, at
+        # the node's own width and at a wider, unrounded one.
+        n = 0
+        for L1 in range(11):
+            for L2 in range(7):
+                top = L1 + 2 * L2
+                for twice_a in range(-top - 2, top + 3):
+                    lo, row = supernomial2_row(L1, L2, twice_a)
+                    for w in (node_width(L1, L2), 3):
+                        got = qcore._supernomial2_int(L1, L2, twice_a, w)
+                        assert got == qcore._pack(row, w) << 8 * w * lo, (L1, L2, twice_a, w)
+                    n += 1
+        assert n == 2079
+
+    # Nodes whose bounds 2^{L1 + 2 L2} need digits of 1, 2, 4, 8 and 9 bytes.
+    @pytest.mark.parametrize("L1,L2,w", [(3, 2, 1), (5, 5, 2), (10, 8, 4), (16, 16, 8),
+                                         (0, 32, 9)])
+    def test_each_digit_width_reads_back_both_oracles(self, L1, L2, w):
+        assert node_width(L1, L2) == w
+        top = L1 + 2 * L2
+        # Past 4 bytes every third weight, and the ends, to keep the single sum quick.
+        step = 1 if w <= 4 else 3
+        for twice_a in {*range(-top - 2, top + 3, step), -top, top, 0, 1}:
+            got = supernomial2(L1, L2, twice_a)
+            assert got == qcore._from_dense(*supernomial2_row(L1, L2, twice_a)), twice_a
+            assert got == supernomial2_sum(L1, L2, twice_a), twice_a
+
+    @pytest.mark.parametrize("L1,L2", [(0, 8), (5, 6), (16, 8), (0, 24), (3, 30)])
+    def test_a_too_narrow_digit_raises(self, L1, L2):
+        # A digit one byte narrower than the node's largest leaf coefficient
+        # needs raises while that leaf is packed: no node is built on a
+        # carried digit.
+        n, t = L1 + 2 * L2, L1 % 2
+        top = max(qcore._gauss_coeffs(n, (n + t) // 2))
+        w = -(-top.bit_length() // 8)
+        assert w >= 2
+        assert qcore._unpack(qcore._pack((top,), w), w) == (top,)
+        with pytest.raises(OverflowError):
+            qcore._supernomial2_int(L1, L2, t, w - 1)
