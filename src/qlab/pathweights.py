@@ -6,6 +6,14 @@ forbidden.  Each interior triple carries a weight, an integer in units of
 1/p', built from the slope t = p'/p and a three-letter site labelling
 (1A / 1B / 2); the labelled table is validated against every structural fact
 it must satisfy before use.
+
+Configuration sums and their alternating f-sums are polynomials in q^{1/p'}
+with integer keys, and both are computed on packed ints: evaluated at
+q = B^{1/p'}, B = 256^w, one w-byte digit per 1/p' step.  X comes from one
+cached recurrence (``_x_int``), the f-sum from S cells packed at stride p'
+(``_f_int``); ``verify_Xandf`` compares the ints, and ``config_sum_X`` and
+``f_sum`` read them back as series.  The brute-force path sum
+(``brute_config_sum_X``) stays on series.
 """
 
 from __future__ import annotations
@@ -15,9 +23,9 @@ import math
 from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple, Optional
 
-from .qcore import QSeries, lattice_range
-from .report import CaseResult, check
-from .supernomial import S, S_tilde
+from .qcore import QSeries, _digit_bytes, _packed_series, lattice_range
+from .report import CaseResult, check_packed
+from .supernomial import _s_sum_int
 
 Path = tuple[int, ...]
 
@@ -369,26 +377,68 @@ def _x_valid(params: ModelParams, a: int, b: int, c: int) -> bool:
             and c in _successors(pp)[b])
 
 
-def config_sum_X(a: int, b: int, c: int, m: int, table: TauTable) -> QSeries:
-    """Energy generating sum over paths (s_0..s_{m+1}) with s_0 = a, s_m = b,
-    s_{m+1} = c.  Computed by the endpoint recurrence; zero off the domain."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if not _x_valid(table.params, a, b, c):
-        return QSeries.zero(None)
-    return _config_sum(table.params, a, b, c, m)
+def _least_weight(table: TauTable) -> int:
+    """The least weight of ``table``, in units of 1/p'.  A negative one
+    raises ``ArithmeticError`` naming the model and a triple that carries
+    it: the packed configuration sum shifts by weights, and the rigged
+    oracle's m-bound needs them all >= 0 (README, *Weight positivity*)."""
+    triple = min(table.weights, key=table.weights.__getitem__)
+    least = table.weights[triple]
+    if least < 0:
+        p, pp = table.params
+        raise ArithmeticError(
+            f"weight w{triple} = {least}/{pp} < 0 on (p,p')=({p},{pp})")
+    return least
+
+
+def _strip_digit_bytes(m_max: int, pp: int) -> int:
+    """The digit width in bytes of the packed strip suites (``verify_Xandf``,
+    ``verify_IandS``) for m <= m_max on a strip of width p' (README, *Packed
+    strip digit width*).  Each compared side has at most 2 (2m // p' + 1)
+    terms, the orbit windows of ``f_sum`` and of I_m, each a sum of at most
+    3^m: a coefficient of S_{m,l} or S~_{m,l} is at most its value at 1,
+    at most 3^m, and one of X_{a,b,c,m} counts m-step paths, at most 3^m.
+    256^w exceeds twice that bound, so equal ints are equal polynomials and
+    a signed side reads back in balanced digits."""
+    return _digit_bytes(2 * 2 * (2 * m_max // pp + 1) * 3 ** m_max)
 
 
 @functools.lru_cache(maxsize=None)
-def _config_sum(params: ModelParams, a: int, b: int, c: int, m: int) -> QSeries:
-    """``config_sum_X`` on its domain, by the last step d -> b -> c; cached
-    per model, as every (a, d, b) it reads is on the domain too."""
+def _x_int(params: ModelParams, a: int, b: int, c: int, m: int, w: int) -> int:
+    """X_{a,b,c,m} on its domain evaluated at q = B^{1/p'}, B = 256^w: one
+    w-byte digit per 1/p' step of the exponent.  Built by the last step
+    d -> b -> c, X_{a,b,c,m} = sum_d q^{m w(d,b,c)} X_{a,d,b,m-1}, one big-int
+    shift by m w(d, b, c) digits and one addition per successor d of b, from
+    X_{a,b,c,0} = [a = b].  Cached per model; every (a, d, b) it reads is on
+    the domain too.  A coefficient counts paths, at most 3^m, so a w with
+    256^w > 3^m holds each in its digit (README, *Packed strip digit
+    width*).  A negative weight, which no strip with p' <= 40 has, would be
+    a negative shift: it raises ``ArithmeticError`` (``_least_weight``)."""
     if m == 0:
-        return QSeries.one(None) if a == b else QSeries.zero(None)
+        return int(a == b)
     weights = make_tau_table(params).weights
-    return QSeries.sum_shifted(
-        ((1, _config_sum(params, a, d, b, m - 1), m * weights[d, b, c])
-         for d in _successors(params.pp)[b]), params.pp)
+    step = 8 * w * m
+    x = 0
+    try:
+        for d in _successors(params.pp)[b]:
+            x += _x_int(params, a, d, b, m - 1, w) << step * weights[d, b, c]
+    except ValueError:  # a negative shift count
+        _least_weight(make_tau_table(params))
+        raise
+    return x
+
+
+def config_sum_X(a: int, b: int, c: int, m: int, table: TauTable) -> QSeries:
+    """Energy generating sum over paths (s_0..s_{m+1}) with s_0 = a, s_m = b,
+    s_{m+1} = c: the packed endpoint recurrence ``_x_int`` read back as a
+    series; zero off the domain."""
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    params = table.params
+    if not _x_valid(params, a, b, c):
+        return QSeries.zero(None)
+    w = _strip_digit_bytes(m, params.pp)
+    return _packed_series(_x_int(params, a, b, c, m, w), w, params.pp, 0)
 
 
 def brute_config_sum_X(a: int, b: int, c: int, m: int, table: TauTable) -> QSeries:
@@ -404,9 +454,10 @@ def brute_config_sum_X(a: int, b: int, c: int, m: int, table: TauTable) -> QSeri
 
 
 def _f_term(a: int, b: int, c: int, m: int,
-            table: TauTable) -> Optional[tuple[QSeries, int]]:
-    """The summand f_{a,b,c,m} as (S_{m,l} or S~_{m,l}, exponent in units of
-    1/p') with l = (b - a)/2, or None where it is zero; a may be any integer,
+            table: TauTable) -> Optional[tuple[int, int, int]]:
+    """The summand f_{a,b,c,m} as (l, e, exponent in units of 1/p'), the
+    term q^exponent S_{m,l} for e = 0 and q^exponent S~_{m,l} for e = 1,
+    with l = (b - a)/2, or None where it is zero; a may be any integer,
     while b and c must lie on the strip with c in {b, b+-2}.
 
     With t = p'/p the exponent is m^2 - l^2 plus
@@ -414,6 +465,13 @@ def _f_term(a: int, b: int, c: int, m: int,
       c = b:      l(l-1)/t + l (1 - frac((b-1)/t)), and m on S or l on S~
       c = b - 2:  l(l-1)/t + (m+l) (1 - frac((b-1)/t)), and l on S~,
     summed in integers as in ``_weights``.
+
+    No term reaches below q^0 (README, *Packed strip digit width*): S_{m,l}
+    starts at q^{-(m^2 - l^2)} or above, and S~_{m,l} too for l >= 0, while
+    S~_{m,l} = q^{-l} S~_{m,-l} starts |l| higher for l < 0, which its term
+    l on S~ takes back.  The rest of the exponent is at least 0: l(l+1) and
+    l(l-1) are, and so are (m - l) and (m + l) for |l| <= m, while for
+    l < 0, l(l-1)/t + l (1 - frac) >= |l| ((|l| + 1)/t - 1) > 0 as t < 2.
     """
     p, pp = table.params
     if not 1 <= b <= pp - 1 or m < 0:
@@ -425,27 +483,38 @@ def _f_term(a: int, b: int, c: int, m: int,
     exp = (m * m - l * l) * pp
     if c == b + 2:
         exp += l * (l + 1) * p + (m - l) * ((b + 1) * p % pp)
-        return S_tilde(m, l) if table.label(c) == "1A" else S(m, l), exp
+        return l, int(table.label(c) == "1A"), exp
     if c == b:
         exp += l * (l - 1) * p + l * gap
-        return ((S(m, l), exp + m * pp) if table.label(b) in ("1A", "1B")
-                else (S_tilde(m, l), exp + l * pp))
+        return ((l, 0, exp + m * pp) if table.label(b) in ("1A", "1B")
+                else (l, 1, exp + l * pp))
     exp += l * (l - 1) * p + (m + l) * gap  # c == b - 2
-    return ((S(m, l), exp) if table.label(c) in ("1A", "2")
-            else (S_tilde(m, l), exp + l * pp))
+    return ((l, 0, exp) if table.label(c) in ("1A", "2")
+            else (l, 1, exp + l * pp))
+
+
+def _f_int(a: int, b: int, c: int, m: int, table: TauTable, w: int) -> int:
+    """``f_sum`` evaluated at q = B^{1/p'}, B = 256^w: the terms of
+    ``_f_term`` with their orbit signs, added as S cells packed at stride p'
+    (``_s_sum_int``).  Every term starts at q^0 or above (``_f_term``), so
+    digit 0 is q^0."""
+    pp = table.params.pp
+    return _s_sum_int(
+        ((eps, m, *term) for eps in (1, -1)
+         for n in lattice_range(eps * b - 2 * m - a, eps * b + 2 * m - a, 2 * pp)
+         if (term := _f_term(eps * (a + 2 * pp * n), b, c, m, table)) is not None), w, pp)
 
 
 def f_sum(a: int, b: int, c: int, m: int, table: TauTable) -> QSeries:
     """Alternating sum over the reflection orbit of a:
-    sum_{eps=+-1} eps * sum_n f_{eps(a + 2 p' n), b, c, m}.  The n window is
-    exact: the summand at a' = eps(a + 2p'n) carries S_{m,l} or S~_{m,l},
+    sum_{eps=+-1} eps * sum_n f_{eps(a + 2 p' n), b, c, m}, summed packed
+    (``_f_int``) and read back as a series in balanced digits.  The n window
+    is exact: the summand at a' = eps(a + 2p'n) carries S_{m,l} or S~_{m,l},
     l = (b - a')/2, both zero for |l| > m ([nu, m-l-nu] is, for every nu),
     so it counts just when eps b - 2m <= a + 2p'n <= eps b + 2m."""
     pp = table.params.pp
-    return QSeries.sum_shifted(
-        ((eps, *term) for eps in (1, -1)
-         for n in lattice_range(eps * b - 2 * m - a, eps * b + 2 * m - a, 2 * pp)
-         if (term := _f_term(eps * (a + 2 * pp * n), b, c, m, table)) is not None), pp)
+    w = _strip_digit_bytes(m, pp)
+    return _packed_series(_f_int(a, b, c, m, table, w), w, pp, 0)
 
 
 def x_configs(params: ModelParams) -> list[tuple[int, int, int]]:
@@ -457,11 +526,18 @@ def x_configs(params: ModelParams) -> list[tuple[int, int, int]]:
 
 
 def verify_Xandf(table: TauTable, m_max: int) -> list[CaseResult]:
-    """Exact equality of the path recurrence and the supernomial f-sum."""
-    p, pp = table.params.p, table.params.pp
-    return [check(f"xandf p={p} p'={pp} a={a} b={b} c={c} m={m}",
-                  config_sum_X(a, b, c, m, table), f_sum(a, b, c, m, table))
-            for a, b, c in x_configs(table.params) for m in range(m_max + 1)]
+    """Exact equality of the path recurrence and the supernomial f-sum, each
+    evaluated at q = B^{1/p'} (``_x_int``, ``_f_int``) and compared as ints;
+    one digit width serves the call (``_strip_digit_bytes``), so equal ints
+    are equal polynomials, and only a failing case is unpacked into series
+    for ``check``'s first mismatch."""
+    params = table.params
+    p, pp = params
+    w = _strip_digit_bytes(m_max, pp)
+    return [check_packed(f"xandf p={p} p'={pp} a={a} b={b} c={c} m={m}",
+                         _x_int(params, a, b, c, m, w), _f_int(a, b, c, m, table, w),
+                         w, pp, 0)
+            for a, b, c in x_configs(params) for m in range(m_max + 1)]
 
 
 def verify_tau(pp_max: int) -> list[CaseResult]:

@@ -25,15 +25,19 @@ packs into one int, its value at 256^w with one w-byte digit per coefficient
 (``_pack``, read back by ``_unpack``), so that two rows multiply by Kronecker
 substitution (``_dense_mul``, for ``verify pmn``) and the two-row descent is
 one shift and subtraction of ints per node (``_supernomial2_int``, for
-``verify exactseq``, which compares the ints).  The rows and the packed nodes
-are cached, and a series is made from a row when a value is asked for
-(``_from_dense``); only the S cells cache their series too.  No
+``verify exactseq``, which compares the ints).  A row packs at a stride too,
+one entry every stride digits, for polynomials in q^{1/stride}, so that
+the strip suites shift, add and compare ints, and a signed value reads back
+in balanced digits (``_unpack_signed``, ``_packed_series``).  The rows and
+the packed nodes are cached, and a series is made from a row when a value
+is asked for (``_from_dense``); only the S cells cache their series too.  No
 1/(q)_infinity is cached: ``poch_inv`` divides each numerator in place.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -486,10 +490,25 @@ def _digit_bytes(bound: int) -> int:
     return 1 << (w - 1).bit_length() if w <= 8 else w
 
 
-def _pack(row: Sequence[int], w: int) -> int:
-    """sum_n row[n] 256^{w n}: the row evaluated at 256^w, one w-byte digit
-    per entry.  An entry outside 0 <= x < 256^w raises ``OverflowError``."""
-    return int.from_bytes(b"".join([x.to_bytes(w, "little") for x in row]), "little")
+def _pack(row: Sequence[int], w: int, stride: int = 1) -> int:
+    """sum_n row[n] 256^{w stride n}: the row evaluated at 256^w with one
+    w-byte digit per entry, each followed by stride - 1 zero digits (the
+    row of a polynomial in q evaluated at q = 256^{w stride}).  An entry
+    outside 0 <= x < 256^w raises ``OverflowError``.  Digits of 1, 2, 4 or
+    8 bytes are packed by one ``struct.pack`` call."""
+    if w in _WORD:
+        try:
+            data = struct.pack(f"<{len(row)}{_WORD[w]}", *row)
+        except struct.error as exc:
+            raise OverflowError(f"an entry does not fit {w}-byte digits: {exc}") from None
+    else:
+        data = b"".join([x.to_bytes(w, "little") for x in row])
+    if stride > 1:
+        spread = bytearray(len(data) * stride)
+        for i in range(w):  # byte i of every digit, one strided copy each
+            spread[i::w * stride] = data[i::w]
+        data = spread
+    return int.from_bytes(data, "little")
 
 
 def _unpack(x: int, w: int, n: Optional[int] = None) -> tuple[int, ...]:
@@ -502,6 +521,30 @@ def _unpack(x: int, w: int, n: Optional[int] = None) -> tuple[int, ...]:
     if _CAST and w in _WORD:
         return tuple(memoryview(data).cast(_WORD[w]).tolist())
     return tuple([int.from_bytes(data[i:i + w], "little") for i in range(0, n * w, w)])
+
+
+def _unpack_signed(x: int, w: int) -> tuple[int, ...]:
+    """The balanced digits of any int x, lowest first, up to the highest
+    nonzero one: the unique row with entries in [-B/2, B/2), B = 256^w,
+    whose value at B is x.  So a packed polynomial whose coefficients all
+    lie in that range reads back whatever their signs.  One more digit
+    than x's unsigned length is enough: with n digits, |x| < B^{n-1}, and
+    adding B/2 to every digit (the bias) maps the balanced digits onto
+    ordinary ones of x + bias, which lies in [0, B^n)."""
+    n = -(-x.bit_length() // (8 * w)) + 1
+    half = 1 << (8 * w - 1)
+    bias = int.from_bytes(half.to_bytes(w, "little") * n, "little")
+    row = [d - half for d in _unpack(x + bias, w, n)]
+    while row and not row[-1]:
+        row.pop()
+    return tuple(row)
+
+
+def _packed_series(x: int, w: int, den: int, base: int) -> QSeries:
+    """The exact series sum_n c_n q^{(base + n)/den}, c_n the balanced
+    w-byte digits of x (``_unpack_signed``): a polynomial packed with one
+    digit per step of q^{1/den}, its digit 0 at q^{base/den}."""
+    return QSeries.from_keys(dict(enumerate(_unpack_signed(x, w), base)), den)
 
 
 def _dense_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:

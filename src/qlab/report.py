@@ -1,7 +1,8 @@
 """Uniform pass/fail reporting for verification suites.
 
 Every identity check is a ``CaseResult``; ``check`` decides one equality of
-two series, and ``first_failure`` decides a case made of several.
+two series, ``check_packed`` one of two packed polynomials, and
+``first_failure`` decides a case made of several.
 
 Reports give their cases sorted by id, as a JSON object or as CSV rows, and
 embed no timing or host information.  ``cli._emit`` writes a report itself,
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple
 
-from .qcore import QSeries, compare
+from .qcore import QSeries, _packed_series, compare
 
 
 class CaseResult(NamedTuple):
@@ -56,6 +57,20 @@ def check(case_id: str, lhs: QSeries, rhs: QSeries) -> CaseResult:
     mismatching exponent and both coefficients there."""
     cmp = compare(lhs, rhs)
     return CaseResult(case_id, cmp.ok, cmp.detail())
+
+
+def check_packed(case_id: str, lhs: int, rhs: int, w: int, den: int,
+                 base: int) -> CaseResult:
+    """The case ``lhs = rhs`` for two exact polynomials packed at B = 256^w,
+    one digit per step of q^{1/den} with digit 0 at q^{base/den}.  Equal
+    ints pass as "exact", as ``check`` passes equal exact series, with no
+    series built; the digit width must make equal ints equal polynomials.
+    Otherwise both sides are unpacked in balanced digits
+    (``qcore._packed_series``) and decided by ``check``."""
+    if lhs == rhs:
+        return CaseResult(case_id, True, "exact")
+    return check(case_id, _packed_series(lhs, w, den, base),
+                 _packed_series(rhs, w, den, base))
 
 
 def first_failure(case_id: str, pairs: Iterable[tuple[str, QSeries, QSeries]],

@@ -6,16 +6,17 @@ products (``S``).  They are computed row by row, with no product: row m + 1
 of both families comes from row m by the step recurrences rec1 (S) and rec4
 (S~) on dense coefficient rows.  The other six identities of
 ``verify_S_recurrences`` are checks on that kernel; the tests hold it to the
-double sums.
+double sums.  The packed suites read the cells as ints (``_s_int``), each row
+evaluated at q = 256^{w stride}.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional
+from typing import Iterable, Optional
 
-from .qcore import ExpLike, QSeries, _dense_sum, _from_dense, poch_sum
-from .report import CaseResult, check
+from .qcore import ExpLike, QSeries, _dense_sum, _digit_bytes, _from_dense, _pack, poch_sum
+from .report import CaseResult, check_packed
 
 
 @lru_cache(maxsize=None)
@@ -27,11 +28,14 @@ def _s_row(m: int) -> tuple[tuple, tuple]:
         rec1: S_{m+1,l} = q^{-m-l-1} S_{m,l+1} + S_{m,l} + q^{-m+l-1} S~_{m,l-1},
         rec4: S~_{m+1,l} = q^{-l} S_{m,l+1} + S_{m,l} + q^{-m+l-1} S~_{m,l-1},
 
-    from S_{0,0} = S~_{0,0} = 1.  The caller builds the rows bottom-up, so
-    each call reads a cached row m - 1."""
+    from S_{0,0} = S~_{0,0} = 1.  A call builds the uncached rows below
+    m - 1 first, bottom-up from the first of them, so that no call recurses
+    deeper than one level, whatever m is."""
     if m == 0:
         return ((0, (1,)),), ((0, (1,)),)
     k = m - 1
+    for below in range(_rows_built().currsize, k):
+        _s_row(below)
     pad = ((0, ()),) * 2  # zero cells, at |l| = k + 1 and k + 2
     s, st = _s_row(k)
     s, st = pad + s + pad, pad + st + pad  # S_{k,l} at index l + k + 2
@@ -45,16 +49,52 @@ def _s_row(m: int) -> tuple[tuple, tuple]:
     return tuple(cells_s), tuple(cells_st)
 
 
+# The row cache's size n: rows 0..n-1 are built, as each row is built on the last.
+_rows_built = _s_row.cache_info
+
+
 def _s_cell(m: int, l: int, e: int) -> tuple[int, tuple[int, ...]]:
     """The dense (lo, coefficients) cell of S_{m,l} at e = 0, of S~_{m,l}
-    at e = 1, read from ``_s_row``; (0, ()) for |l| > m."""
+    at e = 1, read from ``_s_row``: one lookup once the row is cached;
+    (0, ()) for |l| > m."""
     if m < 0:
         raise ValueError("S needs m >= 0")
     if abs(l) > m:
         return 0, ()
-    for k in range(m + 1):  # bottom-up: no row recurses deeper than one level
-        row = _s_row(k)
-    return row[e][l + m]
+    return _s_row(m)[e][l + m]
+
+
+@lru_cache(maxsize=None)
+def _s_int(m: int, l: int, e: int, w: int, stride: int) -> tuple[int, int]:
+    """(lo, x): the cell (lo, row) of ``_s_cell`` with its row packed at
+    stride ``stride`` (``_pack``), so that S_{m,l} (e = 0) or S~_{m,l}
+    (e = 1) is x B^{stride lo} at q = B^{stride}, B = 256^w.  Cached: the
+    packed suites read each cell once per identity or f-sum term.
+
+    Digit width (README, *Packed strip digit width*): the coefficients are
+    positive and sum to S_{m,l}(1) = sum_nu C(m,nu) C(nu,m-l-nu) <= 3^m, the
+    same for S~, so a w with 256^w > 3^m holds each in one digit; a digit
+    too narrow for a coefficient raises ``OverflowError``."""
+    lo, row = _s_cell(m, l, e)
+    return lo, _pack(row, w, stride)
+
+
+def _s_sum_int(terms: Iterable[tuple[int, int, int, int, int]], w: int,
+               stride: int) -> int:
+    """sum sign * q^{at/stride} C over (sign, m, l, e, at) terms, C = S_{m,l}
+    for e = 0 and S~_{m,l} for e = 1, evaluated at q = B^{stride}, B = 256^w,
+    from the packed cells of ``_s_int``: the one accumulator of S cells, for
+    the f-sums, I_m and the ``relS`` identities.  Each caller proves that no
+    term reaches below q^0, so digit 0 is q^0; a term that did would be a
+    negative shift, and raise ``ValueError``.  A zero cell (|l| > m) adds
+    nothing."""
+    s = 8 * w
+    x = 0
+    for sign, m, l, e, at in terms:
+        lo, cell = _s_int(m, l, e, w, stride)
+        if cell:
+            x += sign * (cell << s * (at + stride * lo))
+    return x
 
 
 @lru_cache(maxsize=None)
@@ -114,27 +154,26 @@ def string_sum(l: int, cutoff: ExpLike) -> QSeries:
     return poch_sum(terms, cutoff)
 
 
-def _identity_table():
-    # Each entry: name -> (lhs, rhs (series, int shift) terms) as callables
-    # of (m, l); identities hold for all integers l, stepping m -> m+1.  S and
-    # S~ are read by name at call time, so a patched module name is checked.
-    s, st = S, S_tilde
-    return {
-        "sym": lambda m, l: (s(m, -l), ((s(m, l), 0),)),
-        "sym~": lambda m, l: (st(m, -l), ((st(m, l), l),)),
-        "rec1": lambda m, l: (s(m + 1, l), (
-            (s(m, l + 1), -m - l - 1), (s(m, l), 0), (st(m, l - 1), -m + l - 1))),
-        "rec2": lambda m, l: (s(m + 1, l), (
-            (s(m, l + 1), -m - l - 1), (st(m, l), -m), (s(m, l - 1), 0))),
-        "rec3": lambda m, l: (s(m + 1, l), (
-            (st(m, l + 1), -m), (s(m, l), 0), (s(m, l - 1), -m + l - 1))),
-        "rec4": lambda m, l: (st(m + 1, l), (
-            (s(m, l + 1), -l), (s(m, l), 0), (st(m, l - 1), -m + l - 1))),
-        "rec5": lambda m, l: (st(m + 1, l), (
-            (s(m, l + 1), -l), (st(m, l), -m), (s(m, l - 1), 0))),
-        "rec6": lambda m, l: (st(m + 1, l), (
-            (st(m, l + 1), -m - l), (s(m, l), -l), (s(m, l - 1), 0))),
-    }
+# Each identity: name -> (lhs, rhs) as a function of (m, l), each side a
+# tuple of (m', l', e, shift) terms, the term q^shift S_{m',l'} for e = 0 and
+# q^shift S~_{m',l'} for e = 1; every identity holds for all integers l,
+# stepping m -> m+1.
+_IDENTITIES = {
+    "sym": lambda m, l: (((m, -l, 0, 0),), ((m, l, 0, 0),)),
+    "sym~": lambda m, l: (((m, -l, 1, 0),), ((m, l, 1, l),)),
+    "rec1": lambda m, l: (((m + 1, l, 0, 0),), (
+        (m, l + 1, 0, -m - l - 1), (m, l, 0, 0), (m, l - 1, 1, -m + l - 1))),
+    "rec2": lambda m, l: (((m + 1, l, 0, 0),), (
+        (m, l + 1, 0, -m - l - 1), (m, l, 1, -m), (m, l - 1, 0, 0))),
+    "rec3": lambda m, l: (((m + 1, l, 0, 0),), (
+        (m, l + 1, 1, -m), (m, l, 0, 0), (m, l - 1, 0, -m + l - 1))),
+    "rec4": lambda m, l: (((m + 1, l, 1, 0),), (
+        (m, l + 1, 0, -l), (m, l, 0, 0), (m, l - 1, 1, -m + l - 1))),
+    "rec5": lambda m, l: (((m + 1, l, 1, 0),), (
+        (m, l + 1, 0, -l), (m, l, 1, -m), (m, l - 1, 0, 0))),
+    "rec6": lambda m, l: (((m + 1, l, 1, 0),), (
+        (m, l + 1, 1, -m - l), (m, l, 0, -l), (m, l - 1, 0, 0))),
+}
 
 
 def verify_S_recurrences(m_max: int) -> list[CaseResult]:
@@ -142,17 +181,30 @@ def verify_S_recurrences(m_max: int) -> list[CaseResult]:
     |l| <= m + 1.  rec1 and rec4 hold by construction, as ``_s_row`` builds
     each row by them; the other six identities (sym, sym~, rec2, rec3, rec5,
     rec6) remain real checks of the kernel.  Failures are collected, not
-    raised, so a deliberately perturbed ``S``, ``S_tilde``, ``_s_family`` or
-    ``_s_row`` shows up as failing cases.
-    Both families must give series with integer exponents, or
-    ``sum_shifted`` raises ``ValueError``.
-    """
-    table = _identity_table()
-    return [check(f"relS {name} m={m} l={l}", lhs,
-                  QSeries.sum_shifted(((1, t, k) for t, k in terms), 1))
-            for name, pair in table.items()
-            for m in range(m_max) for l in range(-(m + 1), m + 2)
-            for lhs, terms in (pair(m, l),)]
+    raised, so a perturbed row (``_s_row``), cell (``_s_cell``) or packed
+    cell (``_s_int``) shows up as failing cases.
+
+    Each side is its cells shifted and added at B = 256^w, one digit per
+    power of q (``_s_sum_int``), and the two ints are compared; only a
+    failing case is unpacked into series, for ``check``'s first mismatch.
+    One w serves the call (README, *Packed strip digit width*): a side has
+    at most three terms of row m or one of row m + 1 <= m_max, so its
+    coefficients are at most 3 * 3^m <= 3^{m_max}, and 256^w exceeds twice
+    that, so equal ints are equal polynomials.  Digit 0 is q^{-(m+1)^2 - 1}:
+    a cell of row k starts at q^{-k^2} or above (S_{k,l} at
+    q^{-(k^2 - l^2)}, and S~_{k,l} too, or |l| higher for l < 0), a left
+    side reads row m or m + 1 unshifted, and a right side reads row m
+    shifted by at least -(2m + 2)."""
+    w = _digit_bytes(2 * 3 ** m_max)
+    out = []
+    for name, pair in _IDENTITIES.items():
+        for m in range(m_max):
+            off = (m + 1) ** 2 + 1
+            for l in range(-(m + 1), m + 2):
+                lhs, rhs = (_s_sum_int(((1, k, j, e, shift + off) for k, j, e, shift in side),
+                                       w, 1) for side in pair(m, l))
+                out.append(check_packed(f"relS {name} m={m} l={l}", lhs, rhs, w, 1, -off))
+    return out
 
 
 def S_table(m_max: int, l_max: Optional[int] = None) -> dict:

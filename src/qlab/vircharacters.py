@@ -17,13 +17,16 @@ from itertools import accumulate
 from typing import Optional
 
 from .qcore import QSeries, compare, lattice_range, poch_inv, poch_sum
-from .report import CaseResult, check
-from .supernomial import S, S_floor, string_sum
+from .report import CaseResult, check, check_packed
+from .supernomial import S, S_floor, _s_sum_int, string_sum
 from .pathweights import (
     ModelParams,
+    _least_weight,
+    _strip_digit_bytes,
     _walk,
+    _x_int,
+    _x_valid,
     b_of,
-    config_sum_X,
     delta_key,
     make_tau_table,
 )
@@ -214,15 +217,39 @@ def verify_IandS(params: ModelParams, r: int, a: int, b: int,
                  m_max: int) -> list[CaseResult]:
     """I_m rebuilt from configuration sums over the next-to-last site d,
     I_m = sum_d q^{_end_shifts(d)} X_{a,d,b,m-1}, checked exactly for
-    1 <= m <= m_max."""
-    table = make_tau_table(params)
-    return [check(f"iands p={params.p} p'={params.pp} r={r} a={a} b={b} m={m}",
-                  I_m(params, r, a, b, m),
-                  QSeries.sum_shifted(
-                      ((1, config_sum_X(a, d, b, m - 1, table), e)
-                       for d, e in _end_shifts(params, r, a, b, m).items()),
-                      4 * params.p * params.pp))
-            for m in range(1, m_max + 1)]
+    1 <= m <= m_max.  Both sides are evaluated at q = B^{1/p'}, B = 256^w,
+    and compared as ints: I_m from its terms (``_I_m_terms``) as S cells
+    packed at stride p' (``_s_sum_int``), and each X_{a,d,b,m-1}
+    (``_x_int``) shifted by e_d/(4p) digits.  One w serves the call
+    (``_strip_digit_bytes``); only a failing case is unpacked into series
+    for ``check``'s first mismatch.
+
+    Every end shift e_d, in units of 1/(4pp'), is a multiple of 4p (README,
+    *End shifts on the 1/p' grid*): it is made of differences
+    delta_key(r, x) - delta_key(r, y) = p (y - x)(2 r p' - (x + y) p) of
+    sites x, y of one parity, that is 4p t (r p' - u p) with y - x = 2t and
+    x + y = 2u, and of the [d = b] term 4pp'.  An end shift can be
+    negative, so digit 0 is the least of q^0 and q^{e_d/(4pp')}.  No term
+    of I_m reaches below q^0: q^e S_{m,idx} starts at or above
+    lam^2 pp' + lam beta + shift, as S_{m,idx} starts at q^{-(m^2 - idx^2)}
+    or above, and that is 0 at lam = 0 of the first sum and positive
+    otherwise, since |p'r - pa| < pp', p'r + pa < 2pp' and (p - r)(p' - a)
+    > 0."""
+    p, pp = params
+    w = _strip_digit_bytes(m_max, pp)
+    unit = 8 * w
+    out = []
+    for m in range(1, m_max + 1):
+        ends = {d: e // (4 * p) for d, e in _end_shifts(params, r, a, b, m).items()
+                if _x_valid(params, a, d, b)}
+        off = -min([0, *ends.values()])
+        lhs = _s_sum_int(((sign, m, idx, 0, pp * e)
+                          for sign, idx, e in _I_m_terms(params, r, a, b, m)), w, pp)
+        rhs = sum(_x_int(params, a, d, b, m - 1, w) << unit * (e + off)
+                  for d, e in ends.items())
+        out.append(check_packed(f"iands p={p} p'={pp} r={r} a={a} b={b} m={m}",
+                                lhs << unit * off, rhs, w, pp, -off))
+    return out
 
 
 def rigged_path_gf(params: ModelParams, r: int, a: int,
@@ -268,9 +295,7 @@ def rigged_path_gf(params: ModelParams, r: int, a: int,
     p, pp = params
     unit = 4 * p * pp
     cut_u = math.ceil(cutoff * unit)  # an integer exponent e is < cutoff iff e < cut_u
-    w_min = min(table.weights.values())
-    if w_min < 0:
-        raise ArithmeticError(f"weight {w_min}/{pp} < 0 on {params}: no m-bound")
+    w_min = _least_weight(table)  # the m-bound needs every weight >= 0
     # bdr[d] = least n_m after s_{m-1} = d; > 0, as b has the least delta of its parity.
     shift, bdr = _end_shift_parts(params, r, a, b)
     least_bdr = min(bdr.values())

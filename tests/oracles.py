@@ -26,6 +26,13 @@ integer-keyed internals:
   ``poch_inv_parts`` factor by ``product``;
 - ``f_sum_by_slope``: the alternating f-sum with each exponent summed in
   ``Fraction`` from the slope t = p'/p;
+- ``series_config_sum_X``, ``series_f_sum`` and the three
+  ``series_verify_*`` suites (xandf, iands, relS, the last with its own
+  table of the identities, ``s_identities``): the configuration-sum
+  recurrence, the f-sum and the strip suites on series, each side added by
+  ``QSeries.sum_shifted`` and decided by ``check``, the route that the
+  library's packed ints replaced (the f-sum's terms come from the library's
+  ``_f_term``, whose exponents ``f_sum_by_slope`` checks);
 - ``slope_weight`` and ``slope_energy``: the weight rules written with the
   slope t = p'/p and fractional parts in ``Fraction``, the reference for the
   library's integer weight table, and a path's energy summed from them;
@@ -62,10 +69,12 @@ from itertools import accumulate, product as cartesian
 from operator import add
 from typing import Callable, Iterable, Optional
 
-from qlab.pathweights import ModelParams, _walk, b_of, delta, make_tau_table
+from qlab.pathweights import (ModelParams, _f_term, _successors, _walk, _x_valid, b_of, delta,
+                              make_tau_table, x_configs)
 from qlab.qcore import QSeries, _dense_sum, _gauss_coeffs
-from qlab.report import SuiteReport
+from qlab.report import SuiteReport, check
 from qlab.supernomial import S, S_tilde
+from qlab.vircharacters import I_m, _end_shifts
 
 
 def monomial(exp, coeff: int = 1, cutoff=None) -> QSeries:
@@ -236,6 +245,95 @@ def f_sum_by_slope(a: int, b: int, c: int, m: int, table) -> QSeries:
                        else S_tilde(m, l).shift(l))
             terms.append(eps * fac.shift(exp))
     return QSeries.sum(terms)
+
+
+@functools.lru_cache(maxsize=None)
+def _series_x(params: ModelParams, a: int, b: int, c: int, m: int) -> QSeries:
+    if m == 0:
+        return QSeries.one(None) if a == b else QSeries.zero(None)
+    weights = make_tau_table(params).weights
+    return QSeries.sum_shifted(
+        ((1, _series_x(params, a, d, b, m - 1), m * weights[d, b, c])
+         for d in _successors(params.pp)[b]), params.pp)
+
+
+def series_config_sum_X(a: int, b: int, c: int, m: int, table) -> QSeries:
+    """X_{a,b,c,m} by the endpoint recurrence on series, the last step
+    d -> b -> c shifting X_{a,d,b,m-1} by m w(d, b, c) through
+    ``QSeries.sum_shifted``; zero off the domain.  The route that the
+    library's packed kernel ``_x_int`` replaced, cached per model as it was."""
+    if not _x_valid(table.params, a, b, c):
+        return QSeries.zero(None)
+    return _series_x(table.params, a, b, c, m)
+
+
+def series_f_sum(a: int, b: int, c: int, m: int, table) -> QSeries:
+    """The alternating f-sum on series: each term of the library's
+    ``_f_term``, its ``S``/``S_tilde`` series shifted by its exponent, with
+    its orbit sign, added by ``sum_shifted`` over p'; the window is
+    ``f_sum_by_slope``'s |n| <= m + 1."""
+    pp = table.params.pp
+    fam = (S, S_tilde)
+    return QSeries.sum_shifted(
+        ((eps, fam[e](m, l), exp) for eps in (1, -1) for n in range(-m - 1, m + 2)
+         if (term := _f_term(eps * (a + 2 * pp * n), b, c, m, table)) is not None
+         for l, e, exp in (term,)), pp)
+
+
+def series_verify_Xandf(table, m_max: int) -> list:
+    """``verify_Xandf`` on series: ``series_config_sum_X`` against
+    ``series_f_sum``, one ``check`` per case."""
+    p, pp = table.params
+    return [check(f"xandf p={p} p'={pp} a={a} b={b} c={c} m={m}",
+                  series_config_sum_X(a, b, c, m, table), series_f_sum(a, b, c, m, table))
+            for a, b, c in x_configs(table.params) for m in range(m_max + 1)]
+
+
+def series_verify_IandS(params: ModelParams, r: int, a: int, b: int, m_max: int) -> list:
+    """``verify_IandS`` on series: the cached ``I_m`` against the series
+    X_{a,d,b,m-1} shifted by the end shifts and added by ``sum_shifted``
+    over 4pp'."""
+    table = make_tau_table(params)
+    return [check(f"iands p={params.p} p'={params.pp} r={r} a={a} b={b} m={m}",
+                  I_m(params, r, a, b, m),
+                  QSeries.sum_shifted(
+                      ((1, series_config_sum_X(a, d, b, m - 1, table), e)
+                       for d, e in _end_shifts(params, r, a, b, m).items()),
+                      4 * params.p * params.pp))
+            for m in range(1, m_max + 1)]
+
+
+def s_identities():
+    # name -> (lhs, rhs (series, int shift) terms) as callables of (m, l);
+    # S and S~ are read by name at call time.
+    s, st = S, S_tilde
+    return {
+        "sym": lambda m, l: (s(m, -l), ((s(m, l), 0),)),
+        "sym~": lambda m, l: (st(m, -l), ((st(m, l), l),)),
+        "rec1": lambda m, l: (s(m + 1, l), (
+            (s(m, l + 1), -m - l - 1), (s(m, l), 0), (st(m, l - 1), -m + l - 1))),
+        "rec2": lambda m, l: (s(m + 1, l), (
+            (s(m, l + 1), -m - l - 1), (st(m, l), -m), (s(m, l - 1), 0))),
+        "rec3": lambda m, l: (s(m + 1, l), (
+            (st(m, l + 1), -m), (s(m, l), 0), (s(m, l - 1), -m + l - 1))),
+        "rec4": lambda m, l: (st(m + 1, l), (
+            (s(m, l + 1), -l), (s(m, l), 0), (st(m, l - 1), -m + l - 1))),
+        "rec5": lambda m, l: (st(m + 1, l), (
+            (s(m, l + 1), -l), (st(m, l), -m), (s(m, l - 1), 0))),
+        "rec6": lambda m, l: (st(m + 1, l), (
+            (st(m, l + 1), -m - l), (s(m, l), -l), (s(m, l - 1), 0))),
+    }
+
+
+def series_verify_S_recurrences(m_max: int) -> list:
+    """``verify_S_recurrences`` on series: each identity's right side added
+    from the cached ``S``/``S_tilde`` series by ``sum_shifted``, its own
+    table of the eight identities."""
+    return [check(f"relS {name} m={m} l={l}", lhs,
+                  QSeries.sum_shifted(((1, t, k) for t, k in terms), 1))
+            for name, pair in s_identities().items()
+            for m in range(m_max) for l in range(-(m + 1), m + 2)
+            for lhs, terms in (pair(m, l),)]
 
 
 def slope_weight(a: int, b: int, c: int, table) -> Fraction:

@@ -264,7 +264,7 @@ def test_euler_and_string_routes_sum_nothing_through_qseries_sum(monkeypatch):
     # Cold caches, so every cached factor under the two checks is rebuilt.
     for cached in (qcore._gauss_coeffs, qcore._supernomial2_int,
                    supernomial._s_family, supernomial._s_row,
-                   vircharacters.I_m, pathweights._config_sum):
+                   vircharacters.I_m, pathweights._x_int):
         cached.cache_clear()
     monkeypatch.setattr(qcore.QSeries, "sum", staticmethod(raises))
     assert [verify_grading(3, 6, 41), verify_pi2pi3(31)] == want

@@ -1,23 +1,27 @@
 """Strip geometry: site tables, weight tables, paths, configuration sums."""
 
 import math
+import re
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from qlab import pathweights
+from qlab import pathweights, supernomial
 from qlab.pathweights import (
     ModelParams, TauTable, b_of, brute_config_sum_X, config_sum_X,
     count_paths, delta, enumerate_paths, f_sum, make_tau_table,
     path_gf, site_data, tau, verify_Xandf, x_configs,
 )
-from qlab.qcore import QSeries
+from qlab.qcore import QSeries, _dense_sum
+from qlab.report import CaseResult
+from qlab.supernomial import verify_S_recurrences
 from qlab import vircharacters
 from qlab.vircharacters import path_sides_GEN, verify_GEN
 
 from oracles import (
-    f_sum_by_slope, monomial, path_side_reference, slope_energy, slope_weight, walks,
+    f_sum_by_slope, monomial, path_side_reference, series_config_sum_X,
+    series_verify_S_recurrences, series_verify_Xandf, slope_energy, slope_weight, walks,
     wide_window,
 )
 
@@ -361,6 +365,25 @@ class TestPaths:
         assert path_gf(1, 3, 1, table) == monomial(0)
 
 
+@pytest.fixture
+def cold_s_cells():
+    # A patched cell must leave no series or packed cell built on it.
+    caches = (supernomial._s_family, supernomial._s_int)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+@pytest.fixture
+def cold_x():
+    # A patched weight table must leave no X built on it.
+    pathweights._x_int.cache_clear()
+    yield
+    pathweights._x_int.cache_clear()
+
+
 class TestConfigSums:
     @pytest.mark.parametrize("p,pp", MODELS)
     def test_recurrence_matches_brute_force(self, p, pp):
@@ -371,14 +394,99 @@ class TestConfigSums:
                 assert got == brute_config_sum_X(a, b, c, m, table), (a, b, c, m)
 
     def test_second_check_is_served_from_cache(self):
-        # the recurrence is cached per model: a repeated check builds no X
+        # the packed recurrence is cached per model: a repeated check builds no X
         table = make_tau_table(ModelParams(5, 8))
         first = verify_Xandf(table, 4)
-        before = pathweights._config_sum.cache_info()
+        before = pathweights._x_int.cache_info()
         assert verify_Xandf(table, 4) == first
-        after = pathweights._config_sum.cache_info()
+        after = pathweights._x_int.cache_info()
         assert after.hits - before.hits == len(first)
         assert after.misses == before.misses
+
+    def test_packed_suite_agrees_with_the_series_route(self):
+        # Case for case, bytes of every detail included, on every strip
+        # with p' <= 12.
+        for p, pp in _strips(12):
+            table = make_tau_table(ModelParams(p, pp))
+            assert verify_Xandf(table, 4) == series_verify_Xandf(table, 4), (p, pp)
+
+    def test_a_bumped_cell_fails_as_on_the_series_route(self, monkeypatch, cold_s_cells):
+        # q^-1 added to the cell of S_{2,0} where every route reads it
+        # (``_s_cell``): the packed suites read it through their packed
+        # cells, the series routes through ``S``.  relS and xandf must fail
+        # on the same cases with the same details as the series routes.
+        cell_of = supernomial._s_cell
+
+        def bumped(m, l, e):
+            lo, row = cell_of(m, l, e)
+            return _dense_sum(((1, lo, row), (1, -1, (1,)))) if (m, l, e) == (2, 0, 0) \
+                else (lo, row)
+
+        monkeypatch.setattr(supernomial, "_s_cell", bumped)
+        cases = verify_S_recurrences(4)
+        assert cases == series_verify_S_recurrences(4)
+        (case,) = [c for c in cases if c.case_id == "relS rec1 m=1 l=0"]
+        assert case.detail == "first mismatch at q^-1: 2 != 1"
+        table = TABLES[(5, 8)]
+        cases = verify_Xandf(table, 3)
+        assert cases == series_verify_Xandf(table, 3)
+        bad = [c for c in cases if not c.ok]
+        assert len(bad) == 10 and all(c.case_id.endswith(" m=2") for c in bad)
+        # A mismatch off the integers reads back at its rational exponent.
+        assert CaseResult("xandf p=5 p'=8 a=2 b=2 c=4 m=2", False,
+                          "first mismatch at q^19/4: 1 != 2") in bad
+
+    @pytest.mark.parametrize("p,pp,m_max", [(3, 4, 0), (3, 4, 3), (3, 4, 4), (5, 8, 9),
+                                            (4, 5, 12), (3, 4, 18)])
+    def test_digit_width_is_the_least_word_above_the_bound(
+            self, monkeypatch, p, pp, m_max):
+        # Every X and every S cell of one call is read at the least width of
+        # 1, 2, 4 or 8 bytes with 256^w > 2 * 2 (2 m_max // p' + 1) 3^m_max
+        # (README, *Packed strip digit width*), and the cases pass.
+        bound = 2 * 2 * (2 * m_max // pp + 1) * 3 ** m_max
+        want = min(w for w in (1, 2, 4, 8) if 256 ** w > bound)
+        x_of, cell_of, widths = pathweights._x_int, supernomial._s_int, set()
+
+        def x_spy(params, a, b, c, m, w):
+            widths.add(w)
+            return x_of(params, a, b, c, m, w)
+
+        def cell_spy(m, l, e, w, stride):
+            widths.add(w)
+            return cell_of(m, l, e, w, stride)
+
+        monkeypatch.setattr(pathweights, "_x_int", x_spy)
+        monkeypatch.setattr(supernomial, "_s_int", cell_spy)
+        assert all(case.ok for case in verify_Xandf(make_tau_table(ModelParams(p, pp)), m_max))
+        assert widths == {want}
+
+    def test_every_side_fits_below_half_a_digit(self):
+        # The lemma's bound on the sides themselves, on every strip with
+        # p' <= 9 and m <= 6: an f-sum has at most 2 (2m // p' + 1) terms,
+        # each cell at most 3^m, and X at most 3^m, the count of m-step paths
+        # from a, which bounds its coefficients.
+        for p, pp in _strips(9):
+            table = make_tau_table(ModelParams(p, pp))
+            for a, b, c in x_configs(table.params):
+                for m in range(7):
+                    terms = [n for eps in (1, -1) for n in range(-m - 1, m + 2)
+                             if abs((b - eps * (a + 2 * pp * n)) // 2) <= m]
+                    assert len(terms) <= 2 * (2 * m // pp + 1), (p, pp, a, b, c, m)
+                    x = series_config_sum_X(a, b, c, m, table)
+                    assert sum(x.coeffs()) <= count_paths(a, b, m, table.params) <= 3 ** m
+
+    def test_negative_weight_raises(self, monkeypatch, cold_x):
+        # The packed X shifts by m times a weight: a table with a negative
+        # weight is refused by name, not by Python's negative shift count.
+        table = TABLES[(5, 8)]
+        triple = (3, 5, 7)
+        bad = table._replace(weights={**table.weights, triple: -1})
+        monkeypatch.setattr(pathweights, "make_tau_table", lambda params: bad)
+        message = "weight w(3, 5, 7) = -1/8 < 0 on (p,p')=(5,8)"
+        with pytest.raises(ArithmeticError, match=re.escape(message)):
+            verify_Xandf(bad, 2)
+        with pytest.raises(ArithmeticError, match=re.escape(message)):
+            config_sum_X(3, 5, 7, 1, bad)
 
     def test_x_configs_is_the_domain(self):
         # a and b on the strip of one parity, b -> c one admissible step

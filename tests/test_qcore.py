@@ -666,6 +666,45 @@ class TestDigits:
             qcore._unpack(256 ** (2 * w), w, 2)
 
 
+def signed_rows(w: int):
+    """Rows of 0..40 ints with balanced w-byte digits, -B/2 <= c < B/2 for
+    B = 256^w, the ends of that range drawn often."""
+    half = 256 ** w // 2
+    return st.lists(st.one_of(st.sampled_from([0, -half, half - 1, -1, 1]),
+                              st.integers(-half, half - 1)), max_size=40)
+
+
+class TestPackedDigits:
+    @given(data=st.data(), w=st.sampled_from([1, 2, 3, 4, 8, 9]))
+    @settings(max_examples=200, deadline=None)
+    def test_balanced_digits_read_back_a_signed_row(self, data, w):
+        # The row's value at B, summed without the library, reads back in
+        # balanced digits up to its highest nonzero entry, whatever the signs.
+        row = data.draw(signed_rows(w))
+        x = sum(c * 256 ** (w * n) for n, c in enumerate(row))
+        top = max((n + 1 for n, c in enumerate(row) if c), default=0)
+        assert qcore._unpack_signed(x, w) == tuple(row[:top])
+        base = data.draw(st.integers(-5, 5))
+        assert qcore._packed_series(x, w, 3, base) == QSeries.from_keys(
+            dict(enumerate(row, base)), 3)
+
+    @given(row=dense_rows(), stride=st.integers(1, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_a_strided_row_has_stride_digits_per_entry(self, row, stride):
+        w = qcore._digit_bytes(max(row, default=0))
+        x = qcore._pack(row, w, stride)
+        assert x == sum(c * 256 ** (w * stride * n) for n, c in enumerate(row))
+        assert qcore._unpack(x, w, stride * len(row))[::stride] == row
+
+    @pytest.mark.parametrize("w", [1, 2, 4, 8])
+    def test_a_word_digit_too_narrow_raises_overflow(self, w):
+        # struct's error for an entry past its word is an OverflowError.
+        with pytest.raises(OverflowError):
+            qcore._pack((0, 256 ** w), w)
+        with pytest.raises(OverflowError):
+            qcore._pack((0, -1), w, 3)
+
+
 def trimmed_rows():
     """Dense rows of small signed ints without zeros at either end."""
     return st.lists(st.integers(-3, 3), max_size=8).map(

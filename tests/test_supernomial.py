@@ -1,5 +1,6 @@
 """The S / S~ polynomial family: values, support, shift recurrences."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,10 @@ from qlab.supernomial import (
     S, S_floor, S_table, S_tilde, string_sum, verify_S_recurrences,
 )
 
-from oracles import monomial, s_family_sum, sum_over_m_every_term
+from oracles import (
+    monomial, s_family_sum, s_identities, series_verify_S_recurrences,
+    sum_over_m_every_term,
+)
 
 F = Fraction
 
@@ -127,6 +131,89 @@ def test_matches_two_row_supernomial():
             assert got == S(m, l).flip(), (m, l)
 
 
+def _frame_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_cold_cell_builds_rows_bottom_up(cold_s_caches):
+    # A cold row builds every row below it first, bottom-up, each on the
+    # cached one before, so no call recurses deeper than one level: with the
+    # recursion limit 20 frames above this one, a cold read of row 30
+    # succeeds, where a descent through every row would need 30 levels.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 20)
+    try:
+        lo, row = supernomial._s_cell(30, 0, 0)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert lo == -450
+    assert _from_dense(lo, row) == s_family_sum(30, 0, 0)
+    assert supernomial._s_row.cache_info().currsize == 31
+
+
+def test_a_cached_cell_reads_one_row(monkeypatch, cold_s_caches):
+    # Once its row is cached, a cell is one row lookup: no lower row is read.
+    supernomial._s_cell(30, 0, 0)
+    reads = []
+    row_of = supernomial._s_row
+
+    def spy(k):
+        reads.append(k)
+        return row_of(k)
+
+    monkeypatch.setattr(supernomial, "_s_row", spy)
+    for m, l, e in ((30, 3, 0), (12, -5, 1), (0, 0, 0), (30, 30, 1)):
+        reads.clear()
+        assert supernomial._s_cell(m, l, e) == row_of(m)[e][l + m]
+        assert reads == [m], (m, l, e)
+    # Off the strip no row is read at all.
+    reads.clear()
+    assert supernomial._s_cell(31, 32, 0) == (0, ())
+    assert reads == []
+
+
+def test_recurrences_agree_with_the_series_route():
+    # The packed suite against the series route it replaced, case for case.
+    assert verify_S_recurrences(10) == series_verify_S_recurrences(10)
+
+
+@pytest.mark.parametrize("m_max", [1, 2, 3, 5, 6, 10, 11, 20, 21])
+def test_digit_width_is_the_least_word_above_the_bound(monkeypatch, cold_s_caches, m_max):
+    # Every cell of one call is packed at the least width of 1, 2, 4 or 8
+    # bytes with 256^w > 2 * 3^m_max (README, *Packed strip digit width*).
+    want = min(w for w in (1, 2, 4, 8) if 256 ** w > 2 * 3 ** m_max)
+    widths = set()
+    cell_of = supernomial._s_int
+
+    def spy(m, l, e, w, stride):
+        widths.add(w)
+        return cell_of(m, l, e, w, stride)
+
+    monkeypatch.setattr(supernomial, "_s_int", spy)
+    assert all(case.ok for case in verify_S_recurrences(m_max))
+    assert widths == {want}
+
+
+def test_every_side_fits_below_half_a_digit():
+    # The lemma's bound on the compared sides themselves: for m < 12 every
+    # coefficient of each side of each identity is at most 3^{m+1}, and of
+    # each cell of row m at most 3^m, with S_{m,l}(1) summing to 3^m over l.
+    for m in range(12):
+        assert sum(sum(S(m, l).coeffs()) for l in range(-m, m + 1)) == 3 ** m
+        for l in range(-m, m + 1):
+            assert sum(S_tilde(m, l).coeffs()) == sum(S(m, l).coeffs()) <= 3 ** m
+    for case_m in range(11):
+        for name, pair in s_identities().items():
+            for l in range(-(case_m + 1), case_m + 2):
+                lhs, terms = pair(case_m, l)
+                rhs = QSeries.sum_shifted(((1, t, k) for t, k in terms), 1)
+                for side in (lhs, rhs):
+                    assert max(side.coeffs(), default=0) <= 3 ** (case_m + 1), (name, case_m, l)
+
+
 def test_recurrences_all_pass():
     checks = verify_S_recurrences(7)
     assert checks
@@ -134,11 +221,26 @@ def test_recurrences_all_pass():
     assert not bad, bad[:5]
 
 
-def _bumped(family, at):
-    """``family`` with q^-1 added to its value at the arguments ``at``."""
+def _bumped_cell(cell_of, *at):
+    """``cell_of`` (``_s_cell``) with q^-1 added to the (lo, row) cell of
+    S_{m,l} or S~_{m,l} at each (m, l, e) in ``at``."""
     def impl(*args):
-        poly = family(*args)
-        return poly + monomial(F(-1)) if args == at else poly
+        lo, row = cell_of(*args)
+        return _dense_sum(((1, lo, row), (1, -1, (1,)))) if args in at else (lo, row)
+    return impl
+
+
+def _bumped_int(int_of, *at):
+    """``int_of`` (``_s_int``) with q^-1 added to the packed cell (lo, x) of
+    S_{m,l} or S~_{m,l} at each (m, l, e) in ``at``: a digit one at the
+    place of q^-1, stride digits per power of q."""
+    def impl(m, l, e, w, stride):
+        lo, x = int_of(m, l, e, w, stride)
+        if (m, l, e) not in at:
+            return lo, x
+        if lo > -1:
+            lo, x = -1, x << 8 * w * stride * (lo + 1)
+        return lo, x + (1 << 8 * w * stride * (-1 - lo))
     return impl
 
 
@@ -158,9 +260,9 @@ def _bumped_row(row_of, at):
 
 @pytest.fixture
 def cold_s_caches():
-    # A patched row kernel is read only by an uncached cell, and must leave
-    # no cell or row behind for later tests.
-    caches = (supernomial._s_family, supernomial._s_row)
+    # A patched row or cell kernel is read only by an uncached cell, and must
+    # leave no cell or row behind for later tests.
+    caches = (supernomial._s_family, supernomial._s_int, supernomial._s_row)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -168,25 +270,27 @@ def cold_s_caches():
         cache.cache_clear()
 
 
-@pytest.mark.parametrize("patches,first_id,rec1_m3_l1", [
-    ({"S": (3, 0)}, "relS rec1 m=2 l=0", None),
+_BUMPS = {"_s_cell": _bumped_cell, "_s_int": _bumped_int, "_s_row": _bumped_row}
+
+
+@pytest.mark.parametrize("name,at,first_id,rec1_m3_l1", [
+    ("_s_cell", [(3, 0, 0)], "relS rec1 m=2 l=0", None),
     # S~(3,0) enters rec1 at m=3, l=1 only as a right-hand term times q^-3
-    ({"S": (3, 0), "S_tilde": (3, 0)}, "relS rec1 m=2 l=0", "first mismatch at q^-4: 3 != 4"),
-    # the cell cache behind both names: S(3,0) is _s_family(3, 0, 0)
-    ({"_s_family": (3, 0, 0)}, "relS rec1 m=2 l=0", None),
+    ("_s_cell", [(3, 0, 0), (3, 0, 1)], "relS rec1 m=2 l=0",
+     "first mismatch at q^-4: 3 != 4"),
+    # the packed cell cache the suite reads: S(3,0) is _s_int(3, 0, 0, w, 1)
+    ("_s_int", [(3, 0, 0)], "relS rec1 m=2 l=0", None),
     # the row kernel: S_{3,0} of row 3, which row 4 carries into S_{4,-1}
     # but not into S_{4,1}, so the symmetry fails first
-    ({"_s_row": (3, 0)}, "relS sym m=4 l=-1", None),
+    ("_s_row", [(3, 0)], "relS sym m=4 l=-1", None),
 ], ids=["S-only", "S-and-S_tilde", "s_family", "s_row"])
-def test_recurrences_catch_perturbation(monkeypatch, cold_s_caches, patches, first_id,
+def test_recurrences_catch_perturbation(monkeypatch, cold_s_caches, name, at, first_id,
                                         rec1_m3_l1):
-    # corrupt one value of S by its module name, in the second input one of
-    # S~ too, in the third the cell cache they share, and in the fourth one
+    # corrupt one cell of S where the suite reads it, in the second input one
+    # of S~ too, in the third the packed cell cache, and in the fourth one
     # cell of the row kernel; the suite must notice each, also on an
     # identity that the kernel does not build by (it builds by rec1 and rec4)
-    for name, at in patches.items():
-        bump = _bumped_row if name == "_s_row" else _bumped
-        monkeypatch.setattr(supernomial, name, bump(getattr(supernomial, name), at))
+    monkeypatch.setattr(supernomial, name, _BUMPS[name](getattr(supernomial, name), *at))
     checks = verify_S_recurrences(5)
     assert next(c for c in checks if not c.ok).case_id == first_id
     (case,) = [c for c in checks if c.case_id == "relS rec1 m=2 l=0"]

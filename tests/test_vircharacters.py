@@ -23,7 +23,7 @@ from qlab.vircharacters import (
 
 from oracles import (
     coeff_sum, monomial, poch_inv_parts, product, rigged_by_rigging,
-    sum_over_m_every_term, tight_chain, wide_window,
+    series_verify_IandS, sum_over_m_every_term, tight_chain, wide_window,
 )
 from test_pathweights import _strips
 from test_qcore import partitions
@@ -257,13 +257,49 @@ class TestDecomposition:
                         assert case.ok, (p, pp, r, a, case)
 
 
+def test_IandS_agrees_with_the_series_route():
+    # Case for case, bytes of every detail included: every strip with
+    # p' <= 12, every (r, a) and every b = a mod 2, m <= 4.
+    n = 0
+    for p, pp in _strips(12):
+        params = ModelParams(p, pp)
+        for r in range(1, p):
+            for a in range(1, pp):
+                for b in range(2 - a % 2, pp, 2):
+                    cases = verify_IandS(params, r, a, b, 4)
+                    assert cases == series_verify_IandS(params, r, a, b, 4), (p, pp, r, a, b)
+                    n += len(cases)
+    assert n == 17648
+
+
+def test_end_shifts_lie_on_the_one_over_pp_grid():
+    # Lemma *End shifts on the 1/p' grid*: every end shift, in units of
+    # 1/(4pp'), is a multiple of 4p, on every strip with p' < 24, every
+    # (r, a) and every b = a mod 2; so verify_IandS shifts X by whole digits.
+    # And I_m has at most 2 (2m // p' + 1) terms, its orbit window's size
+    # (README, *Packed strip digit width*).
+    n = 0
+    for p, pp in _strips(23):
+        params = ModelParams(p, pp)
+        for r in range(1, p):
+            for a in range(1, pp):
+                for b in range(2 - a % 2, pp, 2):
+                    shift, bdr = vircharacters._end_shift_parts(params, r, a, b)
+                    assert shift % (4 * p) == 0, (p, pp, r, a, b)
+                    assert all(e % (4 * p) == 0 for e in bdr.values()), (p, pp, r, a, b)
+                    n += 1
+        for m in range(2 * pp):
+            assert len(vircharacters._I_m_terms(params, 1, 1, 1, m)) <= 2 * (2 * m // pp + 1)
+    assert n == 144370
+
+
 def test_strip_kernels_build_no_fraction(monkeypatch):
     # The site tables compare the slope t = p'/p in ints, and config_sum_X,
     # f_sum and the I-and-S rebuild sum int keys over one denominator.
     params = ModelParams(5, 8)
     # cold caches, so every table and every X is built
     make_tau_table.cache_clear()
-    pathweights._config_sum.cache_clear()
+    pathweights._x_int.cache_clear()
     built = []
     new = Fraction.__new__
 
